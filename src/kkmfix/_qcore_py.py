@@ -1,8 +1,23 @@
 """Exact arithmetic over the quadratic field Q(sqrt 2), pure-Python kernel.
 
 A value is ``a + b*sqrt(2)`` with rational ``a``, ``b`` kept as reduced
-integer pairs.  Every operation is exact; comparisons never round.  The
-compiled twin ``kkmfix._qcore`` exposes the same interface.
+integer pairs: ``(an, ad)`` and ``(bn, bd)`` with ``gcd(n, d) == 1`` and
+``d > 0``, so zero is ``(0, 1)``.  This canonical form makes equality a
+comparison of the four integers.  Every operation is exact; comparisons
+never round.  The compiled twin ``kkmfix._qcore`` exposes the same
+interface.
+
+Rational path: almost every value the deciders handle is rational
+(``bn == 0``).  When both operands are, add, sub, mul, div, inverse,
+``sign``, ``floor`` and the order comparisons work on ``an/ad`` alone:
+one fraction operation and at most one ``gcd``, and comparisons
+cross-multiply without building a difference.  Operands with
+``bn != 0`` take the general path.  The operands select the path, and
+both give the same canonical results.
+
+``_fast`` and ``_rat`` are the trusted constructors.  They write the
+slots through the cached slot descriptors and check nothing, so every
+caller must pass reduced pairs with positive denominators.
 """
 
 from __future__ import annotations
@@ -69,20 +84,10 @@ class QuadExt:
     def __init__(self, a=0, b=0):
         an, ad = _norm2(*_ratpair(a))
         bn, bd = _norm2(*_ratpair(b))
-        object.__setattr__(self, "_an", an)
-        object.__setattr__(self, "_ad", ad)
-        object.__setattr__(self, "_bn", bn)
-        object.__setattr__(self, "_bd", bd)
-
-    @classmethod
-    def _fast(cls, an: int, ad: int, bn: int, bd: int) -> "QuadExt":
-        # trusted constructor: pairs already reduced, denominators > 0
-        self = object.__new__(cls)
-        object.__setattr__(self, "_an", an)
-        object.__setattr__(self, "_ad", ad)
-        object.__setattr__(self, "_bn", bn)
-        object.__setattr__(self, "_bd", bd)
-        return self
+        _set_an(self, an)
+        _set_ad(self, ad)
+        _set_bn(self, bn)
+        _set_bd(self, bd)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadExt is immutable")
@@ -102,12 +107,17 @@ class QuadExt:
         return self._bn == 0
 
     def sign(self) -> int:
+        if not self._bn:
+            an = self._an
+            return (an > 0) - (an < 0)
         return _sign_pq(self._an * self._bd, self._bn * self._ad)
 
     def conjugate(self) -> "QuadExt":
-        return QuadExt._fast(self._an, self._ad, -self._bn, self._bd)
+        return _fast(self._an, self._ad, -self._bn, self._bd)
 
     def floor(self) -> int:
+        if not self._bn:
+            return self._an // self._ad
         p = self._an * self._bd
         q = self._bn * self._ad
         r = self._ad * self._bd
@@ -130,7 +140,7 @@ class QuadExt:
     # arithmetic
 
     def __neg__(self) -> "QuadExt":
-        return QuadExt._fast(-self._an, self._ad, -self._bn, self._bd)
+        return _fast(-self._an, self._ad, -self._bn, self._bd)
 
     def __pos__(self) -> "QuadExt":
         return self
@@ -138,64 +148,54 @@ class QuadExt:
     def __abs__(self) -> "QuadExt":
         return -self if self.sign() < 0 else self
 
-    def _add(self, o: "QuadExt") -> "QuadExt":
-        an, ad = _f_add(self._an, self._ad, o._an, o._ad)
-        bn, bd = _f_add(self._bn, self._bd, o._bn, o._bd)
-        return QuadExt._fast(an, ad, bn, bd)
-
-    def _mul(self, o: "QuadExt") -> "QuadExt":
-        # (a1 + b1 s)(a2 + b2 s) = a1 a2 + 2 b1 b2 + (a1 b2 + b1 a2) s
-        n1, d1 = _f_mul(self._an, self._ad, o._an, o._ad)
-        n2, d2 = _f_mul(2 * self._bn, self._bd, o._bn, o._bd)
-        an, ad = _f_add(n1, d1, n2, d2)
-        n3, d3 = _f_mul(self._an, self._ad, o._bn, o._bd)
-        n4, d4 = _f_mul(self._bn, self._bd, o._an, o._ad)
-        bn, bd = _f_add(n3, d3, n4, d4)
-        return QuadExt._fast(an, ad, bn, bd)
-
-    def _inverse(self) -> "QuadExt":
-        # 1/(a + b s) = (a - b s)/(a^2 - 2 b^2)
-        nn = self._an * self._an * self._bd * self._bd
-        nn -= 2 * self._bn * self._bn * self._ad * self._ad
-        if nn == 0:
-            raise ZeroDivisionError("division by zero")
-        nd = self._ad * self._ad * self._bd * self._bd
-        an, ad = _f_mul(self._an, self._ad, nd, nn)
-        bn, bd = _f_mul(-self._bn, self._bd, nd, nn)
-        return QuadExt._fast(an, ad, bn, bd)
-
     def __add__(self, other):
-        o = _coerce(other)
-        return NotImplemented if o is None else self._add(o)
+        o = other if other.__class__ is QuadExt else _coerce(other)
+        if o is None:
+            return NotImplemented
+        if self._bn or o._bn:
+            return _add(self, o, 1)
+        return _q_add(self._an, self._ad, o._an, o._ad)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = _coerce(other)
-        return NotImplemented if o is None else self._add(-o)
+        o = other if other.__class__ is QuadExt else _coerce(other)
+        if o is None:
+            return NotImplemented
+        if self._bn or o._bn:
+            return _add(self, o, -1)
+        return _q_add(self._an, self._ad, -o._an, o._ad)
 
     def __rsub__(self, other):
         o = _coerce(other)
-        return NotImplemented if o is None else o._add(-self)
+        return NotImplemented if o is None else o - self
 
     def __mul__(self, other):
-        o = _coerce(other)
-        return NotImplemented if o is None else self._mul(o)
+        o = other if other.__class__ is QuadExt else _coerce(other)
+        if o is None:
+            return NotImplemented
+        if self._bn or o._bn:
+            return _mul(self, o)
+        return _q_mul(self._an, self._ad, o._an, o._ad)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = _coerce(other)
-        return NotImplemented if o is None else self._mul(o._inverse())
+        o = other if other.__class__ is QuadExt else _coerce(other)
+        if o is None:
+            return NotImplemented
+        if self._bn or o._bn:
+            return _mul(self, _inverse(o))
+        return _q_mul(self._an, self._ad, *_q_inv(o._an, o._ad))
 
     def __rtruediv__(self, other):
         o = _coerce(other)
-        return NotImplemented if o is None else o._mul(self._inverse())
+        return NotImplemented if o is None else o / self
 
     # order
 
     def __eq__(self, other):
-        o = _coerce(other)
+        o = other if other.__class__ is QuadExt else _coerce(other)
         if o is None:
             return NotImplemented
         return (
@@ -206,23 +206,41 @@ class QuadExt:
         )
 
     def __lt__(self, other):
-        o = _coerce(other)
-        return NotImplemented if o is None else self._add(-o).sign() < 0
+        o = other if other.__class__ is QuadExt else _coerce(other)
+        if o is None:
+            return NotImplemented
+        if self._bn or o._bn:
+            return _cmp(self, o) < 0
+        return self._an * o._ad < o._an * self._ad
 
     def __le__(self, other):
-        o = _coerce(other)
-        return NotImplemented if o is None else self._add(-o).sign() <= 0
+        o = other if other.__class__ is QuadExt else _coerce(other)
+        if o is None:
+            return NotImplemented
+        if self._bn or o._bn:
+            return _cmp(self, o) <= 0
+        return self._an * o._ad <= o._an * self._ad
 
     def __gt__(self, other):
-        o = _coerce(other)
-        return NotImplemented if o is None else self._add(-o).sign() > 0
+        o = other if other.__class__ is QuadExt else _coerce(other)
+        if o is None:
+            return NotImplemented
+        if self._bn or o._bn:
+            return _cmp(self, o) > 0
+        return self._an * o._ad > o._an * self._ad
 
     def __ge__(self, other):
-        o = _coerce(other)
-        return NotImplemented if o is None else self._add(-o).sign() >= 0
+        o = other if other.__class__ is QuadExt else _coerce(other)
+        if o is None:
+            return NotImplemented
+        if self._bn or o._bn:
+            return _cmp(self, o) >= 0
+        return self._an * o._ad >= o._an * self._ad
 
     def __hash__(self):
         if self._bn == 0:
+            if self._ad == 1:
+                return hash(self._an)  # == hash(Fraction(an, 1))
             return hash(Fraction(self._an, self._ad))
         return hash((self._an, self._ad, self._bn, self._bd))
 
@@ -251,6 +269,104 @@ class QuadExt:
         return f"QuadExt({_fstr(self._an, self._ad)}, {_fstr(self._bn, self._bd)})"
 
 
+_new = object.__new__
+_set_an = QuadExt._an.__set__
+_set_ad = QuadExt._ad.__set__
+_set_bn = QuadExt._bn.__set__
+_set_bd = QuadExt._bd.__set__
+
+
+def _fast(an: int, ad: int, bn: int, bd: int) -> QuadExt:
+    # trusted constructor: pairs already reduced, denominators > 0
+    self = _new(QuadExt)
+    _set_an(self, an)
+    _set_ad(self, ad)
+    _set_bn(self, bn)
+    _set_bd(self, bd)
+    return self
+
+
+def _rat(n: int, d: int) -> QuadExt:
+    # trusted rational constructor: n/d reduced, d > 0
+    self = _new(QuadExt)
+    _set_an(self, n)
+    _set_ad(self, d)
+    _set_bn(self, 0)
+    _set_bd(self, 1)
+    return self
+
+
+# rational path: operands n1/d1, n2/d2 reduced with positive denominators
+
+
+def _q_add(n1: int, d1: int, n2: int, d2: int) -> QuadExt:
+    if d1 == d2:
+        if d1 == 1:
+            return _rat(n1 + n2, 1)
+        n, d = n1 + n2, d1
+    else:
+        n, d = n1 * d2 + n2 * d1, d1 * d2
+    g = gcd(n, d)
+    return _rat(n // g, d // g) if g > 1 else _rat(n, d)
+
+
+def _q_mul(n1: int, d1: int, n2: int, d2: int) -> QuadExt:
+    n, d = n1 * n2, d1 * d2
+    if d == 1:
+        return _rat(n, 1)
+    g = gcd(n, d)
+    return _rat(n // g, d // g) if g > 1 else _rat(n, d)
+
+
+def _q_inv(n: int, d: int) -> tuple[int, int]:
+    # d/n is already reduced; only the sign moves
+    if n > 0:
+        return d, n
+    if n < 0:
+        return -d, -n
+    raise ZeroDivisionError("division by zero")
+
+
+# general path: at least one operand irrational
+
+
+def _add(x: QuadExt, y: QuadExt, s: int) -> QuadExt:
+    # x + s*y for s = +1 or -1
+    an, ad = _f_add(x._an, x._ad, s * y._an, y._ad)
+    bn, bd = _f_add(x._bn, x._bd, s * y._bn, y._bd)
+    return _fast(an, ad, bn, bd)
+
+
+def _mul(x: QuadExt, y: QuadExt) -> QuadExt:
+    # (a1 + b1 s)(a2 + b2 s) = a1 a2 + 2 b1 b2 + (a1 b2 + b1 a2) s
+    n1, d1 = _f_mul(x._an, x._ad, y._an, y._ad)
+    n2, d2 = _f_mul(2 * x._bn, x._bd, y._bn, y._bd)
+    an, ad = _f_add(n1, d1, n2, d2)
+    n3, d3 = _f_mul(x._an, x._ad, y._bn, y._bd)
+    n4, d4 = _f_mul(x._bn, x._bd, y._an, y._ad)
+    bn, bd = _f_add(n3, d3, n4, d4)
+    return _fast(an, ad, bn, bd)
+
+
+def _inverse(x: QuadExt) -> QuadExt:
+    # 1/(a + b s) = (a - b s)/(a^2 - 2 b^2)
+    if not x._bn:
+        return _rat(*_q_inv(x._an, x._ad))
+    nn = x._an * x._an * x._bd * x._bd
+    nn -= 2 * x._bn * x._bn * x._ad * x._ad
+    nd = x._ad * x._ad * x._bd * x._bd
+    an, ad = _f_mul(x._an, x._ad, nd, nn)
+    bn, bd = _f_mul(-x._bn, x._bd, nd, nn)
+    return _fast(an, ad, bn, bd)
+
+
+def _cmp(x: QuadExt, y: QuadExt) -> int:
+    # sign of x - y: (pa/(ad1 ad2)) + (pb/(bd1 bd2)) sqrt2, cross-multiplied
+    pa = x._an * y._ad - y._an * x._ad
+    pb = x._bn * y._bd - y._bn * x._bd
+    return _sign_pq(pa * x._bd * y._bd, pb * x._ad * y._ad)
+
+
 def _fstr(n: int, d: int) -> str:
     return str(n) if d == 1 else f"{n}/{d}"
 
@@ -259,9 +375,9 @@ def _coerce(x):
     if isinstance(x, QuadExt):
         return x
     if isinstance(x, int):
-        return QuadExt._fast(x, 1, 0, 1)
+        return _rat(x, 1)
     if isinstance(x, Fraction):
-        return QuadExt._fast(x.numerator, x.denominator, 0, 1)
+        return _rat(x.numerator, x.denominator)
     return None
 
 

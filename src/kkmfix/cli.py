@@ -192,6 +192,18 @@ def _condition_lines(verdict: TheoremVerdict) -> list[str]:
     return lines
 
 
+def _search_line(
+    strategy: SearchStrategy, verdicts: list[TheoremVerdict]
+) -> list[str]:
+    # the seed and budget matter only where some condition was searched
+    searched = any(
+        c.search_stats is not None for v in verdicts for c in v.conditions.values()
+    )
+    if not searched:
+        return []
+    return [f"seed {strategy.seed}, budget {strategy.max_subsets}"]
+
+
 def _fixed_line(verdict: TheoremVerdict) -> str:
     if verdict.fixed_points is None:
         return f"fixed-point set (infinite): {verdict.fixed_point_set}"
@@ -216,7 +228,7 @@ def _cmd_check(args) -> Report:
     lines = [
         f"check {theorem.value} on {args.map}"
         + (f" ({spec.label})" if spec.label else ""),
-        f"seed {strategy.seed}, budget {strategy.max_subsets}",
+        *_search_line(strategy, [verdict]),
         *_condition_lines(verdict),
         _fixed_line(verdict),
         f"consistent: {'yes' if verdict.consistent else 'NO'}",
@@ -310,7 +322,7 @@ def _cmd_corpus(args) -> Report:
     results = run_corpus(strategy, indices)
     rows = []
     lines = [
-        f"seed {strategy.seed}, budget {strategy.max_subsets}",
+        *_search_line(strategy, [verdict for _, verdict, _ in results]),
         f"{'#':>3}  {'theorem':<8}{'fixed points':<16}result",
     ]
     for entry, verdict, matched in results:

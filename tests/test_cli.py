@@ -90,6 +90,8 @@ def test_check_falsified(maps):
     assert "u = 6; points = 0, 15/2; weights = 1/5, 4/5" in report.rendered
     assert "fixed points: (none)" in report.rendered
     assert "consistent: yes" in report.rendered
+    # the anchor form is searched, so the header names the seed
+    assert "seed 0, budget 2000" in report.rendered
 
 
 def test_check_favorable(maps):
@@ -97,7 +99,8 @@ def test_check_favorable(maps):
     assert report.exit_code == 0
     assert "fixed points: 5" in report.rendered
     assert "consistent: yes" in report.rendered
-    assert "seed 0, budget 2000" in report.rendered
+    # every t5 condition is decided exactly: no seed to report
+    assert "seed 0, budget 2000" not in report.rendered
 
 
 def test_check_json_round_trip(maps):

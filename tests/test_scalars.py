@@ -1,6 +1,7 @@
 """Exact-arithmetic foundation: field, order, and metric axioms with zero
 tolerance, class bookkeeping, and kernel selection."""
 
+import math
 import random
 import subprocess
 import sys
@@ -147,3 +148,89 @@ def test_kernels_agree():
         assert (xp == yp) == (xc == yc)
         assert xp.sign() == xc.sign()
         assert str(xp) == str(xc)
+
+
+def _sqrt2_sign(t: Fraction, d: Fraction) -> int:
+    # sign of t + d*sqrt2 (d != 0) from decimal brackets of sqrt 2
+    k = 1
+    while True:
+        lo = Fraction(math.isqrt(2 * 10 ** (2 * k)), 10 ** k)
+        hi = lo + Fraction(1, 10 ** k)
+        ends = (t + d * lo, t + d * hi)
+        if min(ends) > 0:
+            return 1
+        if max(ends) < 0:
+            return -1
+        k *= 2
+
+
+def test_pure_kernel_matches_fraction():
+    from kkmfix import _qcore_py
+
+    Q = _qcore_py.QuadExt
+    rng = random.Random(37)
+
+    def rational():
+        kind = rng.randrange(5)
+        if kind == 0:
+            return Fraction(rng.randint(-50, 50))
+        if kind == 1:
+            return Fraction(0)
+        if kind == 2:
+            return Fraction(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 20))
+        return Fraction(rng.randint(-60, 60), rng.randint(1, 12))
+
+    def partner(p):
+        kind = rng.randrange(4)
+        if kind == 0:
+            return p + rng.randint(-5, 5)  # same denominator
+        if kind == 1:
+            return rng.choice((p, -p))
+        return rational()
+
+    def canonical(r):
+        return r == Q(r.a, r.b)
+
+    for _ in range(3000):
+        p = rational()
+        q = partner(p)
+        x, y = Q(p), Q(q)
+        results = [(x + y, p + q), (x - y, p - q), (x * y, p * q)]
+        results += [(x + q, p + q), (p - y, p - q), (q * x, q * p)]
+        if q:
+            results += [(x / y, p / q), (p / y, p / q)]
+        else:
+            for divide in (lambda: x / y, lambda: x / 0, lambda: p / y):
+                with pytest.raises(ZeroDivisionError):
+                    divide()
+            with pytest.raises(ZeroDivisionError):
+                Q(p, 1) / y
+        for r, want in results:
+            assert r.b == 0 and r.a == want and canonical(r)
+        assert (x < y) == (p < q) and (x <= y) == (p <= q)
+        assert (x > y) == (p > q) and (x >= y) == (p >= q)
+        assert (x == y) == (p == q) and (x == q) == (p == q)
+        assert x.sign() == (p > 0) - (p < 0)
+        assert x.floor() == math.floor(p)
+        assert hash(x) == hash(p)
+
+        # mixed: rational x against irrational z = c + d*sqrt2
+        c, d = rational(), rational() or Fraction(1)
+        z = Q(c, d)
+        mixed = [
+            (x + z, p + c, d),
+            (x - z, p - c, -d),
+            (z - x, c - p, d),
+            (x * z, p * c, p * d),
+        ]
+        norm = c * c - 2 * d * d
+        mixed.append((x / z, p * c / norm, -p * d / norm))
+        if p:
+            mixed.append((z / x, c / p, d / p))
+        for r, a, b in mixed:
+            assert (r.a, r.b) == (a, b) and canonical(r)
+        assert (x < z) == (_sqrt2_sign(p - c, -d) < 0)
+        assert (z <= x) == (_sqrt2_sign(c - p, d) <= 0)
+        assert x != z and z.sign() == _sqrt2_sign(c, d)
+    with pytest.raises(AttributeError):
+        (x + y)._an = 0  # results stay immutable
