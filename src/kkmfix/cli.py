@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .conditions import ConditionVerdict, SearchStrategy, Status, SubsetWitness
+from .conditions import ConditionVerdict, Status, SubsetWitness
 from .intervals import ClassSet
 from .kkm import GForm, GKind, default_gap_delta, intersection_witness, verify_kkm
 from .mapdef import ParseError, parse
@@ -42,13 +43,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _nonneg(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
-
-
 def _positive(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -72,8 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--theorem", required=True, choices=[t.value for t in TheoremId]
     )
-    check.add_argument("--budget", type=_nonneg, default=None)
-    check.add_argument("--seed", type=_nonneg, default=0)
 
     fixed = sub.add_parser(
         "fixed-points", parents=[shared], help="exact fixed points"
@@ -90,8 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
         "corpus", parents=[shared], help="run the built-in examples"
     )
     corpus.add_argument("--only", type=int, default=None)
-    corpus.add_argument("--budget", type=_nonneg, default=None)
-    corpus.add_argument("--seed", type=_nonneg, default=0)
 
     parsecmd = sub.add_parser(
         "parse", parents=[shared], help="validate a mapping file"
@@ -117,12 +107,6 @@ def _load_spec(path: str, validate: bool = True) -> MappingSpec:
         raise UsageError(f"--map: {err}") from err
 
 
-def _strategy(args) -> SearchStrategy:
-    if getattr(args, "budget", None) is None:
-        return SearchStrategy(seed=args.seed)
-    return SearchStrategy(seed=args.seed, max_subsets=args.budget)
-
-
 def _scalar(x) -> str:
     return format_scalar(as_scalar(x))
 
@@ -146,17 +130,11 @@ def _witness_payload(witness):
 
 
 def _condition_payload(verdict: ConditionVerdict) -> dict:
-    payload = {
+    return {
         "status": verdict.status.value,
         "detail": verdict.detail,
         "witness": _witness_payload(verdict.witness),
     }
-    if verdict.search_stats is not None:
-        payload["search"] = {
-            "subsets_checked": verdict.search_stats.subsets_checked,
-            "points_tried": verdict.search_stats.points_tried,
-        }
-    return payload
 
 
 def _theorem_payload(verdict: TheoremVerdict) -> dict:
@@ -192,18 +170,6 @@ def _condition_lines(verdict: TheoremVerdict) -> list[str]:
     return lines
 
 
-def _search_line(
-    strategy: SearchStrategy, verdicts: list[TheoremVerdict]
-) -> list[str]:
-    # the seed and budget matter only where some condition was searched
-    searched = any(
-        c.search_stats is not None for v in verdicts for c in v.conditions.values()
-    )
-    if not searched:
-        return []
-    return [f"seed {strategy.seed}, budget {strategy.max_subsets}"]
-
-
 def _fixed_line(verdict: TheoremVerdict) -> str:
     if verdict.fixed_points is None:
         return f"fixed-point set (infinite): {verdict.fixed_point_set}"
@@ -215,20 +181,15 @@ def _fixed_line(verdict: TheoremVerdict) -> str:
 def _cmd_check(args) -> Report:
     spec = _load_spec(args.map)
     theorem = TheoremId(args.theorem)
-    strategy = _strategy(args)
-    verdict = run_theorem(spec, theorem, strategy)
+    verdict = run_theorem(spec, theorem)
     exit_code = int(
         any(c.status is Status.FALSIFIED for c in verdict.conditions.values())
     )
-    inputs = (
-        f"map={args.map} theorem={theorem.value} "
-        f"seed={strategy.seed} budget={strategy.max_subsets}"
-    )
+    inputs = f"map={args.map} theorem={theorem.value}"
     payload = {"verdict": _theorem_payload(verdict)}
     lines = [
         f"check {theorem.value} on {args.map}"
         + (f" ({spec.label})" if spec.label else ""),
-        *_search_line(strategy, [verdict]),
         *_condition_lines(verdict),
         _fixed_line(verdict),
         f"consistent: {'yes' if verdict.consistent else 'NO'}",
@@ -318,13 +279,9 @@ def _cmd_corpus(args) -> Report:
         if not 1 <= args.only <= 14:
             raise UsageError("--only: corpus index out of range 1..14")
         indices = [args.only]
-    strategy = _strategy(args)
-    results = run_corpus(strategy, indices)
+    results = run_corpus(indices)
     rows = []
-    lines = [
-        *_search_line(strategy, [verdict for _, verdict, _ in results]),
-        f"{'#':>3}  {'theorem':<8}{'fixed points':<16}result",
-    ]
+    lines = [f"{'#':>3}  {'theorem':<8}{'fixed points':<16}result"]
     for entry, verdict, matched in results:
         fixed = (
             "(infinite)"
@@ -353,9 +310,7 @@ def _cmd_corpus(args) -> Report:
         f"{sum(row['match'] for row in rows)}/{len(rows)} entries match"
     )
     payload = {"entries": rows, "all_match": all_match}
-    inputs = (
-        f"only={args.only} seed={strategy.seed} budget={strategy.max_subsets}"
-    )
+    inputs = f"only={args.only}"
     return _report("corpus", inputs, payload, 0 if all_match else 1, args, lines)
 
 
@@ -439,5 +394,10 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"kkmfix: error: {err}", file=sys.stderr)
         return 2
-    print(report.rendered)
+    try:
+        print(report.rendered, flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout early (``kkmfix corpus | head``): end
+        # quietly, and point stdout at devnull so the exit flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return report.exit_code

@@ -9,7 +9,6 @@ semicontinuity of the displacement x -> |f(x) - x|.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -19,7 +18,6 @@ from .mapping import MappingSpec, _restrict
 from .scalars import (
     ClassTag,
     QuadExt,
-    SQRT2,
     as_scalar,
     class_of,
     dist,
@@ -30,6 +28,10 @@ _TAGS = (ClassTag.RATIONAL, ClassTag.IRRATIONAL)
 
 
 class Status(Enum):
+    """A condition's outcome.  Every decider here returns Proven or
+    Falsified; ``NOT_FALSIFIED``, the outcome of an inconclusive search, is
+    kept for code that tests verdicts for it."""
+
     PROVEN = "Proven"
     FALSIFIED = "Falsified"
     NOT_FALSIFIED = "NotFalsified"
@@ -51,12 +53,6 @@ class BKind(Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-@dataclass(frozen=True)
-class SearchStats:
-    subsets_checked: int
-    points_tried: int
 
 
 @dataclass(frozen=True)
@@ -91,32 +87,9 @@ class ConditionVerdict:
     status: Status
     witness: object | None
     detail: str
-    search_stats: SearchStats | None = None
 
     def __str__(self) -> str:
         return f"{self.status}: {self.detail}"
-
-
-@dataclass(frozen=True)
-class SearchStrategy:
-    """Budget for the subset falsifier of the anchor and displacement forms
-    (the residual form is decided exactly by ``decide_residual``).
-
-    ``max_subsets`` caps how many candidate subsets are analyzed; sizes
-    above 2 are skipped because any violating subset contains a violating
-    pair (dropping points keeps every term of the max negative, and the
-    covered point is never a subset member at a violation)."""
-
-    max_subset_size: int = 4
-    random_points: int = 200
-    seed: int = 0
-    max_subsets: int | None = 2000
-
-    def __post_init__(self):
-        if self.max_subset_size < 0 or self.random_points < 0:
-            raise ValueError("budget fields must be nonnegative")
-        if self.max_subsets is not None and self.max_subsets < 0:
-            raise ValueError("max_subsets must be nonnegative")
 
 
 def _require_in_domain(spec: MappingSpec, x: QuadExt) -> None:
@@ -124,28 +97,54 @@ def _require_in_domain(spec: MappingSpec, x: QuadExt) -> None:
         raise ValueError(f"{format_scalar(x)} outside domain")
 
 
+_ZERO, _ONE, _MINUS_ONE = QuadExt(0), QuadExt(1), QuadExt(-1)
+
+
+def _narrow(ends, root, below: bool, strict: bool):
+    """Cut ``ends`` = (lo, lo_open, hi, hi_open), a nonempty interval with
+    None for an infinite end, to t < root (below) or t > root, non-strict
+    unless ``strict``.  Returns the same tuple when nothing is cut and None
+    when nothing is left."""
+    lo, lo_open, hi, hi_open = ends
+    if below:
+        if hi is None or root < hi:
+            hi, hi_open = root, strict
+        elif root == hi and strict and not hi_open:
+            hi_open = True
+        else:
+            return ends
+    elif lo is None or root > lo:
+        lo, lo_open = root, strict
+    elif root == lo and strict and not lo_open:
+        lo_open = True
+    else:
+        return ends
+    if lo is not None and hi is not None:
+        if lo > hi or (lo == hi and (lo_open or hi_open)):
+            return None
+    return lo, lo_open, hi, hi_open
+
+
+def _ends(iv: Interval):
+    return iv.lo, not iv.lo_closed, iv.hi, not iv.hi_closed
+
+
 def _solve_affine(slope, intercept, rel: str, within: Interval) -> Interval | None:
     """Solution set of slope*x + intercept <rel> 0 inside ``within``."""
     slope = as_scalar(slope)
     intercept = as_scalar(intercept)
+    strict = len(rel) == 1
     if not slope:
-        hold = {
-            "<": intercept < 0,
-            "<=": intercept <= 0,
-            ">": intercept > 0,
-            ">=": intercept >= 0,
-        }[rel]
-        return within if hold else None
-    root = -intercept / slope
-    if slope < 0:
-        rel = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}[rel]
-    half = {
-        "<": Interval.less_than(root),
-        "<=": Interval.at_most(root),
-        ">": Interval.greater_than(root),
-        ">=": Interval.at_least(root),
-    }[rel]
-    return _intersect_iv(within, half)
+        sign = intercept if rel[0] == "<" else -intercept
+        return within if sign < 0 or (not strict and not sign) else None
+    start = _ends(within)
+    ends = _narrow(start, -intercept / slope, (slope > 0) == (rel[0] == "<"), strict)
+    if ends is None:
+        return None
+    if ends is start:
+        return within
+    lo, lo_open, hi, hi_open = ends
+    return Interval(lo, hi, not lo_open, not hi_open)
 
 
 def _region(tag: ClassTag | None, iv: Interval | None) -> ClassSet:
@@ -313,14 +312,12 @@ def check_b_subset(kind: BKind, spec: MappingSpec, points) -> ConditionVerdict:
             if spot is not None and spot not in tried:
                 tried[spot] = attained(spot)
 
-    stats = SearchStats(subsets_checked=1, points_tried=len(tried))
     if not falsified:
         return ConditionVerdict(
             Status.PROVEN,
             None,
             "inequality holds on the whole hull "
             f"[{format_scalar(lo)}, {format_scalar(hi)}]",
-            stats,
         )
     u_best, v_best = min(tried.items(), key=lambda kv: (kv[1], kv[0]))
     witness = SubsetWitness(tuple(pts), None, u_best)
@@ -328,101 +325,6 @@ def check_b_subset(kind: BKind, spec: MappingSpec, points) -> ConditionVerdict:
         Status.FALSIFIED,
         witness,
         f"violated by {format_scalar(-v_best)} at u = {format_scalar(u_best)}",
-        stats,
-    )
-
-
-def _window(dom: Interval) -> tuple[QuadExt, QuadExt]:
-    if dom.lo is not None:
-        wl = dom.lo
-        wr = dom.hi if dom.hi is not None else wl + 20
-    elif dom.hi is not None:
-        wr = dom.hi
-        wl = wr - 20
-    else:
-        wl, wr = QuadExt(-10), QuadExt(10)
-    return wl, wr
-
-
-def _candidate_pool(spec: MappingSpec, strategy: SearchStrategy) -> list[QuadExt]:
-    dom = spec.domain
-    pool: list[QuadExt] = []
-    seen: set[QuadExt] = set()
-
-    def add(x) -> None:
-        x = as_scalar(x)
-        if dom.contains(x) and x not in seen:
-            seen.add(x)
-            pool.append(x)
-
-    for piece in spec.pieces:
-        for end in (piece.over.lo, piece.over.hi):
-            if end is not None:
-                add(end)
-    for o in spec.overrides:
-        add(o.at)
-    for end in (dom.lo, dom.hi):
-        if end is not None:
-            add(end)
-    structural = list(pool)
-    for p in structural:
-        add(spec.evaluate(p))
-    for a, b in zip(structural, structural[1:]):
-        add((a + b) / 2)
-    off = SQRT2 / 10
-    for p in structural:
-        add(p + off)
-        add(p - off)
-
-    rng = random.Random(strategy.seed)
-    wl, wr = _window(dom)
-    for _ in range(strategy.random_points):
-        den = rng.randint(1, 64)
-        lo_n = (wl * den).__floor__() + 1
-        hi_n = (wr * den).__floor__()
-        if lo_n > hi_n:
-            continue
-        add(Fraction(rng.randint(lo_n, hi_n), den))
-    return pool
-
-
-def falsify_b(
-    kind: BKind, spec: MappingSpec, strategy: SearchStrategy | None = None
-) -> ConditionVerdict:
-    """Search for a violating (subset, hull point); never returns Proven.
-
-    Only pairs are tried: any violating subset contains a violating pair,
-    so larger subsets add no power."""
-    strategy = strategy or SearchStrategy()
-    checked = 0
-    tried = 0
-    if strategy.max_subset_size >= 2 and (
-        strategy.max_subsets is None or strategy.max_subsets > 0
-    ):
-        pool = _candidate_pool(spec, strategy)
-        for x1, x2 in itertools.combinations(pool, 2):
-            if strategy.max_subsets is not None and checked >= strategy.max_subsets:
-                break
-            checked += 1
-            verdict = check_b_subset(kind, spec, (x1, x2))
-            tried += verdict.search_stats.points_tried
-            if verdict.status is Status.FALSIFIED:
-                u = verdict.witness.u
-                a, b = sorted((x1, x2))
-                w_b = (u - a) / (b - a)
-                witness = SubsetWitness((a, b), (1 - w_b, w_b), u)
-                return ConditionVerdict(
-                    Status.FALSIFIED,
-                    witness,
-                    verdict.detail
-                    + f" with points {format_scalar(a)}, {format_scalar(b)}",
-                    SearchStats(checked, tried),
-                )
-    return ConditionVerdict(
-        Status.NOT_FALSIFIED,
-        None,
-        "no violating subset found within budget",
-        SearchStats(checked, tried),
     )
 
 
@@ -498,7 +400,8 @@ def _pivot_proves_anchor(spec: MappingSpec, p: QuadExt) -> bool:
 
 def prove_b(kind: BKind, spec: MappingSpec) -> ConditionVerdict | None:
     """Exact provers for two structural special cases; None when neither
-    applies (the search falsifier is the fallback)."""
+    applies.  Cheaper than ``decide_b`` where they apply, which it decides
+    in full."""
     if kind is BKind.RESIDUAL:
         return None
     below = _never_where(spec, ">")  # f <= id everywhere
@@ -550,7 +453,7 @@ def prove_b(kind: BKind, spec: MappingSpec) -> ConditionVerdict | None:
 
 
 # ---------------------------------------------------------------------------
-# exact decider for the residual hull inequality
+# exact decider for the hull inequalities
 
 
 def _value_pieces(spec: MappingSpec):
@@ -563,131 +466,184 @@ def _value_pieces(spec: MappingSpec):
         for iv, expr in spec.class_cells(tag)
     ]
     out.extend(
-        (None, Interval.point(o.at), QuadExt(0), o.value) for o in spec.overrides
+        (None, Interval.point(o.at), _ZERO, o.value) for o in spec.overrides
     )
     return out
 
 
-def _interval_rows(iv: Interval) -> list:
-    """Rows (see ``_project_u``) keeping x inside iv."""
-    rows = []
-    if iv.lo is not None:
-        rows.append((QuadExt(-1), QuadExt(0), iv.lo, not iv.lo_closed))
-    if iv.hi is not None:
-        rows.append((QuadExt(1), QuadExt(0), -iv.hi, not iv.hi_closed))
-    return rows
+def _interval_bounds(iv: Interval) -> tuple[list, list]:
+    """Lower and upper bounds on x (see ``_project_u``) keeping x in iv."""
+    lows = [] if iv.lo is None else [(_ZERO, iv.lo, not iv.lo_closed)]
+    highs = [] if iv.hi is None else [(_ZERO, iv.hi, not iv.hi_closed)]
+    return lows, highs
 
 
-def _project_u(rows, within: Interval) -> Interval | None:
-    """The u in ``within`` for which some real x meets every row
-    (a, b, c, strict): a*x + b*u + c < 0 if strict, else <= 0.
+def _project_u(lows, highs, on_u, within: Interval) -> Interval | None:
+    """The u in ``within`` with b*u + c < 0 (<= 0 unless strict) for each
+    (b, c, strict) in ``on_u``, and some real x above every lower bound in
+    ``lows`` and below every upper bound in ``highs``; a bound
+    (s, i, strict) is s*u + i, passed strictly or not.
 
-    Fourier-Motzkin: each row with a != 0 bounds x by an affine function of
-    u, and x exists iff every lower bound stays below every upper bound."""
-    lows, highs = [], []
-    region = within
-    for a, b, c, strict in rows:
-        rel = "<" if strict else "<="
-        if not a:
-            region = _solve_affine(b, c, rel, region)
-            if region is None:
+    Fourier-Motzkin: x exists iff every lower bound stays below every upper
+    bound.  The ends of u are narrowed in place; one Interval is built at
+    the end."""
+    pairs = (
+        (ls - hs, li - hi, l_strict or h_strict)
+        for ls, li, l_strict in lows
+        for hs, hi, h_strict in highs
+    )
+    start = ends = _ends(within)
+    for b, c, strict in itertools.chain(on_u, pairs):
+        if not b:
+            if c > 0 or (strict and not c):
                 return None
-        else:
-            (highs if a > 0 else lows).append((-b / a, -c / a, strict))
-    for ls, li, l_strict in lows:
-        for hs, hi, h_strict in highs:
-            rel = "<" if l_strict or h_strict else "<="
-            region = _solve_affine(ls - hs, li - hi, rel, region)
-            if region is None:
-                return None
-    return region
+            continue
+        ends = _narrow(ends, -c / b, b > 0, strict)
+        if ends is None:
+            return None
+    if ends is start:
+        return within
+    lo, lo_open, hi, hi_open = ends
+    return Interval(lo, hi, not lo_open, not hi_open)
 
 
-def _near_point(spec: MappingSpec, u: QuadExt, side: Interval):
-    """Some x in ``side`` with |f(x) - u| < |f(u) - u|, or None."""
-    r = spec.residual(u)
-    for tag, iv, c, d in _value_pieces(spec):
-        region = _intersect_iv(iv, side)
-        if region is not None:
-            region = _solve_affine(c, d - u - r, "<", region)
-        if region is not None:
-            region = _solve_affine(-c, u - d - r, "<", region)
-        x = _region(tag, region).pick()
-        if x is not None:
-            return x
-    return None
+def _gauges(kind: BKind, c, d, below: bool, k, m):
+    """The bound g in a negative term |f(x) - u| < g, at the points x of a
+    value piece f(x) = c*x + d lying below u (or above it), as triples
+    (gx, gu, g0) with g = gx*x + gu*u + g0: the term is negative iff
+    |f(x) - u| < g for one of them.
+
+    Anchor: g = u - x below u and x - u above.  Displacement:
+    g = |h| for h = (c - 1)x + d, and |f(x) - u| < |h| iff
+    |f(x) - u| < s*h for s = 1 or -1; the strict inequality keeps s*h > 0,
+    so no row for the sign is needed.  Residual: g = |f(u) - u| = k*u + m
+    on one u-piece and sign of f(u) - u."""
+    if kind is BKind.ANCHOR:
+        return ((_MINUS_ONE, _ONE, _ZERO),) if below else ((_ONE, _MINUS_ONE, _ZERO),)
+    if kind is BKind.DISPLACEMENT:
+        return ((c - 1, _ZERO, d), (1 - c, _ZERO, -d))
+    return ((_ZERO, k, m),)
 
 
-# rows a*x + b*u + c < 0 putting x below, or above, u
-_BELOW = (QuadExt(1), QuadExt(-1), QuadExt(0), True)
-_ABOVE = (QuadExt(-1), QuadExt(1), QuadExt(0), True)
+_AT_U = (_ONE, _ZERO, True)  # the bound x < u, or x > u
 
 
-def _near_u(pieces, x_rows, k, m, side, within: Interval) -> list[Interval]:
-    """The u in ``within`` with some x on ``side`` of u, in one of the value
-    pieces, such that |f(x) - u| < k*u + m."""
+def _near_u(kind, pieces, x_bounds, k, m, below: bool, within: Interval) -> list:
+    """The u in ``within`` with some x on one side of u, in one of the value
+    pieces, such that |f(x) - u| < g."""
     out = []
-    for (_, iv, c, d), rows in zip(pieces, x_rows):
+    for (_, iv, c, d), (iv_lows, iv_highs) in zip(pieces, x_bounds):
         # x >= iv.lo >= within.hi >= u (or the mirror) cannot hold
-        if side is _BELOW:
+        if below:
             if iv.lo is not None and within.hi is not None and iv.lo >= within.hi:
                 continue
         elif iv.hi is not None and within.lo is not None and iv.hi <= within.lo:
             continue
-        close = [(c, -1 - k, d - m, True), (-c, 1 - k, -d - m, True)]
-        proj = _project_u(rows + close + [side], within)
-        if proj is not None:
-            out.append(proj)
+        for gx, gu, g0 in _gauges(kind, c, d, below, k, m):
+            lows, highs, on_u = list(iv_lows), list(iv_highs), []
+            (highs if below else lows).append(_AT_U)
+            # f(x) - u - g < 0 and u - f(x) - g < 0, each a*x + b*u + e < 0
+            for a, b, e in (
+                (c - gx, _MINUS_ONE - gu, d - g0),
+                (-c - gx, _ONE - gu, -d - g0),
+            ):
+                if not a:
+                    on_u.append((b, e, True))
+                else:
+                    neg = -a
+                    (highs if a > 0 else lows).append((b / neg, e / neg, True))
+            proj = _project_u(lows, highs, on_u, within)
+            if proj is not None:
+                out.append(proj)
     return out
 
 
-def decide_residual(spec: MappingSpec) -> ConditionVerdict:
-    """The residual hull inequality over every finite subset, decided exactly.
-
-    At x = u the term |f(x) - u| - |f(u) - u| is 0, so a subset violates
-    the inequality at u iff it has points x < u < x' with both terms
-    negative.  The violating set is therefore V = {u in C : some x < u and
-    some x' > u in C have |f(x) - u| < |f(u) - u|}.  On each pair of value
-    pieces (one holding u, one x) and each sign of f(u) - u the constraints
-    are strict affine inequalities in (x, u), so V is a finite union of
-    projections onto the u axis.  A nondegenerate x piece meets every
-    nonempty x-slice in points of its class, so classes matter only for u
-    and for single-point pieces.  Returns Proven, or Falsified with a
-    two-point witness around the first violating u found."""
-    pieces = _value_pieces(spec)
-    x_rows = [_interval_rows(iv) for _, iv, _, _ in pieces]
+def _u_pieces(kind: BKind, spec: MappingSpec, pieces):
+    """(tag, interval, within, k, m) covering the hull points u.  The
+    residual form splits u by value piece and by the sign of f(u) - u,
+    keeping the u in ``within`` where |f(u) - u| = k*u + m > 0; the other
+    forms take all of C at once."""
+    if kind is not BKind.RESIDUAL:
+        yield None, spec.domain, spec.domain, None, None
+        return
     for tag, iv, a, b in pieces:
         for s in (1, -1):
-            # where s * (f(u) - u) > 0 the residual is k*u + m
             k, m = s * (a - 1), s * b
             within = _solve_affine(k, m, ">", iv)
-            if within is None:
-                continue
-            below = _near_u(pieces, x_rows, k, m, _BELOW, within)
-            if not below:
-                continue
-            above = _near_u(pieces, x_rows, k, m, _ABOVE, within)
-            violating = (
-                _region(tag, iv)
-                .intersect(ClassSet(below, below))
-                .intersect(ClassSet(above, above))
-            )
-            if not violating.is_empty:
-                return _residual_falsified(spec, violating.pick())
+            if within is not None:
+                yield tag, iv, within, k, m
+
+
+_CLOSE = {
+    BKind.ANCHOR: "|f(x) - u| < u - x and |f(x') - u| < x' - u",
+    BKind.DISPLACEMENT: "|f(x) - u| < |f(x) - x| and |f(x') - u| < |f(x') - x'|",
+    BKind.RESIDUAL: "|f(x) - u| and |f(x') - u| both below |f(u) - u|",
+}
+
+
+def decide_b(kind: BKind, spec: MappingSpec) -> ConditionVerdict:
+    """A hull inequality over every finite subset, decided exactly.
+
+    At x = u every term |f(x) - u| - g is >= 0, so a subset violates the
+    inequality at u iff it has points x < u < x' with both terms negative:
+    the violating set is V = C & L & R, where L holds the u with some
+    x < u in C and |f(x) - u| < g, and R is its mirror.  On a value piece
+    f(x) = c*x + d, g is affine in (x, u) (see ``_gauges``), so each of L
+    and R is a finite union of projections of strict affine constraints
+    onto the u axis.  A nondegenerate x piece meets every nonempty x-slice
+    in points of its class, so classes matter only for u and for
+    single-point pieces.  Returns Proven, or Falsified with a two-point
+    witness around the first violating u found."""
+    pieces = _value_pieces(spec)
+    x_bounds = [_interval_bounds(iv) for _, iv, _, _ in pieces]
+    for tag, iv, within, k, m in _u_pieces(kind, spec, pieces):
+        below = _near_u(kind, pieces, x_bounds, k, m, True, within)
+        if not below:
+            continue
+        above = _near_u(kind, pieces, x_bounds, k, m, False, within)
+        violating = (
+            _region(tag, iv)
+            .intersect(ClassSet(below, below))
+            .intersect(ClassSet(above, above))
+        )
+        if not violating.is_empty:
+            return _b_falsified(kind, spec, pieces, violating.pick(), k, m)
     return ConditionVerdict(
         Status.PROVEN,
         None,
-        "no u in C has x < u < x' with |f(x) - u| and |f(x') - u| both "
-        "below |f(u) - u|; the inequality holds for every finite subset",
+        f"no u in C has x < u < x' with {_CLOSE[kind]}; the inequality holds "
+        "for every finite subset",
     )
 
 
-def _residual_falsified(spec: MappingSpec, u: QuadExt) -> ConditionVerdict:
-    lo = _near_point(spec, u, Interval.less_than(u))
-    hi = _near_point(spec, u, Interval.greater_than(u))
+def _near_point(kind, pieces, u: QuadExt, below: bool, k, m):
+    """Some x on one side of u with |f(x) - u| < g, or None."""
+    side = Interval.less_than(u) if below else Interval.greater_than(u)
+    for tag, iv, c, d in pieces:
+        region = _intersect_iv(iv, side)
+        if region is None:
+            continue
+        for gx, gu, g0 in _gauges(kind, c, d, below, k, m):
+            g_at_u = gu * u + g0
+            near = _solve_affine(c - gx, d - u - g_at_u, "<", region)
+            if near is not None:
+                near = _solve_affine(-c - gx, u - d - g_at_u, "<", near)
+            x = _region(tag, near).pick()
+            if x is not None:
+                return x
+    return None
+
+
+def _b_falsified(kind, spec, pieces, u: QuadExt, k, m) -> ConditionVerdict:
+    lo = _near_point(kind, pieces, u, True, k, m)
+    hi = _near_point(kind, pieces, u, False, k, m)
     w_hi = (u - lo) / (hi - lo)
     witness = SubsetWitness((lo, hi), (1 - w_hi, w_hi), u)
-    value = b_value(BKind.RESIDUAL, spec, (lo, hi), u)
+    value = b_value(kind, spec, (lo, hi), u)
+    if value >= 0:
+        raise RuntimeError(
+            f"{kind} witness at u = {format_scalar(u)} does not violate"
+        )
     return ConditionVerdict(
         Status.FALSIFIED,
         witness,

@@ -15,14 +15,12 @@ from functools import lru_cache
 from .conditions import (
     BKind,
     ConditionVerdict,
-    SearchStrategy,
     Status,
     check_c3,
     check_onto,
+    decide_b,
     decide_c1,
     decide_c2,
-    decide_residual,
-    falsify_b,
     prove_b,
 )
 from .intervals import ClassSet
@@ -84,27 +82,18 @@ def _check_domain(spec: MappingSpec, need_compact: bool) -> ConditionVerdict:
     return ConditionVerdict(Status.FALSIFIED, None, "C is not closed")
 
 
-def run_theorem(
-    spec: MappingSpec,
-    theorem: TheoremId,
-    strategy: SearchStrategy | None = None,
-) -> TheoremVerdict:
-    """Check every hypothesis of one theorem against the spec.
-
-    ``strategy`` budgets the search for the anchor and displacement hull
-    forms; the residual form is decided exactly."""
+def run_theorem(spec: MappingSpec, theorem: TheoremId) -> TheoremVerdict:
+    """Check every hypothesis of one theorem against the spec; each one
+    ends Proven or Falsified."""
     if not isinstance(theorem, TheoremId):
         raise ValueError(f"unknown theorem: {theorem!r}")
-    strategy = strategy or SearchStrategy()
     need_compact, kind, b_key, extra_key = _SHAPE[theorem]
 
     conditions: dict[str, ConditionVerdict] = {}
     conditions["domain"] = _check_domain(spec, need_compact)
     conditions["onto"] = check_onto(spec)
-    if kind is BKind.RESIDUAL:
-        conditions[b_key] = decide_residual(spec)
-    else:
-        conditions[b_key] = prove_b(kind, spec) or falsify_b(kind, spec, strategy)
+    # the structural provers are a cheaper certificate where they apply
+    conditions[b_key] = prove_b(kind, spec) or decide_b(kind, spec)
     if extra_key is not None:
         conditions[extra_key] = _EXTRA_CHECK[extra_key](spec)
 
@@ -116,12 +105,6 @@ def run_theorem(
     consistent = (not favorable) or (not fset.is_empty)
 
     notes = []
-    b_verdict = conditions[b_key]
-    if b_verdict.status is Status.NOT_FALSIFIED:
-        notes.append(
-            f"{b_key} searched ({b_verdict.search_stats.subsets_checked} "
-            f"subsets, seed {strategy.seed}), not proven"
-        )
     if fpts is None:
         notes.append("fixed-point set is infinite")
     if theorem is TheoremId.T5 and not fset.is_empty:
@@ -228,14 +211,12 @@ def _matches(entry: CorpusEntry, verdict: TheoremVerdict) -> bool:
     return verdict.fixed_points == entry.expected_fixed_points
 
 
-def run_corpus(
-    strategy: SearchStrategy | None = None,
-    indices=None,
-) -> list[tuple[CorpusEntry, TheoremVerdict, bool]]:
-    """Run every corpus entry under its designated theorem."""
+def run_corpus(indices=None) -> list[tuple[CorpusEntry, TheoremVerdict, bool]]:
+    """Run every corpus entry (or those in ``indices``) under its
+    designated theorem."""
     out = []
     for n in indices if indices is not None else range(1, 15):
         entry = corpus_entry(n)
-        verdict = run_theorem(entry.spec, entry.theorem, strategy)
+        verdict = run_theorem(entry.spec, entry.theorem)
         out.append((entry, verdict, _matches(entry, verdict)))
     return out

@@ -7,9 +7,17 @@ from fractions import Fraction
 
 import pytest
 
+from kkmfix.conditions import BKind
 from kkmfix.intervals import Interval
 from kkmfix.scalars import QuadExt
 from kkmfix.verdict import corpus_entry
+
+# verdict condition key -> the hull inequality form it decides
+HULL_KINDS = {
+    "kkm_anchor": BKind.ANCHOR,
+    "kkm_displacement": BKind.DISPLACEMENT,
+    "kkm_residual": BKind.RESIDUAL,
+}
 
 
 def rand_fraction(rng: random.Random, span: int = 40, den: int = 12) -> Fraction:

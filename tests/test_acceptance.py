@@ -17,15 +17,14 @@ from kkmfix import (
     Interval,
     QuadExt,
     SQRT2,
-    SearchStrategy,
     Status,
     TheoremId,
     check_b_subset,
     check_c1,
     check_c3,
+    decide_b,
     dist,
     em_chain,
-    falsify_b,
     intersection_witness,
     parse,
     random_specs,
@@ -95,7 +94,7 @@ def test_criterion_2_anchor_sets(corpus):
 
 @_criterion(3, "subset falsifiers: exact two-point witnesses with margins")
 def test_criterion_3_falsifiers(corpus):
-    verdict = falsify_b(BKind.ANCHOR, corpus[4].spec)
+    verdict = decide_b(BKind.ANCHOR, corpus[4].spec)
     assert verdict.status is Status.FALSIFIED
     w = verdict.witness
     assert len(w.points) == 2
@@ -156,14 +155,14 @@ def test_criterion_5_witness_covers(corpus):
 def test_criterion_6_consistency():
     for _, verdict, _ in run_corpus():
         assert verdict.consistent
-    small = SearchStrategy(max_subset_size=2, random_points=12, seed=0, max_subsets=40)
     for spec in random_specs(1000, seed=0):
         for theorem in TheoremId:
-            verdict = run_theorem(spec, theorem, small)
-            if not verdict.consistent:
-                # escalate the cheap screen to the full default budget
-                verdict = run_theorem(spec, theorem, SearchStrategy())
+            verdict = run_theorem(spec, theorem)
             assert verdict.consistent, f"{theorem.value} on {spec.label}"
+            for key, cond in verdict.conditions.items():
+                assert cond.status is not Status.NOT_FALSIFIED, (
+                    f"{theorem.value} {key} on {spec.label}"
+                )
 
 
 @_criterion(7, "nested level chains and witness shrinkage reach the fixed set")

@@ -7,8 +7,10 @@ import sys
 
 import pytest
 
-from kkmfix import BKind, b_value, parse_scalar, serialize
+from kkmfix import b_value, parse_scalar, serialize
 from kkmfix.cli import Report, UsageError, main, run_command
+
+from conftest import HULL_KINDS
 
 _IDENTITY_MAP = """\
 label identity on the unit interval
@@ -49,7 +51,8 @@ def test_corpus_all_match():
     assert len(rows) == 14
     assert not any(line.endswith("MISMATCH") for line in lines)
     assert "14/14 entries match" in report.rendered
-    assert "seed 0" in report.rendered
+    # every condition is decided: no search seed or budget to report
+    assert "seed" not in report.rendered and "budget" not in report.rendered
 
 
 def test_corpus_only():
@@ -60,25 +63,28 @@ def test_corpus_only():
     assert report.verdicts["entries"][0]["fixed_points"] == ["5"]
 
 
-def test_corpus_budget_zero_degrades_honestly():
-    report = run_command(["corpus", "--budget", "0"])
-    assert report.exit_code == 1
-    missed = {
-        row["index"] for row in report.verdicts["entries"] if not row["match"]
-    }
-    # with no search budget the anchor falsification of entry 4 cannot be
-    # found; entry 14's residual form is decided exactly and still fails
-    assert missed == {4}
+def test_corpus_decides_every_hull_condition():
     from kkmfix.verdict import corpus_entry
 
-    residual = report.verdicts["entries"][13]["verdict"]["conditions"][
-        "kkm_residual"
-    ]
-    assert residual["status"] == "Falsified"
-    witness = residual["witness"]
-    points = [parse_scalar(p) for p in witness["points"]]
-    u = parse_scalar(witness["u"])
-    assert b_value(BKind.RESIDUAL, corpus_entry(14).spec, points, u) < 0
+    body = json.loads(run_command(["corpus", "--json"]).rendered)
+    assert body["inputs"] == "only=None"
+    falsified = set()
+    for row in body["verdicts"]["entries"]:
+        for key, cond in row["verdict"]["conditions"].items():
+            assert cond["status"] in ("Proven", "Falsified"), (row["index"], key)
+            assert set(cond) == {"status", "detail", "witness"}
+            if key in HULL_KINDS and cond["status"] == "Falsified":
+                falsified.add(row["index"])
+                witness = cond["witness"]
+                points = [parse_scalar(p) for p in witness["points"]]
+                u = parse_scalar(witness["u"])
+                spec = corpus_entry(row["index"]).spec
+                assert b_value(HULL_KINDS[key], spec, points, u) < 0
+    assert falsified == {4, 14}
+    # the search's budget and seed flags are gone
+    for flag in ("--budget", "--seed"):
+        with pytest.raises(UsageError):
+            run_command(["corpus", flag, "0"])
 
 
 def test_check_falsified(maps):
@@ -86,12 +92,12 @@ def test_check_falsified(maps):
     assert report.exit_code == 1
     assert "kkm_anchor" in report.rendered
     assert "Falsified" in report.rendered
-    assert "violated by 1/2 at u = 6" in report.rendered
-    assert "u = 6; points = 0, 15/2; weights = 1/5, 4/5" in report.rendered
+    assert "violated by 3/5 at u = 6" in report.rendered
+    assert "u = 6; points = 0, 7; weights = 1/7, 6/7" in report.rendered
     assert "fixed points: (none)" in report.rendered
     assert "consistent: yes" in report.rendered
-    # the anchor form is searched, so the header names the seed
-    assert "seed 0, budget 2000" in report.rendered
+    # the anchor form is decided: no search seed or budget to report
+    assert "seed" not in report.rendered and "budget" not in report.rendered
 
 
 def test_check_favorable(maps):
@@ -111,10 +117,7 @@ def test_check_json_round_trip(maps):
     assert body["command"] == "check" and body["exit_code"] == 1
     witness = body["verdicts"]["verdict"]["conditions"]["kkm_anchor"]["witness"]
     assert parse_scalar(witness["u"]) == 6
-    assert [parse_scalar(p) for p in witness["points"]] == [
-        0,
-        parse_scalar("15/2"),
-    ]
+    assert [parse_scalar(p) for p in witness["points"]] == [0, 7]
     assert sum(parse_scalar(w) for w in witness["weights"]) == 1
     # byte-identical rerun
     assert run_command(argv).rendered == report.rendered
@@ -228,6 +231,24 @@ def test_module_entry_point(maps):
     )
     assert proc.returncode == 0
     assert "MATCH" in proc.stdout
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_closed_stdout_ends_quietly(extra):
+    # `kkmfix corpus | head -3`: the reader goes away before the output
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kkmfix", "corpus", "--only", "4", *extra],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert "Traceback" not in err
+    assert err == ""
 
 
 def test_rendered_determinism(maps):

@@ -8,7 +8,6 @@ import pytest
 
 from kkmfix.conditions import (
     BKind,
-    SearchStrategy,
     Status,
     SubsetWitness,
     b_value,
@@ -18,18 +17,19 @@ from kkmfix.conditions import (
     check_c2,
     check_c3,
     check_onto,
+    decide_b,
     decide_c1,
     decide_c2,
-    decide_residual,
-    falsify_b,
     prove_b,
     sublevel,
 )
 from kkmfix.intervals import ClassSet, Interval
+from kkmfix.mapdef import parse
 from kkmfix.randmaps import random_specs
-from kkmfix.scalars import QuadExt, dist
+from kkmfix.scalars import QuadExt, dist, format_scalar
 
 from conftest import rand_point_in
+from pair_oracle import falsify_b
 
 
 def _hull_points(rng, pts, count):
@@ -60,7 +60,7 @@ def test_check_b_subset_falsified_pin(corpus):
     assert margin == 2
 
     # the exact decider finds a two-point violation on its own
-    verdict = decide_residual(ex14)
+    verdict = decide_b(BKind.RESIDUAL, ex14)
     assert verdict.status is Status.FALSIFIED
     w = verdict.witness
     assert len(w.points) == 2
@@ -91,42 +91,134 @@ def test_check_b_subset_proven_implies_nonnegative_b_value(corpus):
                 assert b_value(kind, spec, w.points, w.u) < 0
 
 
-def test_falsify_b_pin_endpoint_swap(corpus):
-    verdict = falsify_b(BKind.ANCHOR, corpus[4].spec)
-    assert verdict.status is Status.FALSIFIED
+def _check_witness(kind, spec, verdict):
+    """A Falsified hull verdict carries a weighted two-point witness that
+    violates the inequality by the margin its detail names."""
     w = verdict.witness
-    assert len(w.points) == 2
-    assert w.points[0] == 0 and 5 < w.points[1] < 10
-    assert w.weights is not None and sum(w.weights, QuadExt(0)) == 1
+    assert len(w.points) == 2 and w.points[0] < w.u < w.points[1]
     assert all(weight > 0 for weight in w.weights)
+    assert sum(w.weights, QuadExt(0)) == 1
     assert w.u == sum(
         (p * weight for p, weight in zip(w.points, w.weights)), QuadExt(0)
     )
-    assert verdict.search_stats.subsets_checked > 0
+    value = b_value(kind, spec, w.points, w.u)
+    assert value < 0
+    assert verdict.detail.startswith(f"violated by {format_scalar(-value)} ")
+
+
+def test_falsify_b_pin_endpoint_swap(corpus):
+    # the test-only pair oracle still finds the corpus violation
+    witness, checked = falsify_b(BKind.ANCHOR, corpus[4].spec)
+    assert witness is not None
+    assert len(witness.points) == 2
+    assert witness.points[0] == 0 and 5 < witness.points[1] < 10
+    assert witness.weights is not None
+    assert sum(witness.weights, QuadExt(0)) == 1
+    assert all(weight > 0 for weight in witness.weights)
+    assert witness.u == sum(
+        (p * weight for p, weight in zip(witness.points, witness.weights)),
+        QuadExt(0),
+    )
+    assert checked > 0
+
+    # the exact decider finds one too: 0 and 7 around u = 6
+    verdict = decide_b(BKind.ANCHOR, corpus[4].spec)
+    assert verdict.status is Status.FALSIFIED
+    assert verdict.witness.points == (0, 7) and verdict.witness.u == 6
+    _check_witness(BKind.ANCHOR, corpus[4].spec, verdict)
 
 
 def test_falsify_b_never_proves(corpus):
-    strategy = SearchStrategy(max_subsets=60, random_points=16)
-    verdict = falsify_b(BKind.RESIDUAL, corpus[9].spec, strategy)
-    assert verdict.status is Status.NOT_FALSIFIED
-    assert verdict.search_stats.subsets_checked <= 60
+    witness, checked = falsify_b(
+        BKind.RESIDUAL, corpus[9].spec, max_pairs=60, random_points=16
+    )
+    assert witness is None
+    assert checked <= 60
 
-    # the search is the reference oracle for the exact residual decider:
-    # every Falsified witness re-checks, and where the decider proves, the
+    # the search is the reference oracle for the exact decider: every
+    # Falsified witness re-checks, and where the decider proves, the
     # search finds no violation either
-    oracle = SearchStrategy(max_subsets=200, random_points=40)
-    statuses = set()
+    statuses = {kind: set() for kind in BKind}
     for spec in random_specs(30, seed=3):
-        verdict = decide_residual(spec)
-        statuses.add(verdict.status)
-        if verdict.status is Status.FALSIFIED:
-            w = verdict.witness
-            assert b_value(BKind.RESIDUAL, spec, w.points, w.u) < 0
+        for kind in BKind:
+            verdict = decide_b(kind, spec)
+            statuses[kind].add(verdict.status)
+            if verdict.status is Status.FALSIFIED:
+                _check_witness(kind, spec, verdict)
+            else:
+                assert verdict.status is Status.PROVEN
+                found, _ = falsify_b(kind, spec, max_pairs=200, random_points=40)
+                assert found is None, (kind, spec.label)
+    # the generated families violate the anchor and displacement forms
+    # throughout, so the hand maps below give those forms Proven cases
+    assert statuses[BKind.RESIDUAL] == {Status.PROVEN, Status.FALSIFIED}
+
+
+# maps the generated families do not reach: an unbounded two-class map, a
+# ray with an override, and a half-open domain split at an irrational point
+_HAND_MAPS = {
+    "two-class line": (
+        """domain (-inf, inf)
+piece (-inf, inf) rational: -x
+piece (-inf, inf) irrational: x + 1
+""",
+        (Status.FALSIFIED, Status.FALSIFIED, Status.FALSIFIED),
+    ),
+    "ray": (
+        """domain [0, inf)
+piece [0, 3] all: 1/2 x + 2
+piece (3, inf) all: x + 1/2
+override 1 -> 0
+""",
+        (Status.PROVEN, Status.FALSIFIED, Status.FALSIFIED),
+    ),
+    "sqrt2 split": (
+        """domain (0, 10]
+piece (0, 1 + 3*sqrt2) all: 1/2 x + 3
+piece [1 + 3*sqrt2, 10] all: 3/4 x + 5/2
+""",
+        (Status.PROVEN, Status.PROVEN, Status.PROVEN),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HAND_MAPS))
+def test_decide_b_hand_maps(name):
+    text, expected = _HAND_MAPS[name]
+    spec = parse(text)
+    for kind, status in zip(BKind, expected):
+        verdict = decide_b(kind, spec)
+        assert verdict.status is status, (name, kind)
+        if status is Status.FALSIFIED:
+            _check_witness(kind, spec, verdict)
         else:
-            assert verdict.status is Status.PROVEN
-            found = falsify_b(BKind.RESIDUAL, spec, oracle)
-            assert found.status is Status.NOT_FALSIFIED, spec.label
-    assert statuses == {Status.PROVEN, Status.FALSIFIED}
+            found, _ = falsify_b(kind, spec, max_pairs=200, random_points=40)
+            assert found is None, (name, kind)
+
+
+def test_decide_b_two_class_line_pin():
+    # the search misses this violation; the decider places it at u = -1/2,
+    # with an irrational point below u on the x + 1 branch
+    spec = parse(_HAND_MAPS["two-class line"][0])
+    verdict = decide_b(BKind.ANCHOR, spec)
+    assert verdict.witness.u == Fraction(-1, 2)
+    low, high = verdict.witness.points
+    assert not low.is_rational and spec.evaluate(low) == low + 1
+    assert high.is_rational
+
+
+def test_decide_b_pins(corpus):
+    # in run_theorem prove_b answers these first; the decider agrees alone
+    for n in (1, 2, 3, 5):
+        assert decide_b(BKind.ANCHOR, corpus[n].spec).status is Status.PROVEN
+    for n in (6, 7, 8):
+        verdict = decide_b(BKind.DISPLACEMENT, corpus[n].spec)
+        assert verdict.status is Status.PROVEN
+    for n in (9, 10, 11, 12, 13):
+        assert decide_b(BKind.RESIDUAL, corpus[n].spec).status is Status.PROVEN
+    verdict = decide_b(BKind.RESIDUAL, corpus[14].spec)
+    assert verdict.status is Status.FALSIFIED
+    _check_witness(BKind.RESIDUAL, corpus[14].spec, verdict)
 
 
 def test_prove_b_pins(corpus):
@@ -135,9 +227,8 @@ def test_prove_b_pins(corpus):
     assert prove_b(BKind.ANCHOR, corpus[5].spec).status is Status.PROVEN
     assert prove_b(BKind.DISPLACEMENT, corpus[6].spec).status is Status.PROVEN
     assert prove_b(BKind.ANCHOR, corpus[4].spec) is None  # genuinely false
-    assert prove_b(BKind.RESIDUAL, corpus[9].spec) is None  # no residual prover
-    for n in (9, 10, 11, 12, 13):  # the residual form is decided instead
-        assert decide_residual(corpus[n].spec).status is Status.PROVEN
+    # no residual prover: decide_b decides that form (test_decide_b_pins)
+    assert prove_b(BKind.RESIDUAL, corpus[9].spec) is None
 
 
 def test_check_b3_strong_pins(corpus):

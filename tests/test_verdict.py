@@ -2,7 +2,7 @@
 
 import pytest
 
-from kkmfix.conditions import BKind, SearchStrategy, Status, b_value
+from kkmfix.conditions import Status, b_value
 from kkmfix.mapdef import parse, serialize
 from kkmfix.scalars import QuadExt
 from kkmfix.verdict import (
@@ -11,6 +11,8 @@ from kkmfix.verdict import (
     run_corpus,
     run_theorem,
 )
+
+from conftest import HULL_KINDS
 
 
 def test_theorem_ids():
@@ -56,13 +58,11 @@ def test_t5_domain_needs_compactness(corpus):
 def test_t5_notes_conclusion_closedness(corpus):
     verdict = run_theorem(corpus[9].spec, TheoremId.T5)
     assert "closed" in verdict.notes
-    # the residual form is decided, so no search seed is involved
     assert verdict.conditions["kkm_residual"].status is Status.PROVEN
-    # the seed is noted where the search still runs and proves nothing
-    searched = run_theorem(
-        corpus[4].spec, TheoremId.T1, SearchStrategy(max_subsets=0, random_points=0)
-    )
-    assert "seed 0" in searched.notes
+    # every hull form is decided, so no note reports an unproven search
+    decided = run_theorem(corpus[4].spec, TheoremId.T1)
+    assert decided.conditions["kkm_anchor"].status is Status.FALSIFIED
+    assert "searched" not in decided.notes and "seed" not in decided.notes
 
 
 def test_corpus_entries_expose_expectations(corpus):
@@ -88,22 +88,17 @@ def test_run_corpus_all_match():
         assert verdict.fixed_points == entry.expected_fixed_points
 
 
-def test_run_corpus_budget_zero_degrades_honestly():
-    results = run_corpus(SearchStrategy(max_subsets=0, random_points=0))
-    mismatched = {e.index for e, _, m in results if not m}
-    # entry 4 is the only one whose hull condition must be searched (anchor
-    # form); it cannot be falsified without a budget, so exactly it mismatches
-    assert mismatched == {4}
-    for _, verdict, _ in results:
-        for cond in verdict.conditions.values():
-            if cond.search_stats is not None:
-                assert cond.search_stats.subsets_checked == 0
-    # entry 14's residual form is decided exactly, budget or not
-    entry, verdict, _ = results[13]
-    residual = verdict.conditions["kkm_residual"]
-    assert residual.status is Status.FALSIFIED
-    w = residual.witness
-    assert b_value(BKind.RESIDUAL, entry.spec, w.points, w.u) < 0
+def test_run_corpus_decides_every_hull_condition():
+    falsified = set()
+    for entry, verdict, _ in run_corpus():
+        for key, cond in verdict.conditions.items():
+            assert cond.status is not Status.NOT_FALSIFIED, (entry.index, key)
+            if key in HULL_KINDS and cond.status is Status.FALSIFIED:
+                falsified.add(entry.index)
+                w = cond.witness
+                assert b_value(HULL_KINDS[key], entry.spec, w.points, w.u) < 0
+    # entries 4 (anchor form) and 14 (residual form) break the inequality
+    assert falsified == {4, 14}
 
 
 def test_tampered_corpus_entry_mismatches():
