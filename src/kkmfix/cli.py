@@ -248,6 +248,11 @@ def _cmd_kkm(args) -> Report:
         raise UsageError(f"--points: {err}") from err
     if not points:
         raise UsageError("--points: expected at least one point")
+    outside = [p for p in points if not spec.domain.contains(p)]
+    if outside:
+        raise UsageError(
+            f"--points: {_scalar(outside[0])} outside the domain {spec.domain}"
+        )
     kind = GKind(form, delta)
     holds, uncovered = verify_kkm(kind, spec, points)
     witness = intersection_witness(kind, spec, points)

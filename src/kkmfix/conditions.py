@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .intervals import ClassSet, Interval, _intersect_iv
-from .mapping import MappingSpec, _restrict
+from .intervals import ClassSet, Interval, _intersect_iv, _plain_intersect
+from .mapping import MappingSpec, _add_points, _build, _restrict, _slices
 from .scalars import (
     ClassTag,
     QuadExt,
@@ -150,8 +150,6 @@ def _solve_affine(slope, intercept, rel: str, within: Interval) -> Interval | No
 def _region(tag: ClassTag | None, iv: Interval | None) -> ClassSet:
     if iv is None:
         return ClassSet.empty()
-    if tag is None:
-        return ClassSet.from_interval(iv)
     return _restrict(tag, iv)
 
 
@@ -471,11 +469,21 @@ def _value_pieces(spec: MappingSpec):
     return out
 
 
-def _interval_bounds(iv: Interval) -> tuple[list, list]:
-    """Lower and upper bounds on x (see ``_project_u``) keeping x in iv."""
-    lows = [] if iv.lo is None else [(_ZERO, iv.lo, not iv.lo_closed)]
-    highs = [] if iv.hi is None else [(_ZERO, iv.hi, not iv.hi_closed)]
-    return lows, highs
+def _x_pieces(pieces) -> list:
+    """The value pieces as x pieces for ``_near_u``: (interval, slope,
+    intercept, lower bounds, upper bounds), the bounds on x as in
+    ``_project_u``.  The other rows of a projection are strict, so a
+    nondegenerate piece projects the same whatever its class, the
+    closedness of its ends and the override points taken out of it: pieces
+    with the same ends and branch count once."""
+    out = {}
+    for _, iv, c, d in pieces:
+        key = (iv.lo, iv.hi, c, d)
+        if key not in out:
+            lows = [] if iv.lo is None else [(_ZERO, iv.lo, not iv.lo_closed)]
+            highs = [] if iv.hi is None else [(_ZERO, iv.hi, not iv.hi_closed)]
+            out[key] = (iv, c, d, lows, highs)
+    return list(out.values())
 
 
 def _project_u(lows, highs, on_u, within: Interval) -> Interval | None:
@@ -528,11 +536,11 @@ def _gauges(kind: BKind, c, d, below: bool, k, m):
 _AT_U = (_ONE, _ZERO, True)  # the bound x < u, or x > u
 
 
-def _near_u(kind, pieces, x_bounds, k, m, below: bool, within: Interval) -> list:
-    """The u in ``within`` with some x on one side of u, in one of the value
+def _near_u(kind, x_pieces, k, m, below: bool, within: Interval) -> list:
+    """The u in ``within`` with some x on one side of u, in one of the x
     pieces, such that |f(x) - u| < g."""
     out = []
-    for (_, iv, c, d), (iv_lows, iv_highs) in zip(pieces, x_bounds):
+    for iv, c, d, iv_lows, iv_highs in x_pieces:
         # x >= iv.lo >= within.hi >= u (or the mirror) cannot hold
         if below:
             if iv.lo is not None and within.hi is not None and iv.lo >= within.hi:
@@ -559,19 +567,28 @@ def _near_u(kind, pieces, x_bounds, k, m, below: bool, within: Interval) -> list
 
 
 def _u_pieces(kind: BKind, spec: MappingSpec, pieces):
-    """(tag, interval, within, k, m) covering the hull points u.  The
-    residual form splits u by value piece and by the sign of f(u) - u,
-    keeping the u in ``within`` where |f(u) - u| = k*u + m > 0; the other
-    forms take all of C at once."""
+    """(tag, interval, k, m) covering the hull points u.  The residual form
+    splits u by value piece and by the sign of f(u) - u, for which
+    |f(u) - u| = k*u + m; the other forms take all of C at once, with k
+    and m None."""
     if kind is not BKind.RESIDUAL:
-        yield None, spec.domain, spec.domain, None, None
+        yield None, spec.domain, None, None
         return
     for tag, iv, a, b in pieces:
         for s in (1, -1):
-            k, m = s * (a - 1), s * b
-            within = _solve_affine(k, m, ">", iv)
-            if within is not None:
-                yield tag, iv, within, k, m
+            yield tag, iv, s * (a - 1), s * b
+
+
+def _sides(kind, x_pieces, k, m, iv: Interval) -> tuple[list, list]:
+    """L and R (see ``decide_b``) within the u of iv where the residual
+    bound k*u + m is positive; R is left empty when L is."""
+    within = iv if k is None else _solve_affine(k, m, ">", iv)
+    if within is None:
+        return [], []
+    below = _near_u(kind, x_pieces, k, m, True, within)
+    if not below:
+        return [], []
+    return below, _near_u(kind, x_pieces, k, m, False, within)
 
 
 _CLOSE = {
@@ -595,16 +612,17 @@ def decide_b(kind: BKind, spec: MappingSpec) -> ConditionVerdict:
     single-point pieces.  Returns Proven, or Falsified with a two-point
     witness around the first violating u found."""
     pieces = _value_pieces(spec)
-    x_bounds = [_interval_bounds(iv) for _, iv, _, _ in pieces]
-    for tag, iv, within, k, m in _u_pieces(kind, spec, pieces):
-        below = _near_u(kind, pieces, x_bounds, k, m, True, within)
-        if not below:
-            continue
-        above = _near_u(kind, pieces, x_bounds, k, m, False, within)
-        violating = (
-            _region(tag, iv)
-            .intersect(ClassSet(below, below))
-            .intersect(ClassSet(above, above))
+    x_pieces = _x_pieces(pieces)
+    # L and R depend on a u piece only through its ends and k, m: project
+    # once on the closed hull, then cut to each class's own piece
+    sides: dict[tuple, tuple[list, list]] = {}
+    for tag, iv, k, m in _u_pieces(kind, spec, pieces):
+        key = (iv.lo, iv.hi, k, m)
+        if key not in sides:
+            sides[key] = _sides(kind, x_pieces, k, m, iv.closure())
+        below, above = sides[key]
+        violating = _restrict(
+            tag, *_plain_intersect(_plain_intersect((iv,), below), above)
         )
         if not violating.is_empty:
             return _b_falsified(kind, spec, pieces, violating.pick(), k, m)
@@ -792,17 +810,17 @@ def sublevel(spec: MappingSpec, beta) -> tuple[ClassSet, bool]:
     b = as_scalar(beta)
     if b <= 0:
         raise ValueError("beta must be positive")
-    out = ClassSet.empty()
+    slices = _slices()
     for tag in _TAGS:
         for iv, expr in spec.class_cells(tag):
             region = _solve_affine(expr.slope - 1, expr.intercept - b, "<=", iv)
             if region is None:
                 continue
             region = _solve_affine(expr.slope - 1, expr.intercept + b, ">=", region)
-            out = out.union(_region(tag, region))
-    hits = [o.at for o in spec.overrides if dist(o.value, o.at) <= b]
-    if hits:
-        out = out.union(ClassSet.points(hits))
+            if region is not None:
+                slices[tag].append(region)
+    _add_points(slices, [o.at for o in spec.overrides if dist(o.value, o.at) <= b])
+    out = _build(slices)
     C = ClassSet.from_interval(spec.domain)
     closed = out.closure().intersect(C) == out
     return out, closed
@@ -833,23 +851,20 @@ def check_c3(spec: MappingSpec) -> ConditionVerdict:
     Failures arise either on two-class stretches where the other class's
     displacement dips below one's own, or at cell ends and override points
     where an approach limit dips below the value."""
-    failures = ClassSet.empty()
+    failures = _slices()
 
-    # class-mismatch failures in cell interiors
+    # class-mismatch failures in cell interiors; one branch for both
+    # classes cannot dip below itself
     for ivr, er in spec.class_cells(ClassTag.RATIONAL):
         for ivi, ei in spec.class_cells(ClassTag.IRRATIONAL):
+            if er == ei:
+                continue
             overlap = _intersect_iv(ivr, ivi)
             if overlap is None or overlap.is_degenerate:
                 continue
             inner = Interval(overlap.lo, overlap.hi, False, False)
-            pairs = (
-                (er, ei, ClassTag.RATIONAL),
-                (ei, er, ClassTag.IRRATIONAL),
-            )
-            for own, other, tag in pairs:
-                failures = failures.union(
-                    _abs_below_region(other, own, inner, tag)
-                )
+            failures[ClassTag.RATIONAL].extend(_abs_below_region(ei, er, inner))
+            failures[ClassTag.IRRATIONAL].extend(_abs_below_region(er, ei, inner))
 
     # pointwise failures at cell ends, overrides and domain ends
     spots: set[QuadExt] = set()
@@ -868,8 +883,9 @@ def check_c3(spec: MappingSpec) -> ConditionVerdict:
             spec, p, "right"
         )
         if limits and min(limits) < spec.residual(p):
-            failures = failures.union(ClassSet.points([p]))
+            _add_points(failures, [p])
 
+    failures = _build(failures)
     if failures.is_empty:
         return ConditionVerdict(
             Status.PROVEN, None, "the displacement is lower semicontinuous on C"
@@ -881,9 +897,9 @@ def check_c3(spec: MappingSpec) -> ConditionVerdict:
     )
 
 
-def _abs_below_region(low, high, iv: Interval, tag: ClassTag) -> ClassSet:
-    """Points of class ``tag`` in iv where |low(x)| < |high(x)| for the two
-    displacement affines low(x) = s x + c - x."""
+def _abs_below_region(low, high, iv: Interval) -> list[Interval]:
+    """Intervals covering the points of iv where |low(x)| < |high(x)| for
+    the two displacement affines low(x) = s x + c - x."""
     cuts = []
     for expr in (low, high):
         s = expr.slope - 1
@@ -892,7 +908,7 @@ def _abs_below_region(low, high, iv: Interval, tag: ClassTag) -> ClassSet:
             if iv.contains(root):
                 cuts.append(root)
     ends = [iv.lo, *sorted(set(cuts)), iv.hi]
-    out = ClassSet.empty()
+    out = []
     for a, b in zip(ends, ends[1:]):
         if a is not None and b is not None and a == b:
             continue
@@ -901,10 +917,11 @@ def _abs_below_region(low, high, iv: Interval, tag: ClassTag) -> ClassSet:
         ls, li = _abs_affine(low.slope - 1, low.intercept, probe)
         hs, hi_ = _abs_affine(high.slope - 1, high.intercept, probe)
         region = _solve_affine(ls - hs, li - hi_, "<", seg)
-        out = out.union(_region(tag, region))
+        if region is not None:
+            out.append(region)
     for r in cuts:
         if abs(low.at(r) - r) < abs(high.at(r) - r):
-            out = out.union(_region(tag, Interval.point(r)))
+            out.append(Interval.point(r))
     return out
 
 

@@ -106,9 +106,10 @@ def verify_kkm(
     pts = [as_scalar(p) for p in points]
     if not pts:
         raise ValueError("empty subset")
-    union = ClassSet.empty()
-    for p in pts:
-        union = union.union(g_set(kind, spec, p))
+    covers = [g_set(kind, spec, p) for p in pts]
+    union = ClassSet(
+        [iv for g in covers for iv in g.rat], [iv for g in covers for iv in g.irr]
+    )
     hull = ClassSet.from_interval(Interval.closed(min(pts), max(pts)))
     uncovered = hull.difference(union)
     if uncovered.is_empty:

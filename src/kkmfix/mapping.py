@@ -111,10 +111,31 @@ class InfResidual:
     where: QuadExt | None
 
 
-def _restrict(tag: ClassTag, iv: Interval) -> ClassSet:
+def _restrict(tag: ClassTag | None, *ivs: Interval) -> ClassSet:
+    """The tag-class points of the intervals; all their points when tag is
+    None."""
+    if tag is None:
+        return ClassSet(ivs, ivs)
     if tag is ClassTag.RATIONAL:
-        return ClassSet.rationals(iv)
-    return ClassSet.irrationals(iv)
+        return ClassSet(ivs, ())
+    return ClassSet((), ivs)
+
+
+def _slices() -> dict[ClassTag, list[Interval]]:
+    """Empty per-class interval lists, filled and then built into one
+    ClassSet by ``_build``: one canonicalisation instead of one per union."""
+    return {tag: [] for tag in _TAGS}
+
+
+def _add_points(slices, xs) -> None:
+    for x in xs:
+        iv = Interval.point(x)
+        for tag in _TAGS:
+            slices[tag].append(iv)
+
+
+def _build(slices) -> ClassSet:
+    return ClassSet(slices[ClassTag.RATIONAL], slices[ClassTag.IRRATIONAL])
 
 
 @dataclass(frozen=True)
@@ -174,38 +195,35 @@ class MappingSpec:
         return dist(self.evaluate(x), x)
 
     def image(self) -> ClassSet:
-        out = self._branch_image()
-        if self.overrides:
-            out = out.union(ClassSet.points([o.value for o in self.overrides]))
-        return out
-
-    def _branch_image(self) -> ClassSet:
-        out = ClassSet.empty()
+        slices = _slices()
         for tag in _TAGS:
             for cell, expr in self.class_cells(tag):
                 if not expr.slope:
-                    out = out.union(ClassSet.points([expr.intercept]))
+                    _add_points(slices, [expr.intercept])
                 else:
                     img = cell.map_affine(expr.slope, expr.intercept)
-                    out = out.union(_restrict(tag, img))
-        return out
+                    slices[tag].append(img)
+        _add_points(slices, [o.value for o in self.overrides])
+        return _build(slices)
 
     def fixed_point_set(self) -> ClassSet:
-        out = ClassSet.empty()
+        return self._fixed_point_set
+
+    @cached_property
+    def _fixed_point_set(self) -> ClassSet:
+        slices = _slices()
         for tag in _TAGS:
             for cell, expr in self.class_cells(tag):
                 if expr.slope == 1:
                     if not expr.intercept:
-                        out = out.union(_restrict(tag, cell))
+                        slices[tag].append(cell)
                     continue
                 root = expr.intercept / (1 - expr.slope)
                 # rational coefficients put the root in the rationals
                 if tag is ClassTag.RATIONAL and cell.contains(root):
-                    out = out.union(ClassSet.points([root]))
-        fixed = [o.at for o in self.overrides if o.value == o.at]
-        if fixed:
-            out = out.union(ClassSet.points(fixed))
-        return out
+                    _add_points(slices, [root])
+        _add_points(slices, [o.at for o in self.overrides if o.value == o.at])
+        return _build(slices)
 
     def fixed_points(self) -> tuple[QuadExt, ...]:
         pts = self.fixed_point_set().finite_points()
@@ -287,10 +305,10 @@ class MappingSpec:
                                 piece_index=j,
                             )
                         )
-            covered = sources
-            for _, p in carriers:
-                covered = covered.union(_restrict(tag, p.over))
-            gap = _restrict(tag, self.domain).difference(covered)
+            covered = _slices()
+            _add_points(covered, [o.at for o in self.overrides])
+            covered[tag].extend(p.over for _, p in carriers)
+            gap = _restrict(tag, self.domain).difference(_build(covered))
             if not gap.is_empty:
                 out.append(
                     Violation(
@@ -326,7 +344,7 @@ class MappingSpec:
                     )
                 )
         for idx, piece in enumerate(self.pieces):
-            img = ClassSet.empty()
+            img = _slices()
             for tag in _TAGS:
                 expr = piece.branch_for(tag)
                 if expr is None:
@@ -335,12 +353,13 @@ class MappingSpec:
                 if cells.is_empty:
                     continue
                 if not expr.slope:
-                    img = img.union(ClassSet.points([expr.intercept]))
+                    _add_points(img, [expr.intercept])
                     continue
-                for iv in cells.rat + cells.irr:
-                    mapped = iv.map_affine(expr.slope, expr.intercept)
-                    img = img.union(_restrict(tag, mapped))
-            escape = img.difference(dom_cs)
+                img[tag].extend(
+                    iv.map_affine(expr.slope, expr.intercept)
+                    for iv in cells.slice_of(tag)
+                )
+            escape = _build(img).difference(dom_cs)
             if not escape.is_empty:
                 out.append(
                     Violation(

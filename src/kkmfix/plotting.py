@@ -33,8 +33,9 @@ _PAD = 20.0
 
 
 def plot_window(spec: MappingSpec) -> tuple[QuadExt, QuadExt]:
-    """Bounded x-window: the domain, clipped to 20 units when one end is
-    infinite and to [-10, 10] when both are."""
+    """Bounded x-window of positive width: the domain, clipped to 20 units
+    when one end is infinite and to [-10, 10] when both are, and widened by
+    one unit either side when it is a single point."""
     lo, hi = spec.domain.lo, spec.domain.hi
     if lo is None and hi is None:
         return as_scalar(-10), as_scalar(10)
@@ -42,6 +43,8 @@ def plot_window(spec: MappingSpec) -> tuple[QuadExt, QuadExt]:
         return hi - 20, hi
     if hi is None:
         return lo, lo + 20
+    if lo == hi:
+        return lo - 1, hi + 1
     return lo, hi
 
 

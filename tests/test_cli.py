@@ -203,6 +203,7 @@ def test_main_prints_rendered(maps, capsys):
           "--points", "1"], "--delta"),
         (["plot", "--map", "x", "--out", "/no/such/dir/a.svg"], "--out"),
         (["plot", "--map", "x", "--out", "a", "--samples", "0"], "--samples"),
+        (["kkm", "--map", "x", "--kind", "g1", "--points", "20,30"], "--points"),
     ],
 )
 def test_usage_errors(maps, capsys, argv, flag):

@@ -155,7 +155,11 @@ def test_falsify_b_never_proves(corpus):
 
 
 # maps the generated families do not reach: an unbounded two-class map, a
-# ray with an override, and a half-open domain split at an irrational point
+# ray with an override, and a half-open domain split at an irrational point;
+# and two where cells of one branch repeat across classes and must not be
+# merged with cells that only look alike: rational and irrational branches
+# of one slope on overlapping pieces beside an all: piece, and an override
+# inside an all: piece, which splits its rational cells only
 _HAND_MAPS = {
     "two-class line": (
         """domain (-inf, inf)
@@ -178,6 +182,21 @@ piece (0, 1 + 3*sqrt2) all: 1/2 x + 3
 piece [1 + 3*sqrt2, 10] all: 3/4 x + 5/2
 """,
         (Status.PROVEN, Status.PROVEN, Status.PROVEN),
+    ),
+    "class split beside all": (
+        """domain [0, 10]
+piece [0, 4) rational: 1/2 x + 2
+piece [0, 4] irrational: 1/2 x + 5/2
+piece [4, 10] all: 1/2 x + 3
+""",
+        (Status.FALSIFIED, Status.PROVEN, Status.FALSIFIED),
+    ),
+    "override inside all": (
+        """domain [0, 10]
+piece [0, 10] all: 1/2 x + 3
+override 4 -> 5
+""",
+        (Status.FALSIFIED, Status.PROVEN, Status.PROVEN),
     ),
 }
 
@@ -297,6 +316,23 @@ def test_check_c3_pins(corpus):
     assert corpus[13].spec.residual(0) == 10
     assert check_c3(corpus[9].spec).status is Status.PROVEN
     assert check_c3(corpus[11].spec).status is Status.PROVEN
+
+
+def test_check_c3_class_split_pin():
+    # the irrational branch sits 1/2 above the rational one on [0, 4), so
+    # its displacement is the larger there; at 4 the all: branch jumps up
+    # from the rational limit 4; on (4, 10] one branch serves both classes
+    spec = parse(_HAND_MAPS["class split beside all"][0])
+    verdict = check_c3(spec)
+    assert verdict.status is Status.FALSIFIED
+    assert verdict.witness == ClassSet(
+        (Interval.point(4),), (Interval.open(0, 4),)
+    )
+    for k in range(0, 41):
+        for x in (QuadExt(Fraction(k, 4)), QuadExt(Fraction(k, 4), Fraction(1, 64))):
+            if spec.domain.contains(x):
+                fails = x == 4 or (0 < x < 4 and not x.is_rational)
+                assert verdict.witness.contains(x) == fails, x
 
 
 def test_sublevel_pin_and_grid_oracle(corpus):

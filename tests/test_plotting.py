@@ -11,6 +11,7 @@ from kkmfix import (
     Piece,
     QuadExt,
     emit_plot,
+    parse,
     plot_window,
     random_spec,
 )
@@ -157,3 +158,16 @@ def test_fraction_samples_render_exactly():
     rows = _rows(emit_plot(spec, format="csv", samples=3))
     assert [row[4] for row in rows[1:]] == ["0", "1/6", "1/3"]
     assert all(row[5] == "1/4" for row in rows[1:])
+
+
+def test_one_point_domain_renders():
+    spec = parse("domain [0, 0]\npiece [0, 0] all: 0\n")
+    assert plot_window(spec) == (QuadExt(-1), QuadExt(1))
+    svg = emit_plot(spec, format="svg")
+    assert svg.count("<polyline") == 0
+    # the one fixed point sits in the middle of the frame
+    assert '<circle class="fixed-point" cx="260.00" cy="260.00"' in svg
+    rows = _rows(emit_plot(spec, format="csv", samples=3))
+    assert [row[4] for row in rows[1:]] == ["-1", "0", "1"]
+    # the map is defined only at 0
+    assert [row[7] for row in rows[1:]] == ["", "0", ""]
