@@ -1,11 +1,11 @@
-"""Exact arithmetic over the quadratic field Q(sqrt 2), pure-Python kernel.
+"""Exact arithmetic over the quadratic field Q(sqrt 2): the scalar kernel.
 
-A value is ``a + b*sqrt(2)`` with rational ``a``, ``b`` kept as reduced
-integer pairs: ``(an, ad)`` and ``(bn, bd)`` with ``gcd(n, d) == 1`` and
-``d > 0``, so zero is ``(0, 1)``.  This canonical form makes equality a
-comparison of the four integers.  Every operation is exact; comparisons
-never round.  The compiled twin ``kkmfix._qcore`` exposes the same
-interface.
+``kkmfix.scalars`` re-exports ``QuadExt`` and ``SQRT2`` from here; this
+is the only kernel.  A value is ``a + b*sqrt(2)`` with rational ``a``,
+``b`` kept as reduced integer pairs: ``(an, ad)`` and ``(bn, bd)`` with
+``gcd(n, d) == 1`` and ``d > 0``, so zero is ``(0, 1)``.  This canonical
+form makes equality a comparison of the four integers.  Every operation
+is exact; comparisons never round.
 
 Rational path: almost every value the deciders handle is rational
 (``bn == 0``).  When both operands are, add, sub, mul, div, inverse,

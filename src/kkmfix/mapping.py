@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from kkmfix.intervals import ClassSet, Interval
+from kkmfix.intervals import ClassSet, Interval, _plain_complement, _plain_intersect
 from kkmfix.scalars import ClassTag, QuadExt, as_scalar, class_of, dist, format_scalar
 
 __all__ = [
@@ -157,7 +157,11 @@ class MappingSpec:
 
     @cached_property
     def _cells(self) -> dict[ClassTag, tuple[tuple[Interval, AffineExpr], ...]]:
-        removed = ClassSet.points([o.at for o in self.overrides])
+        # one canonicalisation per (piece, class); the override points are
+        # cut out of the raw piece interval first, and only when there are any
+        keep = None
+        if self.overrides:
+            keep = _plain_complement([Interval.point(o.at) for o in self.overrides])
         cells: dict[ClassTag, tuple] = {}
         for tag in _TAGS:
             out = []
@@ -165,8 +169,10 @@ class MappingSpec:
                 expr = piece.branch_for(tag)
                 if expr is None:
                     continue
-                base = _restrict(tag, piece.over).difference(removed)
-                for iv in base.slice_of(tag):
+                ivs = (piece.over,)
+                if keep is not None:
+                    ivs = _plain_intersect(ivs, keep)
+                for iv in _restrict(tag, *ivs).slice_of(tag):
                     out.append((iv, expr))
             cells[tag] = tuple(out)
         return cells

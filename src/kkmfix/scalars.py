@@ -1,47 +1,24 @@
 """Scalar layer: exact Q(sqrt 2) numbers, class tags, text forms, pickers.
 
-The arithmetic kernel is swappable: the compiled extension
-``kkmfix._qcore`` when available, else the pure twin
-``kkmfix._qcore_py``.  Set ``KKMFIX_KERNEL=pure`` or
-``KKMFIX_KERNEL=compiled`` to force one.
+The arithmetic is the pure-Python kernel ``kkmfix._qcore_py``;
+``KERNEL`` names it.
 """
 
 from __future__ import annotations
 
-import os
 import re
 from enum import Enum
 from fractions import Fraction
 
-_forced = os.environ.get("KKMFIX_KERNEL")
-if _forced == "pure":
-    from kkmfix._qcore_py import SQRT2, QuadExt
+from kkmfix._qcore_py import SQRT2, QuadExt
 
-    KERNEL = "pure"
-elif _forced == "compiled":
-    from kkmfix._qcore import SQRT2, QuadExt  # type: ignore[no-redef]
-
-    KERNEL = "compiled"
-elif _forced is not None:
-    raise ImportError(f"KKMFIX_KERNEL must be 'pure' or 'compiled', got {_forced!r}")
-else:
-    try:
-        from kkmfix._qcore import SQRT2, QuadExt  # type: ignore[no-redef]
-
-        KERNEL = "compiled"
-    except ImportError:
-        from kkmfix._qcore_py import SQRT2, QuadExt  # type: ignore[no-redef]
-
-        KERNEL = "pure"
+KERNEL = "pure"
 
 __all__ = [
     "KERNEL",
     "QuadExt",
-    "Rational",
     "SQRT2",
     "ClassTag",
-    "Scalar",
-    "ScalarLike",
     "as_scalar",
     "class_of",
     "dist",
@@ -50,10 +27,6 @@ __all__ = [
     "parse_scalar",
     "simplest_rational_between",
 ]
-
-Rational = Fraction
-Scalar = QuadExt
-ScalarLike = "int | Fraction | QuadExt"
 
 
 class ClassTag(Enum):

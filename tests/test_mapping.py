@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 from kkmfix.intervals import ClassSet, Interval
+from kkmfix.mapdef import parse
 from kkmfix.mapping import AffineExpr, MappingSpec, Piece, PointOverride
-from kkmfix.scalars import QuadExt
+from kkmfix.scalars import SQRT2, ClassTag, QuadExt
 
 from conftest import rand_point_in
 
@@ -107,3 +108,49 @@ def test_residual_is_displacement(corpus):
     assert ex13.residual(0) == 10
     assert ex13.residual(QuadExt(5)) == 1
     assert ex13.residual(QuadExt(2)) == QuadExt(2) - QuadExt(Fraction(8, 5))
+
+
+def _cells(spec, tag):
+    return [(str(iv), str(expr)) for iv, expr in spec.class_cells(tag)]
+
+
+def test_class_cells_open_wrong_class_ends():
+    # rational ends 0 and 10 leave the irrational cell open; the [5, 5]
+    # irrational piece holds no irrational point and gives no cell
+    spec = parse(
+        "domain [0, 10]\n"
+        "piece [0, 10] all: -x + 10\n"
+        "piece [5, 5] irrational: 7\n"
+    )
+    assert _cells(spec, ClassTag.RATIONAL) == [("[0, 10]", "-x + 10")]
+    assert _cells(spec, ClassTag.IRRATIONAL) == [("(0, 10)", "-x + 10")]
+
+
+def test_class_cells_split_at_sqrt2():
+    spec = parse(
+        "domain [0, 4]\n"
+        "piece [0, sqrt2] all: x + 1\n"
+        "piece (sqrt2, 4] all: -x + 4\n"
+    )
+    rat = [iv for iv, _ in spec.class_cells(ClassTag.RATIONAL)]
+    irr = [iv for iv, _ in spec.class_cells(ClassTag.IRRATIONAL)]
+    assert rat == [Interval(0, SQRT2, True, False), Interval(SQRT2, 4, False, True)]
+    assert irr == [Interval(0, SQRT2, False, True), Interval(SQRT2, 4, False, False)]
+    assert [str(e) for _, e in spec.class_cells(ClassTag.RATIONAL)] == ["x + 1", "-x + 4"]
+
+
+def test_class_cells_cut_out_override_sources(corpus):
+    # entry 3 overrides 0 and 5: both leave the rational cells, and the
+    # irrational cells are already open at these rational points
+    spec = corpus[3].spec
+    assert _cells(spec, ClassTag.RATIONAL) == [
+        ("(0, 4]", "1/2 x"),
+        ("(4, 5)", "3 x - 10"),
+        ("(5, 6]", "3 x - 10"),
+        ("(6, inf)", "3/2 x - 1"),
+    ]
+    assert _cells(spec, ClassTag.IRRATIONAL) == [
+        ("(0, 4)", "3/4 x"),
+        ("(4, 6)", "2 x - 5"),
+        ("(6, inf)", "5/4 x - 1/2"),
+    ]
