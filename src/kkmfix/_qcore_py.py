@@ -22,12 +22,15 @@ caller must pass reduced pairs with positive denominators.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, isqrt
 
 __all__ = ["QuadExt", "SQRT2"]
 
 _SQRT2_FLOAT = 2.0 ** 0.5
+_HASH_MODULUS = sys.hash_info.modulus
+_HASH_INF = sys.hash_info.inf
 
 
 def _norm2(n: int, d: int) -> tuple[int, int]:
@@ -239,9 +242,17 @@ class QuadExt:
 
     def __hash__(self):
         if self._bn == 0:
-            if self._ad == 1:
-                return hash(self._an)  # == hash(Fraction(an, 1))
-            return hash(Fraction(self._an, self._ad))
+            n, d = self._an, self._ad
+            if d == 1:
+                return hash(n)  # == hash(Fraction(n, 1))
+            # Fraction's hash of n/d, computed without building one
+            try:
+                h = hash(hash(abs(n)) * pow(d, -1, _HASH_MODULUS))
+            except ValueError:  # d is a multiple of the modulus
+                h = _HASH_INF
+            if n < 0:
+                h = -h
+            return -2 if h == -1 else h
         return hash((self._an, self._ad, self._bn, self._bd))
 
     def __bool__(self):

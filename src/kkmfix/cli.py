@@ -154,19 +154,24 @@ def _theorem_payload(verdict: TheoremVerdict) -> dict:
     }
 
 
+# wider than the longest condition key, compact_displacement_set (24)
+_KEY_COLUMN = 26
+
+
 def _condition_lines(verdict: TheoremVerdict) -> list[str]:
     lines = []
+    pad = " " * (_KEY_COLUMN + 14)
     for key, cond in verdict.conditions.items():
-        lines.append(f"  {key:<24}{cond.status.value:<14}{cond.detail}")
+        lines.append(f"  {key:<{_KEY_COLUMN}}{cond.status.value:<14}{cond.detail}")
         witness = _witness_payload(cond.witness)
         if isinstance(witness, dict):
             weights = witness["weights"]
             parts = [f"u = {witness['u']}", f"points = {', '.join(witness['points'])}"]
             if weights is not None:
                 parts.append(f"weights = {', '.join(weights)}")
-            lines.append(f"  {'':<24}{'':<14}{'; '.join(parts)}")
+            lines.append(f"  {pad}{'; '.join(parts)}")
         elif witness is not None and cond.status is Status.FALSIFIED:
-            lines.append(f"  {'':<24}{'':<14}witness: {witness}")
+            lines.append(f"  {pad}witness: {witness}")
     return lines
 
 

@@ -13,7 +13,14 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .intervals import ClassSet, Interval, _intersect_iv, _plain_intersect
+from .intervals import (
+    ClassSet,
+    Interval,
+    _intersect_iv,
+    _plain_intersect,
+    class_nonempty,
+    pick_in,
+)
 from .mapping import MappingSpec, _add_points, _build, _restrict, _slices
 from .scalars import (
     ClassTag,
@@ -145,12 +152,6 @@ def _solve_affine(slope, intercept, rel: str, within: Interval) -> Interval | No
         return within
     lo, lo_open, hi, hi_open = ends
     return Interval(lo, hi, not lo_open, not hi_open)
-
-
-def _region(tag: ClassTag | None, iv: Interval | None) -> ClassSet:
-    if iv is None:
-        return ClassSet.empty()
-    return _restrict(tag, iv)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +307,7 @@ def check_b_subset(kind: BKind, spec: MappingSpec, points) -> ConditionVerdict:
                 region = _solve_affine(s, i, "<", region)
                 if region is None:
                     break
-            spot = _region(tag, region).pick()
+            spot = None if region is None else pick_in(tag, region)
             if spot is not None and spot not in tried:
                 tried[spot] = attained(spot)
 
@@ -356,7 +357,7 @@ def _never_where(spec: MappingSpec, rel: str) -> bool:
     for tag in _TAGS:
         for iv, expr in spec.class_cells(tag):
             region = _solve_affine(expr.slope - 1, expr.intercept, rel, iv)
-            if not _region(tag, region).is_empty:
+            if region is not None and class_nonempty(tag, (region,)):
                 return False
     ops = {"<": lambda a, b: a < b, ">": lambda a, b: a > b}[rel]
     for o in spec.overrides:
@@ -386,7 +387,7 @@ def _pivot_proves_anchor(spec: MappingSpec, p: QuadExt) -> bool:
                 bad = _solve_affine(
                     expr.slope + 1, expr.intercept - 2 * p, jump_rel, bad
                 )
-                if not _region(tag, bad).is_empty:
+                if bad is not None and class_nonempty(tag, (bad,)):
                     return False
     for o in spec.overrides:
         if o.at < p and not (o.value <= o.at or o.value >= 2 * p - o.at):
@@ -459,7 +460,7 @@ def _value_pieces(spec: MappingSpec):
     tag-class points of the interval; overrides come as single points with
     tag None."""
     out = [
-        (tag, iv, as_scalar(expr.slope), as_scalar(expr.intercept))
+        (tag, iv, expr.slope, expr.intercept)
         for tag in _TAGS
         for iv, expr in spec.class_cells(tag)
     ]
@@ -621,11 +622,10 @@ def decide_b(kind: BKind, spec: MappingSpec) -> ConditionVerdict:
         if key not in sides:
             sides[key] = _sides(kind, x_pieces, k, m, iv.closure())
         below, above = sides[key]
-        violating = _restrict(
-            tag, *_plain_intersect(_plain_intersect((iv,), below), above)
-        )
-        if not violating.is_empty:
-            return _b_falsified(kind, spec, pieces, violating.pick(), k, m)
+        violating = _plain_intersect(_plain_intersect((iv,), below), above)
+        if class_nonempty(tag, violating):
+            u = _restrict(tag, *violating).pick()
+            return _b_falsified(kind, spec, pieces, u, k, m)
     return ConditionVerdict(
         Status.PROVEN,
         None,
@@ -646,7 +646,7 @@ def _near_point(kind, pieces, u: QuadExt, below: bool, k, m):
             near = _solve_affine(c - gx, d - u - g_at_u, "<", region)
             if near is not None:
                 near = _solve_affine(-c - gx, u - d - g_at_u, "<", near)
-            x = _region(tag, near).pick()
+            x = None if near is None else pick_in(tag, near)
             if x is not None:
                 return x
     return None
@@ -710,7 +710,7 @@ def _point_where(spec: MappingSpec, slope_shift, intercept_shift, rel: str):
             region = _solve_affine(
                 expr.slope + slope_shift, expr.intercept + intercept_shift, rel, iv
             )
-            spot = _region(tag, region).pick()
+            spot = None if region is None else pick_in(tag, region)
             if spot is not None:
                 return spot
     ops = {
@@ -730,8 +730,7 @@ def decide_c1(spec: MappingSpec) -> ConditionVerdict:
     C is compact, or C has a closed finite lower end and f climbs somewhere
     (the set is then a closed bounded initial segment), or the mirror."""
     dom = spec.domain
-    C = ClassSet.from_interval(dom)
-    if C.is_compact:
+    if dom.is_bounded and dom.is_closed:
         x = dom.lo
         return ConditionVerdict(
             Status.PROVEN, x, f"C is compact; any x* works, e.g. {format_scalar(x)}"
@@ -767,8 +766,7 @@ def decide_c2(spec: MappingSpec) -> ConditionVerdict:
     compact, or C is bounded with one open end that some x* clears
     (2 f(x*) - x* past the open end empties the non-closed part)."""
     dom = spec.domain
-    C = ClassSet.from_interval(dom)
-    if C.is_compact:
+    if dom.is_bounded and dom.is_closed:
         x = dom.lo
         return ConditionVerdict(
             Status.PROVEN, x, f"C is compact; any x* works, e.g. {format_scalar(x)}"

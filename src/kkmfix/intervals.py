@@ -26,34 +26,69 @@ from kkmfix.scalars import (
     simplest_rational_between,
 )
 
-__all__ = ["ClassSet", "Interval"]
+__all__ = ["ClassSet", "Interval", "class_nonempty", "pick_in"]
 
 _ZERO = QuadExt(0)
 
 
-@dataclass(frozen=True)
 class Interval:
-    """Nonempty real interval; a ``None`` bound is an infinite end."""
+    """Nonempty real interval; a ``None`` bound is an infinite end.
+
+    Immutable, compared and hashed by its four fields."""
+
+    __slots__ = ("lo", "hi", "lo_closed", "hi_closed")
 
     lo: QuadExt | None
     hi: QuadExt | None
-    lo_closed: bool = True
-    hi_closed: bool = True
+    lo_closed: bool
+    hi_closed: bool
 
-    def __post_init__(self):
-        if self.lo is not None:
-            object.__setattr__(self, "lo", as_scalar(self.lo))
-        if self.hi is not None:
-            object.__setattr__(self, "hi", as_scalar(self.hi))
-        if self.lo is None and self.lo_closed:
+    def __init__(self, lo, hi, lo_closed: bool = True, hi_closed: bool = True):
+        if lo is not None and lo.__class__ is not QuadExt:
+            lo = as_scalar(lo)
+        if hi is not None and hi.__class__ is not QuadExt:
+            hi = as_scalar(hi)
+        if lo is None and lo_closed:
             raise ValueError("interval closed at -inf")
-        if self.hi is None and self.hi_closed:
+        if hi is None and hi_closed:
             raise ValueError("interval closed at +inf")
-        if self.lo is not None and self.hi is not None:
-            if self.lo > self.hi:
+        if lo is not None and hi is not None:
+            if lo > hi:
                 raise ValueError("backwards interval")
-            if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
+            if lo == hi and not (lo_closed and hi_closed):
                 raise ValueError("empty interval")
+        _set_lo(self, lo)
+        _set_hi(self, hi)
+        _set_lo_closed(self, lo_closed)
+        _set_hi_closed(self, hi_closed)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Interval is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Interval is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not Interval:
+            return NotImplemented
+        return (
+            self.lo == other.lo
+            and self.hi == other.hi
+            and self.lo_closed == other.lo_closed
+            and self.hi_closed == other.hi_closed
+        )
+
+    def __hash__(self):
+        return hash((self.lo, self.hi, self.lo_closed, self.hi_closed))
+
+    def __reduce__(self):
+        return (Interval, (self.lo, self.hi, self.lo_closed, self.hi_closed))
+
+    def __repr__(self) -> str:
+        return (
+            f"Interval(lo={self.lo!r}, hi={self.hi!r}, "
+            f"lo_closed={self.lo_closed!r}, hi_closed={self.hi_closed!r})"
+        )
 
     @classmethod
     def closed(cls, lo, hi) -> "Interval":
@@ -95,6 +130,12 @@ class Interval:
     def is_bounded(self) -> bool:
         return self.lo is not None and self.hi is not None
 
+    @property
+    def is_closed(self) -> bool:
+        return (self.lo is None or self.lo_closed) and (
+            self.hi is None or self.hi_closed
+        )
+
     def contains(self, x) -> bool:
         x = as_scalar(x)
         if self.lo is not None:
@@ -126,6 +167,12 @@ class Interval:
         lob = "[" if self.lo_closed else "("
         hib = "]" if self.hi_closed else ")"
         return f"{lob}{lo_s}, {hi_s}{hib}"
+
+
+_set_lo = Interval.lo.__set__
+_set_hi = Interval.hi.__set__
+_set_lo_closed = Interval.lo_closed.__set__
+_set_hi_closed = Interval.hi_closed.__set__
 
 
 def _lo_key(iv: Interval):
@@ -226,6 +273,50 @@ def _snap(iv: Interval, tag: ClassTag) -> Interval | None:
     lo_c = iv.lo_closed and class_of(iv.lo) is tag
     hi_c = iv.hi_closed and class_of(iv.hi) is tag
     return Interval(iv.lo, iv.hi, lo_c, hi_c)
+
+
+def class_nonempty(tag: ClassTag | None, ivs) -> bool:
+    """Whether the intervals hold a point of class tag (any point when tag
+    is None): a nondegenerate interval holds points of both classes."""
+    for iv in ivs:
+        if tag is None or not iv.is_degenerate or class_of(iv.lo) is tag:
+            return True
+    return False
+
+
+def _pick_one(tag: ClassTag, iv: Interval, lo_closed: bool, hi_closed: bool):
+    # the member ClassSet.pick takes from the tag-class points of iv, given
+    # which ends those points include
+    if lo_closed:
+        return iv.lo
+    if hi_closed:
+        return iv.hi
+    lo, hi = iv.lo, iv.hi
+    if lo is None and hi is None:
+        lo, hi = QuadExt(-1), QuadExt(1)
+    elif lo is None:
+        lo = hi - 1
+    elif hi is None:
+        hi = lo + 1
+    if tag is ClassTag.RATIONAL:
+        return QuadExt(simplest_rational_between(lo, hi))
+    return irrational_between(lo, hi)
+
+
+def pick_in(tag: ClassTag | None, iv: Interval) -> QuadExt | None:
+    """The member ``ClassSet.pick`` gives for the tag-class points of iv
+    (all its points when tag is None), or None when there are none;
+    decided without building the set."""
+    if iv.is_degenerate:
+        return iv.lo if tag is None or class_of(iv.lo) is tag else None
+    if tag is None:
+        tag = ClassTag.RATIONAL  # the rational slice is picked from first
+    return _pick_one(
+        tag,
+        iv,
+        iv.lo_closed and class_of(iv.lo) is tag,
+        iv.hi_closed and class_of(iv.hi) is tag,
+    )
 
 
 def _canonical_slice(ivs, tag: ClassTag) -> tuple[Interval, ...]:
@@ -343,25 +434,9 @@ class ClassSet:
         interval (else the first irr-slice one) take a closed finite endpoint
         when there is one, otherwise an interior point of matching class."""
         for tag, ivs in ((ClassTag.RATIONAL, self.rat), (ClassTag.IRRATIONAL, self.irr)):
-            if not ivs:
-                continue
-            iv = ivs[0]
-            if iv.is_degenerate:
-                return iv.lo
-            if iv.lo is not None and iv.lo_closed:
-                return iv.lo
-            if iv.hi is not None and iv.hi_closed:
-                return iv.hi
-            lo, hi = iv.lo, iv.hi
-            if lo is None and hi is None:
-                lo, hi = QuadExt(-1), QuadExt(1)
-            elif lo is None:
-                lo = hi - 1
-            elif hi is None:
-                hi = lo + 1
-            if tag is ClassTag.RATIONAL:
-                return QuadExt(simplest_rational_between(lo, hi))
-            return irrational_between(lo, hi)
+            if ivs:
+                iv = ivs[0]
+                return _pick_one(tag, iv, iv.lo_closed, iv.hi_closed)
         return None
 
     def __str__(self) -> str:

@@ -13,7 +13,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from kkmfix.intervals import ClassSet, Interval, _plain_complement, _plain_intersect
+from kkmfix.intervals import (
+    ClassSet,
+    Interval,
+    _canonical_slice,
+    _plain_complement,
+    _plain_intersect,
+    pick_in,
+)
 from kkmfix.scalars import ClassTag, QuadExt, as_scalar, class_of, dist, format_scalar
 
 __all__ = [
@@ -28,25 +35,27 @@ __all__ = [
 _TAGS = (ClassTag.RATIONAL, ClassTag.IRRATIONAL)
 
 
-def _as_rational(v) -> Fraction:
+def _as_rational(v) -> QuadExt:
     if isinstance(v, (int, Fraction)):
-        return Fraction(v)
+        return QuadExt(v)
     raise TypeError(f"rational coefficient required, got {type(v).__name__}")
 
 
 @dataclass(frozen=True)
 class AffineExpr:
-    """x -> slope*x + intercept with rational coefficients."""
+    """x -> slope*x + intercept with rational coefficients, given as int or
+    Fraction and held as rational QuadExt, so evaluating stays on the
+    kernel's rational path."""
 
-    slope: Fraction
-    intercept: Fraction
+    slope: QuadExt
+    intercept: QuadExt
 
     def __post_init__(self):
         object.__setattr__(self, "slope", _as_rational(self.slope))
         object.__setattr__(self, "intercept", _as_rational(self.intercept))
 
     def at(self, x) -> QuadExt:
-        return as_scalar(self.slope * as_scalar(x) + self.intercept)
+        return self.slope * x + self.intercept
 
     def __str__(self) -> str:
         s, c = self.slope, self.intercept
@@ -172,7 +181,7 @@ class MappingSpec:
                 ivs = (piece.over,)
                 if keep is not None:
                     ivs = _plain_intersect(ivs, keep)
-                for iv in _restrict(tag, *ivs).slice_of(tag):
+                for iv in _canonical_slice(ivs, tag):
                     out.append((iv, expr))
             cells[tag] = tuple(out)
         return cells
@@ -255,14 +264,14 @@ class MappingSpec:
                 k = expr.slope - 1
                 c = expr.intercept
                 if not k:
-                    consider(abs(QuadExt(c)), True, _restrict(tag, cell).pick())
+                    consider(abs(c), True, pick_in(tag, cell))
                     continue
                 root = -c / k
                 inside = (cell.lo is None or root > cell.lo) and (
                     cell.hi is None or root < cell.hi
                 )
                 if inside:
-                    consider(QuadExt(0), tag is ClassTag.RATIONAL, as_scalar(root))
+                    consider(QuadExt(0), tag is ClassTag.RATIONAL, root)
                 for e, closed in ((cell.lo, cell.lo_closed), (cell.hi, cell.hi_closed)):
                     if e is not None:
                         consider(abs(k * e + c), closed, e)

@@ -69,9 +69,9 @@ class TheoremVerdict:
 
 
 def _check_domain(spec: MappingSpec, need_compact: bool) -> ConditionVerdict:
-    C = ClassSet.from_interval(spec.domain)
+    C = spec.domain
     if need_compact:
-        if C.is_compact:
+        if C.is_bounded and C.is_closed:
             return ConditionVerdict(
                 Status.PROVEN, None, "C is a compact convex interval"
             )

@@ -4,10 +4,12 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from kkmfix import b_value, parse_scalar, serialize
+import kkmfix
+from kkmfix import TheoremId, b_value, parse_scalar, serialize
 from kkmfix.cli import Report, UsageError, main, run_command
 
 from conftest import HULL_KINDS
@@ -41,6 +43,48 @@ def maps(tmp_path_factory):
     bad.write_text(_BAD_MAP, encoding="utf-8")
     paths["bad"] = str(bad)
     return paths
+
+
+_CORPUS_DIR = Path(kkmfix.__file__).parent / "data"
+_GOLDEN = Path(__file__).parent / "data" / "golden"
+_MAPS = [f"corpus{n:02d}.map" for n in range(1, 15)]
+
+
+def _stdout(argv) -> bytes:
+    # what ``main`` prints
+    return (run_command(argv).rendered + "\n").encode()
+
+
+def test_corpus_json_is_byte_identical_to_golden():
+    """The committed bytes are ``python -m kkmfix corpus --json``; refresh
+    them only for an intended output change."""
+    assert _stdout(["corpus", "--json"]) == (_GOLDEN / "corpus.json").read_bytes()
+
+
+def test_check_json_is_byte_identical_to_golden(monkeypatch):
+    """check/corpusNN.T.json is ``python -m kkmfix check --json --map
+    corpusNN.map --theorem T`` run in the package's data directory."""
+    monkeypatch.chdir(_CORPUS_DIR)
+    for name in _MAPS:
+        for theorem in TheoremId:
+            argv = ["check", "--json", "--map", name, "--theorem", theorem.value]
+            golden = _GOLDEN / "check" / f"{name[:-4]}.{theorem.value}.json"
+            assert _stdout(argv) == golden.read_bytes(), (name, theorem)
+
+
+def test_check_text_separates_key_and_status(monkeypatch):
+    monkeypatch.chdir(_CORPUS_DIR)
+    for name in _MAPS:
+        for theorem in TheoremId:
+            report = run_command(["check", "--map", name, "--theorem", theorem.value])
+            # condition lines are indented two spaces, witness lines more
+            rows = [
+                line.split()[:2]
+                for line in report.rendered.splitlines()
+                if line.startswith("  ") and not line.startswith("   ")
+            ]
+            conditions = report.verdicts["verdict"]["conditions"]
+            assert rows == [[key, c["status"]] for key, c in conditions.items()]
 
 
 def test_corpus_all_match():

@@ -1,10 +1,15 @@
 """Interval and class-split set algebra: exact membership, Boolean ops,
 closure, and compactness."""
 
+import pickle
 import random
+import re
 from fractions import Fraction
 
-from kkmfix.intervals import ClassSet, Interval
+import pytest
+
+from kkmfix.intervals import ClassSet, Interval, class_nonempty, pick_in
+from kkmfix.mapping import _restrict
 from kkmfix.scalars import SQRT2, ClassTag, QuadExt, class_of
 
 from conftest import rand_quad
@@ -122,3 +127,78 @@ def test_pick_prefers_closed_finite_lo():
     assert s.pick() == 2
     t = ClassSet.from_interval(Interval(QuadExt(2), QuadExt(5), False, True))
     assert t.pick() == 5
+
+
+def test_interval_rejects_each_malformed_form():
+    for args, message in (
+        ((None, 1, True, False), "interval closed at -inf"),
+        ((0, None, False, True), "interval closed at +inf"),
+        ((2, 1), "backwards interval"),
+        ((1, 1, True, False), "empty interval"),
+        ((QuadExt(0, 1), QuadExt(0, 1), False, True), "empty interval"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Interval(*args)
+
+
+def test_interval_is_an_immutable_value():
+    iv = Interval(1, Fraction(3, 2), True, False)
+    assert iv.lo.__class__ is QuadExt and iv.hi.__class__ is QuadExt
+    assert (iv.lo, iv.hi) == (QuadExt(1), QuadExt(Fraction(3, 2)))
+    assert repr(iv) == (
+        "Interval(lo=QuadExt(1, 0), hi=QuadExt(3/2, 0), "
+        "lo_closed=True, hi_closed=False)"
+    )
+    for name in ("lo", "hi", "lo_closed", "hi_closed", "other"):
+        with pytest.raises(AttributeError):
+            setattr(iv, name, None)
+    same = Interval(QuadExt(1), QuadExt(3, 0) / 2, True, False)
+    assert iv == same and hash(iv) == hash(same)
+    assert iv != Interval(1, Fraction(3, 2)) and iv != (iv.lo, iv.hi)
+    table = {iv: "a", Interval.point(SQRT2): "b"}
+    assert table[same] == "a" and table[Interval.closed(SQRT2, SQRT2)] == "b"
+    assert Interval(1, Fraction(3, 2)) not in table
+    assert pickle.loads(pickle.dumps(iv)) == iv
+
+
+def _query_end(rng) -> QuadExt:
+    # a rational, or q + k*sqrt2/2^n
+    q = Fraction(rng.randint(-16, 16), rng.choice((1, 2, 3, 4)))
+    if rng.random() < 0.4:
+        return QuadExt(q, Fraction(rng.choice((-3, -1, 1, 2)), 2 ** rng.randint(0, 4)))
+    return QuadExt(q)
+
+
+def _query_interval(rng) -> Interval:
+    if rng.random() < 0.2:
+        return Interval.point(_query_end(rng))
+    a = None if rng.random() < 0.2 else _query_end(rng)
+    b = None if rng.random() < 0.2 else _query_end(rng)
+    if a is not None and b is not None:
+        if a == b:
+            return Interval.point(a)
+        a, b = min(a, b), max(a, b)
+    return Interval(
+        a, b, a is not None and rng.random() < 0.5, b is not None and rng.random() < 0.5
+    )
+
+
+def test_direct_queries_match_the_built_set():
+    rng = random.Random(59)
+    for _ in range(1500):
+        iv = _query_interval(rng)
+        ivs = [iv] + [_query_interval(rng) for _ in range(rng.randint(0, 2))]
+        for tag in (ClassTag.RATIONAL, ClassTag.IRRATIONAL, None):
+            assert class_nonempty(tag, ivs) == (not _restrict(tag, *ivs).is_empty)
+            assert class_nonempty(tag, ivs[1:]) == (
+                not _restrict(tag, *ivs[1:]).is_empty
+            )
+            want = _restrict(tag, iv).pick()
+            got = pick_in(tag, iv)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got == want and got.__class__ is QuadExt
+        whole = ClassSet.from_interval(iv)
+        assert iv.is_closed == whole.is_closed
+        assert iv.is_bounded == whole.is_bounded
+        assert (iv.is_bounded and iv.is_closed) == whole.is_compact

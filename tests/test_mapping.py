@@ -14,6 +14,41 @@ from kkmfix.scalars import SQRT2, ClassTag, QuadExt
 from conftest import rand_point_in
 
 
+def _fraction_text(s: Fraction, c: Fraction) -> str:
+    """An affine branch's text, formatted from Fraction coefficients."""
+    if not s:
+        return str(c)
+    head = "x" if s == 1 else ("-x" if s == -1 else f"{s} x")
+    if not c:
+        return head
+    return f"{head} + {c}" if c > 0 else f"{head} - {-c}"
+
+
+def test_affine_expr_holds_rational_quadext(corpus):
+    e = AffineExpr(Fraction(3, 2), -2)
+    assert e.slope.__class__ is QuadExt and e.intercept.__class__ is QuadExt
+    assert e.slope == Fraction(3, 2) and e.intercept == Fraction(-2) == -2
+    same = AffineExpr(Fraction(6, 4), Fraction(-2))
+    assert e == same and hash(e) == hash(same)
+    assert e.at(2) == 1 and e.at(Fraction(1, 3)) == Fraction(-3, 2)
+    assert e.at(SQRT2) == QuadExt(-2, Fraction(3, 2))
+    for bad in (SQRT2, SQRT2 + 1, 0.5):
+        with pytest.raises(TypeError):
+            AffineExpr(bad, 0)
+        with pytest.raises(TypeError):
+            AffineExpr(0, bad)
+    branches = [
+        expr
+        for entry in corpus.values()
+        for piece in entry.spec.pieces
+        for expr in (piece.rational_branch, piece.irrational_branch)
+        if expr is not None
+    ]
+    assert len(branches) > 14
+    for expr in branches:
+        assert str(expr) == _fraction_text(expr.slope.a, expr.intercept.a)
+
+
 def test_corpus_specs_are_self_maps(corpus):
     rng = random.Random(61)
     for entry in corpus.values():

@@ -3,6 +3,7 @@ tolerance, class bookkeeping, and the kernel name."""
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -202,3 +203,20 @@ def test_pure_kernel_matches_fraction():
         assert x != z and z.sign() == _sqrt2_sign(c, d)
     with pytest.raises(AttributeError):
         (x + y)._an = 0  # results stay immutable
+
+    # the hash follows Fraction's formula for non-integer rationals: large
+    # numerators, and denominators with no inverse modulo the hash prime
+    modulus = sys.hash_info.modulus
+    wide = [
+        Fraction(rng.randint(10 ** 29, 10 ** 30), rng.randint(2, 10 ** 20))
+        * rng.choice((-1, 1))
+        for _ in range(300)
+    ]
+    no_inverse = [
+        Fraction(n, k * modulus)
+        for n in (1, -1, 7, -(10 ** 30) - 1)
+        for k in (1, 2, 3 * modulus)
+    ]
+    for r in wide + no_inverse:
+        assert hash(Q(r)) == hash(r)
+    assert {hash(Q(r)) for r in no_inverse} == {sys.hash_info.inf, -sys.hash_info.inf}
