@@ -21,7 +21,7 @@ from .kkm import GForm, GKind, default_gap_delta, intersection_witness, verify_k
 from .mapdef import ParseError, parse
 from .mapping import MappingSpec
 from .plotting import FORMATS, emit_plot
-from .scalars import QuadExt, as_scalar, format_scalar, parse_scalar
+from .scalars import as_scalar, format_scalar, parse_scalar
 from .verdict import TheoremId, TheoremVerdict, run_corpus, run_theorem
 
 

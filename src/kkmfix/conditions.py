@@ -21,12 +21,11 @@ from .intervals import (
     class_nonempty,
     pick_in,
 )
-from .mapping import MappingSpec, _add_points, _build, _restrict, _slices
+from .mapping import MappingSpec, _add, _build, _restrict, _slices
 from .scalars import (
     ClassTag,
     QuadExt,
     as_scalar,
-    class_of,
     dist,
     format_scalar,
 )
@@ -142,10 +141,11 @@ def _solve_affine(slope, intercept, rel: str, within: Interval) -> Interval | No
     intercept = as_scalar(intercept)
     strict = len(rel) == 1
     if not slope:
-        sign = intercept if rel[0] == "<" else -intercept
+        sign = intercept.sign() if rel[0] == "<" else -intercept.sign()
         return within if sign < 0 or (not strict and not sign) else None
     start = _ends(within)
-    ends = _narrow(start, -intercept / slope, (slope > 0) == (rel[0] == "<"), strict)
+    below = (slope.sign() > 0) == (rel[0] == "<")
+    ends = _narrow(start, -intercept / slope, below, strict)
     if ends is None:
         return None
     if ends is start:
@@ -354,14 +354,9 @@ def check_b3_strong(
 
 def _never_where(spec: MappingSpec, rel: str) -> bool:
     """True iff no x in C has f(x) <rel> x."""
-    for tag in _TAGS:
-        for iv, expr in spec.class_cells(tag):
-            region = _solve_affine(expr.slope - 1, expr.intercept, rel, iv)
-            if region is not None and class_nonempty(tag, (region,)):
-                return False
-    ops = {"<": lambda a, b: a < b, ">": lambda a, b: a > b}[rel]
-    for o in spec.overrides:
-        if ops(o.value, o.at):
+    for tag, iv, slope, intercept in spec.value_pieces():
+        region = _solve_affine(slope - _ONE, intercept, rel, iv)
+        if region is not None and class_nonempty(tag, (region,)):
             return False
     return True
 
@@ -370,30 +365,23 @@ def _pivot_proves_anchor(spec: MappingSpec, p: QuadExt) -> bool:
     """Anchor inequality holds whenever f(x) <= x below p (allowing upward
     jumps to at least 2p - x) and f(x) >= x above p (mirror): the subset
     point straddling u on p's side supplies a nonnegative term."""
+    mirror = 2 * p
     sides = (
         (Interval.less_than(p), ">", "<"),
         (Interval.greater_than(p), "<", ">"),
     )
     for side, wrong_rel, jump_rel in sides:
-        for tag in _TAGS:
-            for iv, expr in spec.class_cells(tag):
-                part = _intersect_iv(iv, side)
-                if part is None:
-                    continue
-                bad = _solve_affine(expr.slope - 1, expr.intercept, wrong_rel, part)
-                if bad is None:
-                    continue
-                # wrong-side values are still fine when they jump past 2p - x
-                bad = _solve_affine(
-                    expr.slope + 1, expr.intercept - 2 * p, jump_rel, bad
-                )
-                if bad is not None and class_nonempty(tag, (bad,)):
-                    return False
-    for o in spec.overrides:
-        if o.at < p and not (o.value <= o.at or o.value >= 2 * p - o.at):
-            return False
-        if o.at > p and not (o.value >= o.at or o.value <= 2 * p - o.at):
-            return False
+        for tag, iv, slope, intercept in spec.value_pieces():
+            part = _intersect_iv(iv, side)
+            if part is None:
+                continue
+            bad = _solve_affine(slope - _ONE, intercept, wrong_rel, part)
+            if bad is None:
+                continue
+            # wrong-side values are still fine when they jump past 2p - x
+            bad = _solve_affine(slope + _ONE, intercept - mirror, jump_rel, bad)
+            if bad is not None and class_nonempty(tag, (bad,)):
+                return False
     return True
 
 
@@ -455,21 +443,6 @@ def prove_b(kind: BKind, spec: MappingSpec) -> ConditionVerdict | None:
 # exact decider for the hull inequalities
 
 
-def _value_pieces(spec: MappingSpec):
-    """(tag, interval, slope, intercept): f(x) = slope*x + intercept on the
-    tag-class points of the interval; overrides come as single points with
-    tag None."""
-    out = [
-        (tag, iv, expr.slope, expr.intercept)
-        for tag in _TAGS
-        for iv, expr in spec.class_cells(tag)
-    ]
-    out.extend(
-        (None, Interval.point(o.at), _ZERO, o.value) for o in spec.overrides
-    )
-    return out
-
-
 def _x_pieces(pieces) -> list:
     """The value pieces as x pieces for ``_near_u``: (interval, slope,
     intercept, lower bounds, upper bounds), the bounds on x as in
@@ -504,10 +477,10 @@ def _project_u(lows, highs, on_u, within: Interval) -> Interval | None:
     start = ends = _ends(within)
     for b, c, strict in itertools.chain(on_u, pairs):
         if not b:
-            if c > 0 or (strict and not c):
+            if c.sign() > 0 or (strict and not c):
                 return None
             continue
-        ends = _narrow(ends, -c / b, b > 0, strict)
+        ends = _narrow(ends, -c / b, b.sign() > 0, strict)
         if ends is None:
             return None
     if ends is start:
@@ -560,7 +533,7 @@ def _near_u(kind, x_pieces, k, m, below: bool, within: Interval) -> list:
                     on_u.append((b, e, True))
                 else:
                     neg = -a
-                    (highs if a > 0 else lows).append((b / neg, e / neg, True))
+                    (highs if a.sign() > 0 else lows).append((b / neg, e / neg, True))
             proj = _project_u(lows, highs, on_u, within)
             if proj is not None:
                 out.append(proj)
@@ -612,7 +585,7 @@ def decide_b(kind: BKind, spec: MappingSpec) -> ConditionVerdict:
     in points of its class, so classes matter only for u and for
     single-point pieces.  Returns Proven, or Falsified with a two-point
     witness around the first violating u found."""
-    pieces = _value_pieces(spec)
+    pieces = spec.value_pieces()
     x_pieces = _x_pieces(pieces)
     # L and R depend on a u piece only through its ends and k, m: project
     # once on the closed hull, then cut to each class's own piece
@@ -704,24 +677,14 @@ def check_c2(spec: MappingSpec, xstar) -> tuple[ClassSet, bool]:
 
 
 def _point_where(spec: MappingSpec, slope_shift, intercept_shift, rel: str):
-    """Some x in C with f(x)+shifts <rel> 0, branches first, overrides last."""
-    for tag in _TAGS:
-        for iv, expr in spec.class_cells(tag):
-            region = _solve_affine(
-                expr.slope + slope_shift, expr.intercept + intercept_shift, rel, iv
-            )
-            spot = None if region is None else pick_in(tag, region)
-            if spot is not None:
-                return spot
-    ops = {
-        "<": lambda v: v < 0,
-        "<=": lambda v: v <= 0,
-        ">": lambda v: v > 0,
-        ">=": lambda v: v >= 0,
-    }[rel]
-    for o in spec.overrides:
-        if ops(o.value + slope_shift * o.at + intercept_shift):
-            return o.at
+    """Some x in C with f(x)+shifts <rel> 0, cells first, overrides last."""
+    for tag, iv, slope, intercept in spec.value_pieces():
+        region = _solve_affine(
+            slope + slope_shift, intercept + intercept_shift, rel, iv
+        )
+        spot = None if region is None else pick_in(tag, region)
+        if spot is not None:
+            return spot
     return None
 
 
@@ -809,15 +772,13 @@ def sublevel(spec: MappingSpec, beta) -> tuple[ClassSet, bool]:
     if b <= 0:
         raise ValueError("beta must be positive")
     slices = _slices()
-    for tag in _TAGS:
-        for iv, expr in spec.class_cells(tag):
-            region = _solve_affine(expr.slope - 1, expr.intercept - b, "<=", iv)
-            if region is None:
-                continue
-            region = _solve_affine(expr.slope - 1, expr.intercept + b, ">=", region)
-            if region is not None:
-                slices[tag].append(region)
-    _add_points(slices, [o.at for o in spec.overrides if dist(o.value, o.at) <= b])
+    for tag, iv, slope, intercept in spec.value_pieces():
+        k = slope - _ONE
+        region = _solve_affine(k, intercept - b, "<=", iv)
+        if region is not None:
+            region = _solve_affine(k, intercept + b, ">=", region)
+        if region is not None:
+            _add(slices, tag, region)
     out = _build(slices)
     C = ClassSet.from_interval(spec.domain)
     closed = out.closure().intersect(C) == out
@@ -866,13 +827,10 @@ def check_c3(spec: MappingSpec) -> ConditionVerdict:
 
     # pointwise failures at cell ends, overrides and domain ends
     spots: set[QuadExt] = set()
-    for tag in _TAGS:
-        for iv, _ in spec.class_cells(tag):
-            for end in (iv.lo, iv.hi):
-                if end is not None and spec.domain.contains(end):
-                    spots.add(end)
-    for o in spec.overrides:
-        spots.add(o.at)
+    for _, iv, _, _ in spec.value_pieces():
+        for end in (iv.lo, iv.hi):
+            if end is not None and spec.domain.contains(end):
+                spots.add(end)
     for end in (spec.domain.lo, spec.domain.hi):
         if end is not None and spec.domain.contains(end):
             spots.add(end)
@@ -881,7 +839,7 @@ def check_c3(spec: MappingSpec) -> ConditionVerdict:
             spec, p, "right"
         )
         if limits and min(limits) < spec.residual(p):
-            _add_points(failures, [p])
+            _add(failures, None, Interval.point(p))
 
     failures = _build(failures)
     if failures.is_empty:

@@ -19,6 +19,7 @@ from kkmfix.intervals import (
     _canonical_slice,
     _plain_complement,
     _plain_intersect,
+    class_nonempty,
     pick_in,
 )
 from kkmfix.scalars import ClassTag, QuadExt, as_scalar, class_of, dist, format_scalar
@@ -33,6 +34,7 @@ __all__ = [
 ]
 
 _TAGS = (ClassTag.RATIONAL, ClassTag.IRRATIONAL)
+_ZERO, _ONE = QuadExt(0), QuadExt(1)
 
 
 def _as_rational(v) -> QuadExt:
@@ -136,15 +138,23 @@ def _slices() -> dict[ClassTag, list[Interval]]:
     return {tag: [] for tag in _TAGS}
 
 
-def _add_points(slices, xs) -> None:
-    for x in xs:
-        iv = Interval.point(x)
-        for tag in _TAGS:
-            slices[tag].append(iv)
+def _add(slices, tag: ClassTag | None, iv: Interval) -> None:
+    """Add iv to the tag slice; to both when tag is None."""
+    if tag is None:
+        for t in _TAGS:
+            slices[t].append(iv)
+    else:
+        slices[tag].append(iv)
 
 
 def _build(slices) -> ClassSet:
     return ClassSet(slices[ClassTag.RATIONAL], slices[ClassTag.IRRATIONAL])
+
+
+def _pick(tag: ClassTag | None, ivs) -> str:
+    """The point ClassSet.pick gives for the tag-class points of ivs,
+    formatted; for reporting a violation."""
+    return format_scalar(_restrict(tag, *ivs).pick())
 
 
 @dataclass(frozen=True)
@@ -165,24 +175,30 @@ class MappingSpec:
         return {o.at: o.value for o in self.overrides}
 
     @cached_property
+    def _kept(self) -> tuple[Interval, ...] | None:
+        # the line minus the override points; None when there are none
+        if not self.overrides:
+            return None
+        return _plain_complement([Interval.point(o.at) for o in self.overrides])
+
+    def _cut(self, over: Interval, tag: ClassTag) -> tuple[Interval, ...]:
+        """The tag-class points of ``over`` that no override replaces: the
+        override points are cut out of the raw interval, then one
+        canonicalisation."""
+        kept = self._kept
+        ivs = (over,) if kept is None else _plain_intersect((over,), kept)
+        return _canonical_slice(ivs, tag)
+
+    @cached_property
     def _cells(self) -> dict[ClassTag, tuple[tuple[Interval, AffineExpr], ...]]:
-        # one canonicalisation per (piece, class); the override points are
-        # cut out of the raw piece interval first, and only when there are any
-        keep = None
-        if self.overrides:
-            keep = _plain_complement([Interval.point(o.at) for o in self.overrides])
         cells: dict[ClassTag, tuple] = {}
         for tag in _TAGS:
             out = []
             for piece in self.pieces:
                 expr = piece.branch_for(tag)
-                if expr is None:
-                    continue
-                ivs = (piece.over,)
-                if keep is not None:
-                    ivs = _plain_intersect(ivs, keep)
-                for iv in _canonical_slice(ivs, tag):
-                    out.append((iv, expr))
+                if expr is not None:
+                    for iv in self._cut(piece.over, tag):
+                        out.append((iv, expr))
             cells[tag] = tuple(out)
         return cells
 
@@ -209,16 +225,30 @@ class MappingSpec:
         x = as_scalar(x)
         return dist(self.evaluate(x), x)
 
+    def value_pieces(self) -> tuple[tuple, ...]:
+        """f as (tag, interval, slope, intercept): f(x) = slope*x + intercept
+        on the tag-class points of the interval.  The class cells come
+        first, in ``class_cells`` order, then each override as the single
+        point (None, [at, at], 0, value), tag None meaning either class."""
+        return self._value_pieces
+
+    @cached_property
+    def _value_pieces(self) -> tuple:
+        out = [
+            (tag, iv, expr.slope, expr.intercept)
+            for tag in _TAGS
+            for iv, expr in self._cells[tag]
+        ]
+        out.extend(
+            (None, Interval.point(o.at), _ZERO, o.value) for o in self.overrides
+        )
+        return tuple(out)
+
     def image(self) -> ClassSet:
         slices = _slices()
-        for tag in _TAGS:
-            for cell, expr in self.class_cells(tag):
-                if not expr.slope:
-                    _add_points(slices, [expr.intercept])
-                else:
-                    img = cell.map_affine(expr.slope, expr.intercept)
-                    slices[tag].append(img)
-        _add_points(slices, [o.value for o in self.overrides])
+        for tag, iv, slope, intercept in self.value_pieces():
+            # a constant piece's image is one point, kept in its own class
+            _add(slices, tag if slope else None, iv.map_affine(slope, intercept))
         return _build(slices)
 
     def fixed_point_set(self) -> ClassSet:
@@ -227,17 +257,16 @@ class MappingSpec:
     @cached_property
     def _fixed_point_set(self) -> ClassSet:
         slices = _slices()
-        for tag in _TAGS:
-            for cell, expr in self.class_cells(tag):
-                if expr.slope == 1:
-                    if not expr.intercept:
-                        slices[tag].append(cell)
-                    continue
-                root = expr.intercept / (1 - expr.slope)
-                # rational coefficients put the root in the rationals
-                if tag is ClassTag.RATIONAL and cell.contains(root):
-                    _add_points(slices, [root])
-        _add_points(slices, [o.at for o in self.overrides if o.value == o.at])
+        for tag, iv, slope, intercept in self.value_pieces():
+            if slope == _ONE:
+                if not intercept:
+                    _add(slices, tag, iv)
+                continue
+            root = intercept / (_ONE - slope)
+            # a cell's rational coefficients put its root in the rationals;
+            # an override's root is its value, inside iff value == at
+            if tag is not ClassTag.IRRATIONAL and iv.contains(root):
+                _add(slices, None, Interval.point(root))
         return _build(slices)
 
     def fixed_points(self) -> tuple[QuadExt, ...]:
@@ -259,76 +288,67 @@ class MappingSpec:
             ):
                 best = cand
 
-        for tag in _TAGS:
-            for cell, expr in self.class_cells(tag):
-                k = expr.slope - 1
-                c = expr.intercept
-                if not k:
-                    consider(abs(c), True, pick_in(tag, cell))
-                    continue
-                root = -c / k
-                inside = (cell.lo is None or root > cell.lo) and (
-                    cell.hi is None or root < cell.hi
-                )
-                if inside:
-                    consider(QuadExt(0), tag is ClassTag.RATIONAL, root)
-                for e, closed in ((cell.lo, cell.lo_closed), (cell.hi, cell.hi_closed)):
-                    if e is not None:
-                        consider(abs(k * e + c), closed, e)
-        for o in self.overrides:
-            consider(dist(o.value, o.at), True, o.at)
+        for tag, iv, slope, c in self.value_pieces():
+            k = slope - _ONE
+            if not k:
+                consider(abs(c), True, pick_in(tag, iv))
+                continue
+            root = -c / k
+            inside = (iv.lo is None or root > iv.lo) and (iv.hi is None or root < iv.hi)
+            if inside:
+                consider(_ZERO, tag is ClassTag.RATIONAL, root)
+            for e, closed in ((iv.lo, iv.lo_closed), (iv.hi, iv.hi_closed)):
+                if e is not None:
+                    consider(abs(k * e + c), closed, e)
         assert best is not None
         return InfResidual(*best)
 
     def validate(self) -> list[Violation]:
         """All the ways this spec fails to be a well-formed self-map:
         pieces escaping the domain, per-class coverage gaps or overlaps,
-        bad overrides, values outside the domain."""
+        bad overrides, values outside the domain.  Each (piece, class) is
+        cut once, as in ``class_cells``, and checked on raw intervals."""
         out: list[Violation] = []
-        dom_cs = ClassSet.from_interval(self.domain)
+        outside = _plain_complement((self.domain,))
         for idx, piece in enumerate(self.pieces):
-            excess = ClassSet.from_interval(piece.over).difference(dom_cs)
-            if not excess.is_empty:
+            excess = _plain_intersect((piece.over,), outside)
+            if excess:
                 out.append(
                     Violation(
                         "piece-outside",
-                        f"piece {idx} leaves the domain at {format_scalar(excess.pick())}",
+                        f"piece {idx} leaves the domain at {_pick(None, excess)}",
                         piece_index=idx,
                     )
                 )
         # override sources count as covered; pieces may conflict there
-        sources = ClassSet.points([o.at for o in self.overrides])
+        cuts = [
+            {
+                tag: self._cut(p.over, tag)
+                for tag in _TAGS
+                if p.branch_for(tag) is not None
+            }
+            for p in self.pieces
+        ]
         for tag in _TAGS:
-            carriers = [
-                (i, p) for i, p in enumerate(self.pieces) if p.branch_for(tag) is not None
-            ]
-            for ai in range(len(carriers)):
-                for bi in range(ai + 1, len(carriers)):
-                    i, a = carriers[ai]
-                    j, b = carriers[bi]
-                    both = (
-                        _restrict(tag, a.over)
-                        .intersect(_restrict(tag, b.over))
-                        .difference(sources)
-                    )
-                    if not both.is_empty:
+            carriers = [(i, c[tag]) for i, c in enumerate(cuts) if tag in c]
+            for ai, (i, a) in enumerate(carriers):
+                for j, b in carriers[ai + 1 :]:
+                    both = _plain_intersect(a, b)
+                    if class_nonempty(tag, both):
                         out.append(
                             Violation(
                                 "coverage-overlap",
                                 f"pieces {i} and {j} both cover {tag} point "
-                                f"{format_scalar(both.pick())}",
+                                f"{_pick(tag, both)}",
                                 piece_index=j,
                             )
                         )
-            covered = _slices()
-            _add_points(covered, [o.at for o in self.overrides])
-            covered[tag].extend(p.over for _, p in carriers)
-            gap = _restrict(tag, self.domain).difference(_build(covered))
-            if not gap.is_empty:
+            covered = _plain_complement([iv for _, ivs in carriers for iv in ivs])
+            gap = _plain_intersect(self._cut(self.domain, tag), covered)
+            if class_nonempty(tag, gap):
                 out.append(
                     Violation(
-                        "coverage-gap",
-                        f"no {tag} branch covers {format_scalar(gap.pick())}",
+                        "coverage-gap", f"no {tag} branch covers {_pick(tag, gap)}"
                     )
                 )
         seen: dict[QuadExt, int] = {}
@@ -358,29 +378,23 @@ class MappingSpec:
                         override_index=idx,
                     )
                 )
-        for idx, piece in enumerate(self.pieces):
+        for idx, (piece, cut) in enumerate(zip(self.pieces, cuts)):
             img = _slices()
-            for tag in _TAGS:
+            for tag, ivs in cut.items():
                 expr = piece.branch_for(tag)
-                if expr is None:
-                    continue
-                cells = _restrict(tag, piece.over).difference(sources)
-                if cells.is_empty:
-                    continue
-                if not expr.slope:
-                    _add_points(img, [expr.intercept])
-                    continue
-                img[tag].extend(
-                    iv.map_affine(expr.slope, expr.intercept)
-                    for iv in cells.slice_of(tag)
-                )
-            escape = _build(img).difference(dom_cs)
-            if not escape.is_empty:
+                for iv in ivs:
+                    _add(
+                        img,
+                        tag if expr.slope else None,
+                        iv.map_affine(expr.slope, expr.intercept),
+                    )
+            escape = {tag: _plain_intersect(img[tag], outside) for tag in _TAGS}
+            if any(class_nonempty(tag, ivs) for tag, ivs in escape.items()):
                 out.append(
                     Violation(
                         "not-self-map",
                         f"piece {idx} maps into "
-                        f"{format_scalar(escape.pick())} outside the domain",
+                        f"{format_scalar(_build(escape).pick())} outside the domain",
                         piece_index=idx,
                     )
                 )

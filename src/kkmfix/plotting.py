@@ -13,7 +13,7 @@ import io
 
 from .intervals import Interval, _intersect_iv
 from .mapping import MappingSpec
-from .scalars import ClassTag, QuadExt, as_scalar, class_of, dist, format_scalar
+from .scalars import ClassTag, QuadExt, as_scalar, dist, format_scalar
 
 FORMATS = ("svg", "csv")
 
@@ -57,13 +57,11 @@ def _branch_value(spec: MappingSpec, x: QuadExt, tag: ClassTag) -> QuadExt | Non
 
 
 def _map_value(spec: MappingSpec, x: QuadExt) -> QuadExt | None:
-    """f(x) when defined: override first, then the branch for x's class."""
-    if not spec.domain.contains(x):
+    """f(x) when defined."""
+    try:
+        return spec.evaluate(x)
+    except ValueError:
         return None
-    for o in spec.overrides:
-        if o.at == x:
-            return o.value
-    return _branch_value(spec, x, class_of(x))
 
 
 def _dec(value: QuadExt | None) -> str:

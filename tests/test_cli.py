@@ -72,6 +72,32 @@ def test_check_json_is_byte_identical_to_golden(monkeypatch):
             assert _stdout(argv) == golden.read_bytes(), (name, theorem)
 
 
+def test_parse_json_is_byte_identical_to_golden(monkeypatch):
+    """golden/parse/NAME.json is ``python -m kkmfix parse --json --map
+    NAME.map`` run in data/parse: one malformed map per Violation kind, one
+    with several kinds in report order, and overlaps whose reported point
+    override sources or sqrt2 ends move."""
+    parse_dir = _GOLDEN.parent / "parse"
+    monkeypatch.chdir(parse_dir)
+    names = sorted(p.name for p in parse_dir.glob("*.map"))
+    assert len(names) == 10
+    kinds = set()
+    for name in names:
+        report = run_command(["parse", "--json", "--map", name])
+        golden = _GOLDEN / "parse" / f"{name[:-4]}.json"
+        assert (report.rendered + "\n").encode() == golden.read_bytes(), name
+        kinds.update(v["kind"] for v in report.verdicts["violations"])
+    assert kinds == {
+        "piece-outside",
+        "coverage-overlap",
+        "coverage-gap",
+        "override-outside",
+        "override-duplicate",
+        "override-value-outside",
+        "not-self-map",
+    }
+
+
 def test_check_text_separates_key_and_status(monkeypatch):
     monkeypatch.chdir(_CORPUS_DIR)
     for name in _MAPS:

@@ -9,7 +9,8 @@ import pytest
 from kkmfix.intervals import ClassSet, Interval
 from kkmfix.mapdef import parse
 from kkmfix.mapping import AffineExpr, MappingSpec, Piece, PointOverride
-from kkmfix.scalars import SQRT2, ClassTag, QuadExt
+from kkmfix.randmaps import random_specs
+from kkmfix.scalars import SQRT2, ClassTag, QuadExt, class_of
 
 from conftest import rand_point_in
 
@@ -189,3 +190,71 @@ def test_class_cells_cut_out_override_sources(corpus):
         ("(4, 6)", "2 x - 5"),
         ("(6, inf)", "5/4 x - 1/2"),
     ]
+
+
+def test_value_pieces_order(corpus):
+    # class cells in class_cells order, then each override as a point
+    spec = corpus[3].spec
+    pieces = spec.value_pieces()
+    cells = [
+        (tag, iv, expr.slope, expr.intercept)
+        for tag in (ClassTag.RATIONAL, ClassTag.IRRATIONAL)
+        for iv, expr in spec.class_cells(tag)
+    ]
+    points = [(None, Interval.point(o.at), 0, o.value) for o in spec.overrides]
+    assert len(points) == 2
+    assert list(pieces) == cells + points
+    assert pieces is spec.value_pieces()
+
+
+_HAND_MAPS = (
+    # unbounded domain, class-split branches
+    "domain (-inf, inf)\n"
+    "piece (-inf, 0) all: -x\n"
+    "piece [0, inf) rational: 1/2 x + 1\n"
+    "piece [0, inf) irrational: 2 x\n"
+    "override 3 -> 0\n",
+    # half-open domain, an override at the closed end
+    "domain (0, 4]\n"
+    "piece (0, 2) all: 1/2 x\n"
+    "piece [2, 4] rational: 4\n"
+    "piece [2, 4] irrational: -x + 4\n"
+    "override 4 -> 1\n",
+    # breakpoints at sqrt2
+    "domain [0, 4]\n"
+    "piece [0, sqrt2) rational: x + 1\n"
+    "piece [0, sqrt2] irrational: 2\n"
+    "piece [sqrt2, 4] rational: -x + 4\n"
+    "piece (sqrt2, 4] irrational: 1/2 x\n",
+    # overrides on piece ends
+    "domain [0, 3]\n"
+    "piece [0, 1] all: x + 1\n"
+    "piece (1, 3] all: -x + 3\n"
+    "override 1 -> 3\n"
+    "override 3 -> 0\n",
+)
+
+
+def test_value_pieces_give_evaluate():
+    """The entry holding x in x's class, or x's override, is the only entry
+    holding x, and gives f(x), at rational and q + k*sqrt2/2^n points."""
+    rng = random.Random(83)
+    specs = [parse(text) for text in _HAND_MAPS] + list(random_specs(40, seed=11))
+    for spec in specs:
+        pieces = spec.value_pieces()
+        xs = [rand_point_in(rng, spec.domain) for _ in range(60)]
+        xs += [
+            end
+            for _, iv, _, _ in pieces
+            for end in (iv.lo, iv.hi)
+            if end is not None and spec.domain.contains(end)
+        ]
+        for x in xs:
+            holding = [
+                (slope, intercept)
+                for tag, iv, slope, intercept in pieces
+                if tag in (None, class_of(x)) and iv.contains(x)
+            ]
+            assert len(holding) == 1, (spec.label, x)
+            slope, intercept = holding[0]
+            assert slope * x + intercept == spec.evaluate(x), (spec.label, x)
