@@ -115,9 +115,6 @@ class QuadExt:
             return (an > 0) - (an < 0)
         return _sign_pq(self._an * self._bd, self._bn * self._ad)
 
-    def conjugate(self) -> "QuadExt":
-        return _fast(self._an, self._ad, -self._bn, self._bd)
-
     def floor(self) -> int:
         if not self._bn:
             return self._an // self._ad

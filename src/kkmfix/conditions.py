@@ -4,6 +4,10 @@ Everything here is decided exactly over Q(sqrt2): surjectivity of the
 mapping, the three hull-coverage inequalities (anchor, displacement,
 residual forms), the compact-witness-set conditions, and lower
 semicontinuity of the displacement x -> |f(x) - x|.
+
+Both the inequality on one subset and lower semicontinuity come down to
+comparing two absolute values of affines, |p| < |q|, which
+``_abs_below`` solves as intervals.
 """
 
 from __future__ import annotations
@@ -200,29 +204,31 @@ def b_value(kind: BKind, spec: MappingSpec, points, u) -> QuadExt:
     return best
 
 
-def _cell_for(spec: MappingSpec, tag: ClassTag, a: QuadExt, b: QuadExt):
-    mid = (a + b) / 2
-    for iv, expr in spec.class_cells(tag):
-        if iv.contains(mid):
-            return expr
-    return None
-
-
-def _abs_affine(slope, intercept, probe: QuadExt):
-    """(slope', intercept') of |slope*x + intercept| near probe, where the
-    inner affine does not change sign."""
-    if as_scalar(slope) * probe + intercept < 0:
-        return -as_scalar(slope), -as_scalar(intercept)
-    return as_scalar(slope), as_scalar(intercept)
+def _abs_below(p, q, within: Interval) -> list[Interval]:
+    """The x in ``within`` where |p(x)| < |q(x)|, for affine p and q given
+    as (slope, intercept): exactly where (p - q)(p + q) < 0, so at most
+    one interval per sign case."""
+    (ps, pi), (qs, qi) = p, q
+    out = []
+    for first, second in (("<", ">"), (">", "<")):
+        part = _solve_affine(ps - qs, pi - qi, first, within)
+        if part is not None:
+            part = _solve_affine(ps + qs, pi + qi, second, part)
+            if part is not None:
+                out.append(part)
+    return out
 
 
 def check_b_subset(kind: BKind, spec: MappingSpec, points) -> ConditionVerdict:
     """Exact decision of the inequality over the whole hull of one subset.
 
-    The hull is cut at the subset points, their images, and (residual form)
-    cell bounds, override sources and displacement roots; between cuts every
-    term is affine, so the criterion is a max of affines whose minimum sits
-    at a cut or a pairwise term crossing."""
+    It fails at u exactly when every term |f(x_j) - u| - g_j is negative,
+    so the violating set is V = hull & {u : |f(x_j) - u| < g_j(u) for all
+    j}.  Each g_j is the absolute value of an affine in u (for the residual
+    form, on each value piece of u), so ``_abs_below`` solves V as a finite
+    union of intervals.  Falsified iff V has a point; the witness is the
+    most violated of the images in the hull and one point per interval of
+    V."""
     pts = sorted({as_scalar(p) for p in points})
     if not pts:
         raise ValueError("empty subset")
@@ -230,95 +236,42 @@ def check_b_subset(kind: BKind, spec: MappingSpec, points) -> ConditionVerdict:
         _require_in_domain(spec, p)
     lo, hi = pts[0], pts[-1]
     images = [spec.evaluate(p) for p in pts]
+    hull = Interval.closed(lo, hi)
 
-    cuts = {lo, hi}
-    cuts.update(p for p in pts)
-    cuts.update(v for v in images if lo <= v <= hi)
-    per_class = kind is BKind.RESIDUAL
-    if per_class:
-        for o in spec.overrides:
-            if lo <= o.at <= hi:
-                cuts.add(o.at)
-        for tag in _TAGS:
-            for iv, expr in spec.class_cells(tag):
-                for end in (iv.lo, iv.hi):
-                    if end is not None and lo <= end <= hi:
-                        cuts.add(end)
-                if expr.slope != 1:
-                    root = expr.intercept / (1 - expr.slope)
-                    if lo <= root <= hi:
-                        cuts.add(as_scalar(root))
-    ordered = sorted(cuts)
+    if kind is BKind.RESIDUAL:
+        # g = |f(u) - u| = |(a - 1)u + b| on the tag-class points of a piece
+        parts = []
+        for tag, iv, a, b in spec.value_pieces():
+            part = _intersect_iv(iv, hull)
+            if part is not None:
+                parts.append((tag, part, [(a - _ONE, b)] * len(pts)))
+    elif kind is BKind.ANCHOR:
+        parts = [(None, hull, [(_MINUS_ONE, p) for p in pts])]
+    else:
+        parts = [(None, hull, [(_ZERO, fp - p) for p, fp in zip(pts, images)])]
 
-    # attained values at every cut point, via the true mapping semantics
-    disps = [dist(fp, p) for p, fp in zip(pts, images)]
-
-    def attained(u: QuadExt) -> QuadExt:
-        if kind is BKind.ANCHOR:
-            return max(dist(fp, u) - dist(p, u) for p, fp in zip(pts, images))
-        if kind is BKind.DISPLACEMENT:
-            return max(dist(fp, u) - g for fp, g in zip(images, disps))
-        return max(dist(fp, u) for fp in images) - spec.residual(u)
-
-    tried: dict[QuadExt, QuadExt] = {}
-    for c in ordered:
-        tried[c] = attained(c)
-    falsified = any(v < 0 for v in tried.values())
-
-    for a, b in zip(ordered, ordered[1:]):
-        open_ab = Interval(a, b, False, False)
-        for tag in _TAGS if per_class else (None,):
-            probe = (a + b) / 2
-            terms = []
-            if per_class:
-                expr = _cell_for(spec, tag, a, b)
-                if expr is None:
-                    continue
-                gs, gi = _abs_affine(expr.slope - 1, expr.intercept, probe)
-            for p, fp in zip(pts, images):
-                fs, fi = _abs_affine(-1, fp, probe)
-                if kind is BKind.ANCHOR:
-                    ms, mi = _abs_affine(-1, p, probe)
-                elif kind is BKind.DISPLACEMENT:
-                    ms, mi = QuadExt(0), dist(fp, p)
-                else:
-                    ms, mi = gs, gi
-                terms.append((fs - ms, fi - mi))
-
-            def peak(u):
-                return max(s * u + i for s, i in terms)
-
-            # one term staying nonnegative on the cell floors the max
-            if max(min(s * a + i, s * b + i) for s, i in terms) >= 0:
-                continue
-            probes = [a, b]
-            for (s1, i1), (s2, i2) in itertools.combinations(terms, 2):
-                if s1 != s2:
-                    cross = (i2 - i1) / (s1 - s2)
-                    if a < cross < b:
-                        probes.append(cross)
-            floor_value = min(peak(u) for u in probes)
-            if floor_value >= 0:
-                continue
-            falsified = True
-            # an actual violating point of the right class, strictly inside
-            region = open_ab
-            for s, i in terms:
-                region = _solve_affine(s, i, "<", region)
-                if region is None:
-                    break
-            spot = None if region is None else pick_in(tag, region)
-            if spot is not None and spot not in tried:
-                tried[spot] = attained(spot)
-
-    if not falsified:
+    spots = []
+    for tag, part, gauges in parts:
+        region = [part]
+        for fp, gauge in zip(images, gauges):
+            near = (_MINUS_ONE, fp)  # f(x_j) - u
+            region = [r for iv in region for r in _abs_below(near, gauge, iv)]
+            if not region:
+                break
+        for iv in region:
+            spot = pick_in(tag, iv)
+            if spot is not None:
+                spots.append(spot)
+    if not spots:
         return ConditionVerdict(
             Status.PROVEN,
             None,
             "inequality holds on the whole hull "
             f"[{format_scalar(lo)}, {format_scalar(hi)}]",
         )
-    u_best, v_best = min(tried.items(), key=lambda kv: (kv[1], kv[0]))
+    spots.extend(v for v in images if lo <= v <= hi)
+    values = ((b_value(kind, spec, pts, u), u) for u in set(spots))
+    v_best, u_best = min(vu for vu in values if vu[0].sign() < 0)
     witness = SubsetWitness(tuple(pts), None, u_best)
     return ConditionVerdict(
         Status.FALSIFIED,
@@ -808,13 +761,16 @@ def check_c3(spec: MappingSpec) -> ConditionVerdict:
     """Lower semicontinuity of x -> |f(x) - x| on C, decided exactly.
 
     Failures arise either on two-class stretches where the other class's
-    displacement dips below one's own, or at cell ends and override points
-    where an approach limit dips below the value."""
+    displacement dips below one's own (there a rational x fails where
+    |e_irr(x) - x| < |e_rat(x) - x|, solved by ``_abs_below``, and the
+    mirror), or at cell ends and override points where an approach limit
+    dips below the value."""
     failures = _slices()
 
     # class-mismatch failures in cell interiors; one branch for both
     # classes cannot dip below itself
     for ivr, er in spec.class_cells(ClassTag.RATIONAL):
+        rat = (er.slope - _ONE, er.intercept)
         for ivi, ei in spec.class_cells(ClassTag.IRRATIONAL):
             if er == ei:
                 continue
@@ -822,8 +778,9 @@ def check_c3(spec: MappingSpec) -> ConditionVerdict:
             if overlap is None or overlap.is_degenerate:
                 continue
             inner = Interval(overlap.lo, overlap.hi, False, False)
-            failures[ClassTag.RATIONAL].extend(_abs_below_region(ei, er, inner))
-            failures[ClassTag.IRRATIONAL].extend(_abs_below_region(er, ei, inner))
+            irr = (ei.slope - _ONE, ei.intercept)
+            failures[ClassTag.RATIONAL].extend(_abs_below(irr, rat, inner))
+            failures[ClassTag.IRRATIONAL].extend(_abs_below(rat, irr, inner))
 
     # pointwise failures at cell ends, overrides and domain ends
     spots: set[QuadExt] = set()
@@ -851,41 +808,3 @@ def check_c3(spec: MappingSpec) -> ConditionVerdict:
         failures,
         f"lower semicontinuity fails on {failures}",
     )
-
-
-def _abs_below_region(low, high, iv: Interval) -> list[Interval]:
-    """Intervals covering the points of iv where |low(x)| < |high(x)| for
-    the two displacement affines low(x) = s x + c - x."""
-    cuts = []
-    for expr in (low, high):
-        s = expr.slope - 1
-        if s:
-            root = as_scalar(expr.intercept / (1 - expr.slope))
-            if iv.contains(root):
-                cuts.append(root)
-    ends = [iv.lo, *sorted(set(cuts)), iv.hi]
-    out = []
-    for a, b in zip(ends, ends[1:]):
-        if a is not None and b is not None and a == b:
-            continue
-        seg = Interval(a, b, False, False)
-        probe = _probe_point(seg)
-        ls, li = _abs_affine(low.slope - 1, low.intercept, probe)
-        hs, hi_ = _abs_affine(high.slope - 1, high.intercept, probe)
-        region = _solve_affine(ls - hs, li - hi_, "<", seg)
-        if region is not None:
-            out.append(region)
-    for r in cuts:
-        if abs(low.at(r) - r) < abs(high.at(r) - r):
-            out.append(Interval.point(r))
-    return out
-
-
-def _probe_point(iv: Interval) -> QuadExt:
-    if iv.lo is None and iv.hi is None:
-        return QuadExt(0)
-    if iv.lo is None:
-        return iv.hi - 1
-    if iv.hi is None:
-        return iv.lo + 1
-    return (iv.lo + iv.hi) / 2

@@ -190,22 +190,27 @@ class MappingSpec:
         return _canonical_slice(ivs, tag)
 
     @cached_property
-    def _cells(self) -> dict[ClassTag, tuple[tuple[Interval, AffineExpr], ...]]:
-        cells: dict[ClassTag, tuple] = {}
+    def _cut_table(self) -> tuple[dict, list[dict]]:
+        """Each (piece, class) with a branch, cut once: the class cells per
+        class, in ``class_cells`` order, and per piece its cut for each
+        class it has a branch for, which ``validate`` reads."""
+        cells: dict[ClassTag, tuple[tuple[Interval, AffineExpr], ...]] = {}
+        cuts: list[dict[ClassTag, tuple[Interval, ...]]] = [{} for _ in self.pieces]
         for tag in _TAGS:
             out = []
-            for piece in self.pieces:
+            for piece, cut in zip(self.pieces, cuts):
                 expr = piece.branch_for(tag)
                 if expr is not None:
-                    for iv in self._cut(piece.over, tag):
+                    cut[tag] = ivs = self._cut(piece.over, tag)
+                    for iv in ivs:
                         out.append((iv, expr))
             cells[tag] = tuple(out)
-        return cells
+        return cells, cuts
 
     def class_cells(self, tag: ClassTag) -> tuple[tuple[Interval, AffineExpr], ...]:
         """Maximal class-restricted intervals on which one affine branch
         gives f, override points excluded."""
-        return self._cells[tag]
+        return self._cut_table[0][tag]
 
     def evaluate(self, x) -> QuadExt:
         x = as_scalar(x)
@@ -237,7 +242,7 @@ class MappingSpec:
         out = [
             (tag, iv, expr.slope, expr.intercept)
             for tag in _TAGS
-            for iv, expr in self._cells[tag]
+            for iv, expr in self._cut_table[0][tag]
         ]
         out.extend(
             (None, Interval.point(o.at), _ZERO, o.value) for o in self.overrides
@@ -307,7 +312,7 @@ class MappingSpec:
         """All the ways this spec fails to be a well-formed self-map:
         pieces escaping the domain, per-class coverage gaps or overlaps,
         bad overrides, values outside the domain.  Each (piece, class) is
-        cut once, as in ``class_cells``, and checked on raw intervals."""
+        checked on raw intervals, on the cut ``class_cells`` reads too."""
         out: list[Violation] = []
         outside = _plain_complement((self.domain,))
         for idx, piece in enumerate(self.pieces):
@@ -321,14 +326,7 @@ class MappingSpec:
                     )
                 )
         # override sources count as covered; pieces may conflict there
-        cuts = [
-            {
-                tag: self._cut(p.over, tag)
-                for tag in _TAGS
-                if p.branch_for(tag) is not None
-            }
-            for p in self.pieces
-        ]
+        cuts = self._cut_table[1]
         for tag in _TAGS:
             carriers = [(i, c[tag]) for i, c in enumerate(cuts) if tag in c]
             for ai, (i, a) in enumerate(carriers):

@@ -35,12 +35,6 @@ class ClassTag(Enum):
     RATIONAL = "rational"
     IRRATIONAL = "irrational"
 
-    @property
-    def flipped(self) -> "ClassTag":
-        if self is ClassTag.RATIONAL:
-            return ClassTag.IRRATIONAL
-        return ClassTag.RATIONAL
-
     def __str__(self) -> str:
         return self.value
 

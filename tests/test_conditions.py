@@ -24,9 +24,11 @@ from kkmfix.conditions import (
     sublevel,
 )
 from kkmfix.intervals import ClassSet, Interval
+from kkmfix.kkm import GKind, verify_kkm
 from kkmfix.mapdef import parse
 from kkmfix.randmaps import random_specs
-from kkmfix.scalars import QuadExt, dist, format_scalar
+from kkmfix.scalars import SQRT2, QuadExt, dist, format_scalar
+from kkmfix.verdict import corpus_entry
 
 from conftest import rand_point_in
 from pair_oracle import falsify_b
@@ -89,6 +91,69 @@ def test_check_b_subset_proven_implies_nonnegative_b_value(corpus):
             else:
                 w = verdict.witness
                 assert b_value(kind, spec, w.points, w.u) < 0
+
+
+def _subset(rng, spec):
+    """One to four domain points: rational, q + k*sqrt2 for a small integer
+    k, or q + sqrt2/2^n."""
+    pts = []
+    for _ in range(rng.randint(1, 4)):
+        x = rand_point_in(rng, spec.domain)
+        shifted = x + rng.choice((-2, -1, 1, 2)) * SQRT2
+        if rng.random() < 0.3 and spec.domain.contains(shifted):
+            x = shifted
+        pts.append(x)
+    return pts
+
+
+def _subset_cases(count, seed):
+    rng = random.Random(seed)
+    specs = [corpus_entry(n).spec for n in range(1, 15)]
+    specs += random_specs(count, seed=seed)
+    for spec in specs:
+        for _ in range(4):
+            yield spec, _subset(rng, spec)
+
+
+def test_check_b_subset_matches_verify_kkm():
+    # the inequality fails at u exactly when no witness set covers u
+    forms = (
+        (BKind.ANCHOR, GKind.anchor()),
+        (BKind.DISPLACEMENT, GKind.displacement()),
+    )
+    statuses = set()
+    for spec, pts in _subset_cases(40, seed=17):
+        for kind, gkind in forms:
+            verdict = check_b_subset(kind, spec, pts)
+            covered, uncovered = verify_kkm(gkind, spec, pts)
+            statuses.add(verdict.status)
+            assert (verdict.status is Status.PROVEN) == covered, (spec.label, kind, pts)
+            if not covered:
+                assert b_value(kind, spec, pts, uncovered) < 0
+                assert b_value(kind, spec, pts, verdict.witness.u) < 0
+    assert statuses == {Status.PROVEN, Status.FALSIFIED}
+
+
+def test_check_b_subset_residual_against_b_value():
+    rng = random.Random(23)
+    statuses = set()
+    for spec, pts in _subset_cases(30, seed=19):
+        verdict = check_b_subset(BKind.RESIDUAL, spec, pts)
+        statuses.add(verdict.status)
+        lo, hi = min(pts), max(pts)
+        if verdict.status is Status.PROVEN:
+            for u in _hull_points(rng, pts, 40):
+                assert b_value(BKind.RESIDUAL, spec, pts, u) >= 0
+                nudged = u + SQRT2 / 64
+                if nudged <= hi:
+                    assert b_value(BKind.RESIDUAL, spec, pts, nudged) >= 0
+        else:
+            u = verdict.witness.u
+            assert lo <= u <= hi
+            value = b_value(BKind.RESIDUAL, spec, pts, u)
+            assert value < 0
+            assert verdict.detail.startswith(f"violated by {format_scalar(-value)} ")
+    assert statuses == {Status.PROVEN, Status.FALSIFIED}
 
 
 def _check_witness(kind, spec, verdict):
@@ -333,6 +398,30 @@ def test_check_c3_class_split_pin():
             if spec.domain.contains(x):
                 fails = x == 4 or (0 < x < 4 and not x.is_rational)
                 assert verdict.witness.contains(x) == fails, x
+
+
+@pytest.mark.parametrize(
+    "text, failures",
+    [
+        (
+            _HAND_MAPS["two-class line"][0],
+            "rat(-inf, -1/2) U irr(-1/2, 1/2) U rat(1/2, inf)",
+        ),
+        (
+            """domain [0, inf)
+piece [0, inf) rational: 1/2 x
+piece [0, inf) irrational: 1/3 x + 1
+""",
+            "irr(0, 6/7) U rat(6/7, 6) U irr(6, inf)",
+        ),
+    ],
+)
+def test_check_c3_unbounded_class_split_pins(text, failures):
+    # the class whose displacement is the larger fails, out to infinity
+    verdict = check_c3(parse(text))
+    assert verdict.status is Status.FALSIFIED
+    assert str(verdict.witness) == failures
+    assert verdict.detail == f"lower semicontinuity fails on {failures}"
 
 
 def test_sublevel_pin_and_grid_oracle(corpus):
