@@ -302,115 +302,64 @@ def check_b3_strong(
 
 
 # ---------------------------------------------------------------------------
-# exact special-case provers for the hull inequalities
-
-
-def _never_where(spec: MappingSpec, rel: str) -> bool:
-    """True iff no x in C has f(x) <rel> x."""
-    for tag, iv, slope, intercept in spec.value_pieces():
-        region = _solve_affine(slope - _ONE, intercept, rel, iv)
-        if region is not None and class_nonempty(tag, (region,)):
-            return False
-    return True
-
-
-def _pivot_proves_anchor(spec: MappingSpec, p: QuadExt) -> bool:
-    """Anchor inequality holds whenever f(x) <= x below p (allowing upward
-    jumps to at least 2p - x) and f(x) >= x above p (mirror): the subset
-    point straddling u on p's side supplies a nonnegative term."""
-    mirror = 2 * p
-    sides = (
-        (Interval.less_than(p), ">", "<"),
-        (Interval.greater_than(p), "<", ">"),
-    )
-    for side, wrong_rel, jump_rel in sides:
-        for tag, iv, slope, intercept in spec.value_pieces():
-            part = _intersect_iv(iv, side)
-            if part is None:
-                continue
-            bad = _solve_affine(slope - _ONE, intercept, wrong_rel, part)
-            if bad is None:
-                continue
-            # wrong-side values are still fine when they jump past 2p - x
-            bad = _solve_affine(slope + _ONE, intercept - mirror, jump_rel, bad)
-            if bad is not None and class_nonempty(tag, (bad,)):
-                return False
-    return True
-
-
-def prove_b(kind: BKind, spec: MappingSpec) -> ConditionVerdict | None:
-    """Exact provers for two structural special cases; None when neither
-    applies.  Cheaper than ``decide_b`` where they apply, which it decides
-    in full."""
-    if kind is BKind.RESIDUAL:
-        return None
-    below = _never_where(spec, ">")  # f <= id everywhere
-    above = _never_where(spec, "<")  # f >= id everywhere
-    if below or above:
-        side = "f(x) <= x" if below else "f(x) >= x"
-        extreme = "smallest" if below else "largest"
-        return ConditionVerdict(
-            Status.PROVEN,
-            None,
-            f"{side} on all of C; the {extreme} subset point covers every "
-            "hull point",
-        )
-    if kind is BKind.DISPLACEMENT:
-        return None
-    pivots: list[QuadExt] = []
-    fixed = spec.fixed_point_set()
-    finite = fixed.finite_points()
-    if finite is not None:
-        pivots.extend(finite)
-    else:
-        for iv in fixed.slice_of(ClassTag.RATIONAL) + fixed.slice_of(
-            ClassTag.IRRATIONAL
-        ):
-            for end in (iv.lo, iv.hi):
-                if end is not None:
-                    pivots.append(end)
-    dom = spec.domain
-    if dom.lo is not None and dom.lo_closed:
-        pivots.append(dom.lo)
-        pivots.append((dom.lo + spec.evaluate(dom.lo)) / 2)
-    if dom.hi is not None and dom.hi_closed:
-        pivots.append(dom.hi)
-        pivots.append((dom.hi + spec.evaluate(dom.hi)) / 2)
-    seen: set[QuadExt] = set()
-    for p in pivots:
-        if p in seen:
-            continue
-        seen.add(p)
-        if _pivot_proves_anchor(spec, p):
-            return ConditionVerdict(
-                Status.PROVEN,
-                None,
-                f"monotone displacement signs around {format_scalar(p)}: "
-                "f(x) <= x below it and f(x) >= x above it, up to jumps "
-                "past its mirror image",
-            )
-    return None
-
-
-# ---------------------------------------------------------------------------
 # exact decider for the hull inequalities
 
 
-def _x_pieces(pieces) -> list:
-    """The value pieces as x pieces for ``_near_u``: (interval, slope,
-    intercept, lower bounds, upper bounds), the bounds on x as in
-    ``_project_u``.  The other rows of a projection are strict, so a
-    nondegenerate piece projects the same whatever its class, the
-    closedness of its ends and the override points taken out of it: pieces
-    with the same ends and branch count once."""
-    out = {}
+def _x_pieces(kind: BKind, pieces) -> tuple[list, list]:
+    """The value pieces as x pieces for ``_near_u``, split into those
+    usable below u and those usable above it: each is (ends, slope,
+    intercept, lower bounds, upper bounds), ends as in ``_narrow`` and the
+    bounds on x as in ``_project_u``.
+
+    The other rows of a projection are strict, so a nondegenerate piece
+    projects the same whatever its class, the closedness of its ends and
+    the override points taken out of it: pieces with the same ends and
+    branch count once.  For the anchor and displacement forms a negative
+    term at x < u forces f(x) > x (were f(x) <= x, |f(x) - u| =
+    (u - x) + (x - f(x)) would exceed both u - x and |f(x) - x|), and at
+    x > u it forces f(x) < x, so each piece is split once at the root of
+    (c - 1)x + d.  The residual form keeps every piece on both sides."""
+    lefts, rights, seen = [], [], set()
     for _, iv, c, d in pieces:
         key = (iv.lo, iv.hi, c, d)
-        if key not in out:
-            lows = [] if iv.lo is None else [(_ZERO, iv.lo, not iv.lo_closed)]
-            highs = [] if iv.hi is None else [(_ZERO, iv.hi, not iv.hi_closed)]
-            out[key] = (iv, c, d, lows, highs)
-    return list(out.values())
+        if key in seen:
+            continue
+        seen.add(key)
+        ends = _ends(iv)
+        if kind is BKind.RESIDUAL:
+            halves = (ends, ends)
+        elif c == _ONE:
+            sign = d.sign()
+            halves = (ends if sign > 0 else None, ends if sign < 0 else None)
+        else:
+            # f(x) > x above the root when c > 1, below it otherwise
+            root, rising = d / (_ONE - c), c > _ONE
+            halves = (
+                _narrow(ends, root, not rising, True),
+                _narrow(ends, root, rising, True),
+            )
+        for half, out in zip(halves, (lefts, rights)):
+            if half is not None:
+                lo, lo_open, hi, hi_open = half
+                lows = [] if lo is None else [(_ZERO, lo, lo_open)]
+                highs = [] if hi is None else [(_ZERO, hi, hi_open)]
+                out.append((half, c, d, lows, highs))
+    return lefts, rights
+
+
+def _window(lefts, rights) -> Interval | None:
+    """The open interval from the lowest left end to the highest right end,
+    None when empty: a violating u lies strictly between some x in a left
+    piece and some x' in a right one."""
+    if not lefts or not rights:
+        return None
+    los = [ends[0] for ends, *_ in lefts]
+    his = [ends[2] for ends, *_ in rights]
+    lo = None if any(v is None for v in los) else min(los)
+    hi = None if any(v is None for v in his) else max(his)
+    if lo is not None and hi is not None and lo >= hi:
+        return None
+    return Interval(lo, hi, False, False)
 
 
 def _project_u(lows, highs, on_u, within: Interval) -> Interval | None:
@@ -467,12 +416,12 @@ def _near_u(kind, x_pieces, k, m, below: bool, within: Interval) -> list:
     """The u in ``within`` with some x on one side of u, in one of the x
     pieces, such that |f(x) - u| < g."""
     out = []
-    for iv, c, d, iv_lows, iv_highs in x_pieces:
-        # x >= iv.lo >= within.hi >= u (or the mirror) cannot hold
+    for (lo, _, hi, _), c, d, iv_lows, iv_highs in x_pieces:
+        # x >= lo >= within.hi >= u (or the mirror) cannot hold
         if below:
-            if iv.lo is not None and within.hi is not None and iv.lo >= within.hi:
+            if lo is not None and within.hi is not None and lo >= within.hi:
                 continue
-        elif iv.hi is not None and within.lo is not None and iv.hi <= within.lo:
+        elif hi is not None and within.lo is not None and hi <= within.lo:
             continue
         for gx, gu, g0 in _gauges(kind, c, d, below, k, m):
             lows, highs, on_u = list(iv_lows), list(iv_highs), []
@@ -506,16 +455,19 @@ def _u_pieces(kind: BKind, spec: MappingSpec, pieces):
             yield tag, iv, s * (a - 1), s * b
 
 
-def _sides(kind, x_pieces, k, m, iv: Interval) -> tuple[list, list]:
-    """L and R (see ``decide_b``) within the u of iv where the residual
-    bound k*u + m is positive; R is left empty when L is."""
-    within = iv if k is None else _solve_affine(k, m, ">", iv)
+def _sides(kind, lefts, rights, k, m, iv: Interval, window: Interval):
+    """L and R (see ``decide_b``) within the u of iv inside the window
+    where the residual bound k*u + m is positive; R is left empty when L
+    is."""
+    within = _intersect_iv(iv, window)
+    if within is not None and k is not None:
+        within = _solve_affine(k, m, ">", within)
     if within is None:
         return [], []
-    below = _near_u(kind, x_pieces, k, m, True, within)
+    below = _near_u(kind, lefts, k, m, True, within)
     if not below:
         return [], []
-    return below, _near_u(kind, x_pieces, k, m, False, within)
+    return below, _near_u(kind, rights, k, m, False, within)
 
 
 _CLOSE = {
@@ -536,28 +488,37 @@ def decide_b(kind: BKind, spec: MappingSpec) -> ConditionVerdict:
     and R is a finite union of projections of strict affine constraints
     onto the u axis.  A nondegenerate x piece meets every nonempty x-slice
     in points of its class, so classes matter only for u and for
-    single-point pieces.  Returns Proven, or Falsified with a two-point
-    witness around the first violating u found."""
+    single-point pieces.  For the anchor and displacement forms only the
+    part of C where f(x) > x can supply x, and only where f(x) < x can
+    supply x' (see ``_x_pieces``); V lies in the open window between the
+    two, so nothing is projected outside it, and nothing at all when it is
+    empty (f <= id or f >= id on C, or a pivot with f <= id below it and
+    f >= id above).  Returns Proven, or Falsified with a two-point witness
+    around the first violating u found."""
+    proven = ConditionVerdict(
+        Status.PROVEN,
+        None,
+        f"no u in C has x < u < x' with {_CLOSE[kind]}; the inequality holds "
+        "for every finite subset",
+    )
     pieces = spec.value_pieces()
-    x_pieces = _x_pieces(pieces)
+    lefts, rights = _x_pieces(kind, pieces)
+    window = _window(lefts, rights)
+    if window is None:
+        return proven
     # L and R depend on a u piece only through its ends and k, m: project
     # once on the closed hull, then cut to each class's own piece
     sides: dict[tuple, tuple[list, list]] = {}
     for tag, iv, k, m in _u_pieces(kind, spec, pieces):
         key = (iv.lo, iv.hi, k, m)
         if key not in sides:
-            sides[key] = _sides(kind, x_pieces, k, m, iv.closure())
+            sides[key] = _sides(kind, lefts, rights, k, m, iv.closure(), window)
         below, above = sides[key]
         violating = _plain_intersect(_plain_intersect((iv,), below), above)
         if class_nonempty(tag, violating):
             u = _restrict(tag, *violating).pick()
             return _b_falsified(kind, spec, pieces, u, k, m)
-    return ConditionVerdict(
-        Status.PROVEN,
-        None,
-        f"no u in C has x < u < x' with {_CLOSE[kind]}; the inequality holds "
-        "for every finite subset",
-    )
+    return proven
 
 
 def _near_point(kind, pieces, u: QuadExt, below: bool, k, m):

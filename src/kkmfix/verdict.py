@@ -21,7 +21,6 @@ from .conditions import (
     decide_b,
     decide_c1,
     decide_c2,
-    prove_b,
 )
 from .intervals import ClassSet
 from .mapdef import parse
@@ -92,8 +91,7 @@ def run_theorem(spec: MappingSpec, theorem: TheoremId) -> TheoremVerdict:
     conditions: dict[str, ConditionVerdict] = {}
     conditions["domain"] = _check_domain(spec, need_compact)
     conditions["onto"] = check_onto(spec)
-    # the structural provers are a cheaper certificate where they apply
-    conditions[b_key] = prove_b(kind, spec) or decide_b(kind, spec)
+    conditions[b_key] = decide_b(kind, spec)
     if extra_key is not None:
         conditions[extra_key] = _EXTRA_CHECK[extra_key](spec)
 

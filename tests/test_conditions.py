@@ -20,7 +20,6 @@ from kkmfix.conditions import (
     decide_b,
     decide_c1,
     decide_c2,
-    prove_b,
     sublevel,
 )
 from kkmfix.intervals import ClassSet, Interval
@@ -169,6 +168,11 @@ def _check_witness(kind, spec, verdict):
     value = b_value(kind, spec, w.points, w.u)
     assert value < 0
     assert verdict.detail.startswith(f"violated by {format_scalar(-value)} ")
+    if kind is not BKind.RESIDUAL:
+        # a negative anchor or displacement term needs f(x) > x below u
+        # and f(x) < x above it
+        low, high = w.points
+        assert spec.evaluate(low) > low and spec.evaluate(high) < high
 
 
 def test_falsify_b_pin_endpoint_swap(corpus):
@@ -224,7 +228,9 @@ def test_falsify_b_never_proves(corpus):
 # and two where cells of one branch repeat across classes and must not be
 # merged with cells that only look alike: rational and irrational branches
 # of one slope on overlapping pieces beside an all: piece, and an override
-# inside an all: piece, which splits its rational cells only
+# inside an all: piece, which splits its rational cells only; and a map
+# below the identity up to 2*sqrt2, class-split there, and above it after,
+# so the anchor and displacement forms hold with an irrational pivot
 _HAND_MAPS = {
     "two-class line": (
         """domain (-inf, inf)
@@ -263,6 +269,14 @@ override 4 -> 5
 """,
         (Status.FALSIFIED, Status.PROVEN, Status.PROVEN),
     ),
+    "sqrt2 pivot": (
+        """domain [0, 4]
+piece [0, 2*sqrt2] rational: 1/2 x
+piece [0, 2*sqrt2] irrational: 1/4 x
+piece (2*sqrt2, 4] all: 1/4 x + 3
+""",
+        (Status.PROVEN, Status.PROVEN, Status.FALSIFIED),
+    ),
 }
 
 
@@ -292,7 +306,7 @@ def test_decide_b_two_class_line_pin():
 
 
 def test_decide_b_pins(corpus):
-    # in run_theorem prove_b answers these first; the decider agrees alone
+    # entries 2 and 5-8 have an empty sign window; 1 and 3 are projected
     for n in (1, 2, 3, 5):
         assert decide_b(BKind.ANCHOR, corpus[n].spec).status is Status.PROVEN
     for n in (6, 7, 8):
@@ -303,16 +317,6 @@ def test_decide_b_pins(corpus):
     verdict = decide_b(BKind.RESIDUAL, corpus[14].spec)
     assert verdict.status is Status.FALSIFIED
     _check_witness(BKind.RESIDUAL, corpus[14].spec, verdict)
-
-
-def test_prove_b_pins(corpus):
-    assert prove_b(BKind.ANCHOR, corpus[1].spec).status is Status.PROVEN
-    assert prove_b(BKind.ANCHOR, corpus[2].spec).status is Status.PROVEN
-    assert prove_b(BKind.ANCHOR, corpus[5].spec).status is Status.PROVEN
-    assert prove_b(BKind.DISPLACEMENT, corpus[6].spec).status is Status.PROVEN
-    assert prove_b(BKind.ANCHOR, corpus[4].spec) is None  # genuinely false
-    # no residual prover: decide_b decides that form (test_decide_b_pins)
-    assert prove_b(BKind.RESIDUAL, corpus[9].spec) is None
 
 
 def test_check_b3_strong_pins(corpus):
