@@ -21,20 +21,18 @@ from .intervals import (
     ClassSet,
     Interval,
     _intersect_iv,
+    _plain_complement,
     _plain_intersect,
     class_nonempty,
     pick_in,
 )
-from .mapping import MappingSpec, _add, _build, _restrict, _slices
+from .mapping import MappingSpec, _add, _build, _image_slices, _restrict, _slices
 from .scalars import (
-    ClassTag,
     QuadExt,
     as_scalar,
     dist,
     format_scalar,
 )
-
-_TAGS = (ClassTag.RATIONAL, ClassTag.IRRATIONAL)
 
 
 class Status(Enum):
@@ -163,14 +161,17 @@ def _solve_affine(slope, intercept, rel: str, within: Interval) -> Interval | No
 
 
 def check_onto(spec: MappingSpec) -> ConditionVerdict:
-    """Exact range check: Proven iff f(C) = C, else a missed point."""
-    missed = ClassSet.from_interval(spec.domain).difference(spec.image())
-    if missed.is_empty:
-        return ConditionVerdict(Status.PROVEN, None, "range covers the whole domain")
-    w = missed.pick()
-    return ConditionVerdict(
-        Status.FALSIFIED, w, f"{format_scalar(w)} has no preimage"
-    )
+    """Exact range check: Proven iff f(C) = C, else a missed point, a
+    rational one first.  Each class of C is tested against the raw image
+    intervals of that class; only the missed set is canonicalised."""
+    for tag, ivs in _image_slices(spec).items():
+        missed = _plain_intersect((spec.domain,), _plain_complement(ivs))
+        if class_nonempty(tag, missed):
+            w = _restrict(tag, *missed).pick()
+            return ConditionVerdict(
+                Status.FALSIFIED, w, f"{format_scalar(w)} has no preimage"
+            )
+    return ConditionVerdict(Status.PROVEN, None, "range covers the whole domain")
 
 
 # ---------------------------------------------------------------------------
@@ -699,66 +700,30 @@ def sublevel(spec: MappingSpec, beta) -> tuple[ClassSet, bool]:
     return out, closed
 
 
-def _approach_limits(
-    spec: MappingSpec, p: QuadExt, side: str
-) -> list[QuadExt]:
-    """One-sided limits of |f(x) - x| at p, one per class with cells there."""
-    out = []
-    for tag in _TAGS:
-        for iv, expr in spec.class_cells(tag):
-            if side == "left":
-                tight = iv.lo is None or iv.lo < p
-                reach = iv.hi is None or iv.hi >= p
-            else:
-                tight = iv.hi is None or iv.hi > p
-                reach = iv.lo is None or iv.lo <= p
-            if tight and reach:
-                out.append(abs(expr.at(p) - p))
-                break
-    return out
-
-
 def check_c3(spec: MappingSpec) -> ConditionVerdict:
     """Lower semicontinuity of x -> |f(x) - x| on C, decided exactly.
 
-    Failures arise either on two-class stretches where the other class's
-    displacement dips below one's own (there a rational x fails where
-    |e_irr(x) - x| < |e_rat(x) - x|, solved by ``_abs_below``, and the
-    mirror), or at cell ends and override points where an approach limit
-    dips below the value."""
+    Near p, x approaches p only along the nondegenerate value pieces B
+    whose closure holds p; each class is dense in such a piece, so along B
+    the displacement tends to |(c_B - 1)p + d_B|.  Lsc fails at p exactly
+    where one of these limits is below the displacement of the piece A
+    holding p: the failures are the A-class points of A & closure(B) where
+    |phi_B| < |phi_A|, phi = (c - 1, d), solved by ``_abs_below``; one
+    branch cannot dip below itself."""
+    pieces = spec.value_pieces()
+    approaches = [
+        (iv.closure(), (c - _ONE, d)) for _, iv, c, d in pieces if not iv.is_degenerate
+    ]
     failures = _slices()
-
-    # class-mismatch failures in cell interiors; one branch for both
-    # classes cannot dip below itself
-    for ivr, er in spec.class_cells(ClassTag.RATIONAL):
-        rat = (er.slope - _ONE, er.intercept)
-        for ivi, ei in spec.class_cells(ClassTag.IRRATIONAL):
-            if er == ei:
+    for tag, iv, c, d in pieces:
+        own = (c - _ONE, d)
+        for closure, phi in approaches:
+            if phi == own:
                 continue
-            overlap = _intersect_iv(ivr, ivi)
-            if overlap is None or overlap.is_degenerate:
-                continue
-            inner = Interval(overlap.lo, overlap.hi, False, False)
-            irr = (ei.slope - _ONE, ei.intercept)
-            failures[ClassTag.RATIONAL].extend(_abs_below(irr, rat, inner))
-            failures[ClassTag.IRRATIONAL].extend(_abs_below(rat, irr, inner))
-
-    # pointwise failures at cell ends, overrides and domain ends
-    spots: set[QuadExt] = set()
-    for _, iv, _, _ in spec.value_pieces():
-        for end in (iv.lo, iv.hi):
-            if end is not None and spec.domain.contains(end):
-                spots.add(end)
-    for end in (spec.domain.lo, spec.domain.hi):
-        if end is not None and spec.domain.contains(end):
-            spots.add(end)
-    for p in sorted(spots):
-        limits = _approach_limits(spec, p, "left") + _approach_limits(
-            spec, p, "right"
-        )
-        if limits and min(limits) < spec.residual(p):
-            _add(failures, None, Interval.point(p))
-
+            near = _intersect_iv(iv, closure)
+            if near is not None:
+                for part in _abs_below(phi, own, near):
+                    _add(failures, tag, part)
     failures = _build(failures)
     if failures.is_empty:
         return ConditionVerdict(

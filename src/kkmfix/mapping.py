@@ -151,6 +151,15 @@ def _build(slices) -> ClassSet:
     return ClassSet(slices[ClassTag.RATIONAL], slices[ClassTag.IRRATIONAL])
 
 
+def _image_slices(spec: MappingSpec) -> dict[ClassTag, list[Interval]]:
+    """f(C) as raw per-class interval lists, before canonicalisation."""
+    slices = _slices()
+    for tag, iv, slope, intercept in spec.value_pieces():
+        # a constant piece's image is one point, kept in its own class
+        _add(slices, tag if slope else None, iv.map_affine(slope, intercept))
+    return slices
+
+
 def _pick(tag: ClassTag | None, ivs) -> str:
     """The point ClassSet.pick gives for the tag-class points of ivs,
     formatted; for reporting a violation."""
@@ -250,11 +259,7 @@ class MappingSpec:
         return tuple(out)
 
     def image(self) -> ClassSet:
-        slices = _slices()
-        for tag, iv, slope, intercept in self.value_pieces():
-            # a constant piece's image is one point, kept in its own class
-            _add(slices, tag if slope else None, iv.map_affine(slope, intercept))
-        return _build(slices)
+        return _build(_image_slices(self))
 
     def fixed_point_set(self) -> ClassSet:
         return self._fixed_point_set

@@ -385,6 +385,9 @@ def test_check_c3_pins(corpus):
     assert corpus[13].spec.residual(0) == 10
     assert check_c3(corpus[9].spec).status is Status.PROVEN
     assert check_c3(corpus[11].spec).status is Status.PROVEN
+    # a one-point domain has nothing to approach from
+    one_point = parse("domain [2, 2]\npiece [2, 2] all: 2\n")
+    assert check_c3(one_point).status is Status.PROVEN
 
 
 def test_check_c3_class_split_pin():
@@ -418,14 +421,110 @@ piece [0, inf) irrational: 1/3 x + 1
 """,
             "irr(0, 6/7) U rat(6/7, 6) U irr(6, inf)",
         ),
+        (
+            """domain [0, 4]
+piece [0, 4] all: 1/2 x + 1
+override sqrt2 -> 3
+""",
+            "{sqrt2}",
+        ),
+        (
+            """domain [0, 4]
+piece [0, sqrt2) rational: x
+piece [0, sqrt2] irrational: 1/2 x
+piece [sqrt2, 4] rational: 1/2 x
+piece (sqrt2, 4] irrational: x
+""",
+            "irr(0, sqrt2] U rat(sqrt2, 4]",
+        ),
+        (
+            """domain (0, 1)
+piece (0, 1/2] rational: -x + 1
+piece (0, 1/2] irrational: 1/2
+piece (1/2, 1) all: 1/4
+override 1/2 -> 3/4
+""",
+            "rat(0, 1/2]",
+        ),
     ],
 )
 def test_check_c3_unbounded_class_split_pins(text, failures):
-    # the class whose displacement is the larger fails, out to infinity
+    # the class whose displacement is the larger fails, out to infinity;
+    # an override above its piece fails at its point; at an irrational or
+    # overridden cell end the failure takes in the end itself
     verdict = check_c3(parse(text))
     assert verdict.status is Status.FALSIFIED
     assert str(verdict.witness) == failures
     assert verdict.detail == f"lower semicontinuity fails on {failures}"
+
+
+def _structural_points(spec):
+    """Piece ends, override points, domain ends and displacement roots
+    that lie in C: between two of them each class follows one branch and
+    the displacement keeps its sign."""
+    pts = {o.at for o in spec.overrides}
+    pts.update(e for e in (spec.domain.lo, spec.domain.hi) if e is not None)
+    for piece in spec.pieces:
+        pts.update(e for e in (piece.over.lo, piece.over.hi) if e is not None)
+        for expr in (piece.rational_branch, piece.irrational_branch):
+            if expr is not None and expr.slope != 1:
+                pts.add(expr.intercept / (1 - expr.slope))
+    return {p for p in pts if spec.domain.contains(p)}
+
+
+def _one_sided_limits(spec, p, n):
+    """Each one-sided limit of |f(x) - x| at p along each class, found by
+    extrapolating the displacement linearly from two points of that class
+    within 2/n of p on that side, where it is affine."""
+    out = []
+    for side in (1, -1):
+        same = [p + side * Fraction(k, n) for k in (1, 2)]
+        if p.is_rational:
+            other = [p + side * Fraction(k, n) * SQRT2 / 2 for k in (1, 2)]
+        else:
+            # rationals in (p, p + 2/n), or in (p - 2/n, p)
+            base = (p * n).floor() + (side > 0)
+            other = [QuadExt(Fraction(base + side * k, n)) for k in (0, 1)]
+        for x1, x2 in (same, other):
+            if spec.domain.contains(x1) and spec.domain.contains(x2):
+                g1, g2 = spec.residual(x1), spec.residual(x2)
+                out.append(g1 + (p - x1) * (g2 - g1) / (x2 - x1))
+    return out
+
+
+def _lsc_oracle_specs(corpus):
+    from test_mapping import _HAND_MAPS as mapping_hand_maps
+
+    yield from (entry.spec for entry in corpus.values())
+    yield from (parse(text) for text, _ in _HAND_MAPS.values())
+    yield from (parse(text) for text in mapping_hand_maps)
+    yield from random_specs(300, seed=3)
+
+
+def test_check_c3_matches_one_sided_limits(corpus):
+    # by definition: p fails exactly when some one-sided limit of the
+    # displacement, along either class, is below its value at p
+    rng = random.Random(89)
+    checked = 0
+    for spec in _lsc_oracle_specs(corpus):
+        witness = check_c3(spec).witness
+        structural = _structural_points(spec)
+        draws = [rand_point_in(rng, spec.domain) for _ in range(6)]
+        seeded = {x + t for x in draws for t in (Fraction(1, 97), SQRT2 / 97)}
+        for p in structural | {x for x in seeded if spec.domain.contains(x)}:
+            # 2/n within a quarter of the way to the nearest other point
+            gap = min((abs(q - p) for q in structural if q != p), default=1)
+            n = 16
+            while gap <= Fraction(8, n):
+                n *= 2
+            limits = _one_sided_limits(spec, p, n)
+            fails = bool(limits) and min(limits) < spec.residual(p)
+            assert (witness is not None and witness.contains(p)) == fails, (
+                spec.label,
+                format_scalar(p),
+            )
+            checked += 1
+    assert checked > 5000
 
 
 def test_sublevel_pin_and_grid_oracle(corpus):
@@ -477,6 +576,13 @@ def test_check_onto_pins(corpus):
     assert v3.status is Status.FALSIFIED
     assert not corpus[3].spec.image().contains(v3.witness)
     assert check_onto(corpus[12].spec).status is Status.FALSIFIED
+    # every rational is hit, so the missed point is irrational
+    spec = parse(
+        "domain [0, 1]\npiece [0, 1] rational: x\npiece [0, 1] irrational: 1/2\n"
+    )
+    verdict = check_onto(spec)
+    assert verdict.witness == Fraction(1, 2) + SQRT2 / 4
+    assert verdict.detail == "1/2 + 1/4*sqrt2 has no preimage"
 
 
 def test_subset_witness_validation():

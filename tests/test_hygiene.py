@@ -1,6 +1,7 @@
 """Source hygiene that no installed linter checks: every name a module
-imports is used in it, and every module-level private function or class
-is referenced somewhere in the package beyond its own definition."""
+imports is used in it, every module-level private function or class is
+referenced somewhere in the package beyond its own definition, and every
+module-level private constant is read by its module or taken from it."""
 
 import ast
 from collections import Counter
@@ -129,3 +130,77 @@ def test_orphan_finder():
 def test_no_orphan_private_helpers():
     sources = {p.name: p.read_text(encoding="utf-8") for p in _PACKAGE}
     assert _orphans(sources) == []
+
+
+def _bound_names(node):
+    """The private names (a leading underscore, not a dunder) a
+    module-level assignment binds."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    names = [
+        n.id
+        for target in targets
+        for n in ast.walk(target)
+        if isinstance(n, ast.Name)
+    ]
+    return [n for n in names if n.startswith("_") and not n.endswith("__")]
+
+
+def _constant_orphans(sources: dict[str, str]) -> list[str]:
+    """Module-level private names bound by assignment that their own
+    module never reads and that no module imports from it or reads as an
+    attribute.  Reads are counted per module, since two modules may each
+    hold a constant of one name."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    attributes, imported = set(), set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                module = node.module.rsplit(".", 1)[-1] + ".py"
+                imported.update((module, alias.name) for alias in node.names)
+    out = []
+    for name, tree in trees.items():
+        read = {
+            n.id
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        for node in tree.body:
+            for const in _bound_names(node):
+                used = const in read or const in attributes
+                if not used and (name, const) not in imported:
+                    out.append(f"{name}: {const}")
+    return sorted(out)
+
+
+_CONSTANT_SAMPLE = {
+    "a.py": """\
+_READ, _UNREAD = 1, 2
+_SHADOWED = 3
+_IMPORTED: int = 4
+_ATTR = 5
+__version__ = "1"
+def f(): return _READ
+""",
+    "b.py": """\
+import a
+from a import _IMPORTED
+_SHADOWED = 6
+def g(): return _SHADOWED + a._ATTR
+""",
+}
+
+
+def test_constant_orphan_finder():
+    assert _constant_orphans(_CONSTANT_SAMPLE) == ["a.py: _SHADOWED", "a.py: _UNREAD"]
+
+
+def test_no_orphan_private_constants():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in _PACKAGE}
+    assert _constant_orphans(sources) == []
