@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_spec(path: str, validate: bool = True) -> MappingSpec:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise UsageError(f"--map: {err}") from err
     try:
         return parse(text, validate=validate)

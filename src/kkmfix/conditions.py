@@ -562,32 +562,22 @@ def _b_falsified(kind, spec, pieces, u: QuadExt, k, m) -> ConditionVerdict:
 # compact-witness-set conditions
 
 
+def _witness_set(spec: MappingSpec, x, gauge) -> ClassSet:
+    """G(x) = {y in C : |f(x) - y| >= |g(y)|} for the gauge g, an affine
+    (slope, intercept) in y: C less the y where |f(x) - y| < |g(y)|."""
+    near = _abs_below((_MINUS_ONE, spec.evaluate(x)), gauge, spec.domain)
+    return _restrict(None, *_plain_intersect((spec.domain,), _plain_complement(near)))
+
+
 def check_c1(spec: MappingSpec, xstar) -> tuple[ClassSet, bool]:
     """{y in C: |x* - y| <= |f(x*) - y|} and its exact compactness."""
-    x = as_scalar(xstar)
-    _require_in_domain(spec, x)
-    fx = spec.evaluate(x)
-    C = ClassSet.from_interval(spec.domain)
-    if fx == x:
-        out = C
-    elif fx > x:
-        out = C.intersect(ClassSet.from_interval(Interval.at_most((x + fx) / 2)))
-    else:
-        out = C.intersect(ClassSet.from_interval(Interval.at_least((x + fx) / 2)))
+    out = _witness_set(spec, xstar, (_MINUS_ONE, xstar))
     return out, out.is_compact
 
 
 def check_c2(spec: MappingSpec, xstar) -> tuple[ClassSet, bool]:
     """{y in C: |f(x*) - x*| <= |f(x*) - y|} and its exact compactness."""
-    x = as_scalar(xstar)
-    _require_in_domain(spec, x)
-    fx = spec.evaluate(x)
-    r = dist(fx, x)
-    C = ClassSet.from_interval(spec.domain)
-    if not r:
-        return C, C.is_compact
-    ball = ClassSet.from_interval(Interval(fx - r, fx + r, False, False))
-    out = C.difference(ball)
+    out = _witness_set(spec, xstar, (_ZERO, spec.residual(xstar)))
     return out, out.is_compact
 
 

@@ -111,10 +111,6 @@ class Interval:
         return cls(lo, None, False, False)
 
     @classmethod
-    def at_most(cls, hi) -> "Interval":
-        return cls(None, hi, False, True)
-
-    @classmethod
     def less_than(cls, hi) -> "Interval":
         return cls(None, hi, False, False)
 

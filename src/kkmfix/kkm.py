@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .conditions import check_c1, check_c2, sublevel
+from .conditions import _witness_set, check_c1, check_c2, sublevel
 from .intervals import ClassSet, Interval
 from .mapping import MappingSpec
 from .scalars import QuadExt, as_scalar, format_scalar
@@ -89,13 +89,7 @@ def g_set(kind: GKind, spec: MappingSpec, x) -> ClassSet:
         return check_c1(spec, x)[0]
     if kind.form is GForm.DISPLACEMENT:
         return check_c2(spec, x)[0]
-    x = as_scalar(x)
-    if not spec.domain.contains(x):
-        raise ValueError(f"{format_scalar(x)} outside domain")
-    fx = spec.evaluate(x)
-    half = kind.delta / 2
-    ball = ClassSet.from_interval(Interval(fx - half, fx + half, False, False))
-    return ClassSet.from_interval(spec.domain).difference(ball)
+    return _witness_set(spec, x, (0, kind.delta / 2))
 
 
 def verify_kkm(
@@ -134,7 +128,7 @@ def default_gap_delta(spec: MappingSpec) -> QuadExt | None:
     """Twice the displacement infimum when positive; None when the infimum
     is zero (then no gap separates the map from the identity and a caller
     must pick delta explicitly)."""
-    bound = spec.inf_residual().value
+    bound = spec.inf_residual()
     if bound > 0:
         return 2 * bound
     return None

@@ -20,13 +20,11 @@ from kkmfix.intervals import (
     _plain_complement,
     _plain_intersect,
     class_nonempty,
-    pick_in,
 )
 from kkmfix.scalars import ClassTag, QuadExt, as_scalar, class_of, dist, format_scalar
 
 __all__ = [
     "AffineExpr",
-    "InfResidual",
     "MappingSpec",
     "Piece",
     "PointOverride",
@@ -110,18 +108,6 @@ class Violation:
     override_index: int | None = None
 
 
-@dataclass(frozen=True)
-class InfResidual:
-    """Infimum of the displacement |f(x) - x| over the domain.
-
-    ``where`` is an attaining point when ``attained``, else the point the
-    infimum is approached at."""
-
-    value: QuadExt
-    attained: bool
-    where: QuadExt | None
-
-
 def _restrict(tag: ClassTag | None, *ivs: Interval) -> ClassSet:
     """The tag-class points of the intervals; all their points when tag is
     None."""
@@ -155,9 +141,15 @@ def _image_slices(spec: MappingSpec) -> dict[ClassTag, list[Interval]]:
     """f(C) as raw per-class interval lists, before canonicalisation."""
     slices = _slices()
     for tag, iv, slope, intercept in spec.value_pieces():
-        # a constant piece's image is one point, kept in its own class
-        _add(slices, tag if slope else None, iv.map_affine(slope, intercept))
+        _add_image(slices, tag, iv, slope, intercept)
     return slices
+
+
+def _add_image(slices, tag: ClassTag | None, iv: Interval, slope, intercept) -> None:
+    """Add the image of the tag-class points of iv under slope*x +
+    intercept.  A constant piece's image is one point, which goes in either
+    class: the canonical ClassSet keeps it in its own."""
+    _add(slices, tag if slope else None, iv.map_affine(slope, intercept))
 
 
 def _pick(tag: ClassTag | None, ivs) -> str:
@@ -285,33 +277,20 @@ class MappingSpec:
             raise ValueError("fixed-point set is infinite")
         return pts
 
-    def inf_residual(self) -> InfResidual:
-        best: tuple[QuadExt, bool, QuadExt | None] | None = None
-
-        def consider(value, attained: bool, where) -> None:
-            nonlocal best
-            cand = (as_scalar(value), attained, where)
-            if (
-                best is None
-                or cand[0] < best[0]
-                or (cand[0] == best[0] and attained and not best[1])
-            ):
-                best = cand
-
-        for tag, iv, slope, c in self.value_pieces():
+    def inf_residual(self) -> QuadExt:
+        """The infimum of the displacement |f(x) - x| over C: per value
+        piece, |d| at slope 1, else 0 when the root of (c - 1)x + d lies in
+        the piece's closure, else the least value at a finite end."""
+        out = []
+        for _, iv, slope, c in self.value_pieces():
             k = slope - _ONE
             if not k:
-                consider(abs(c), True, pick_in(tag, iv))
-                continue
-            root = -c / k
-            inside = (iv.lo is None or root > iv.lo) and (iv.hi is None or root < iv.hi)
-            if inside:
-                consider(_ZERO, tag is ClassTag.RATIONAL, root)
-            for e, closed in ((iv.lo, iv.lo_closed), (iv.hi, iv.hi_closed)):
-                if e is not None:
-                    consider(abs(k * e + c), closed, e)
-        assert best is not None
-        return InfResidual(*best)
+                out.append(abs(c))
+            elif iv.closure().contains(-c / k):
+                return _ZERO
+            else:
+                out.extend(abs(k * e + c) for e in (iv.lo, iv.hi) if e is not None)
+        return min(out)
 
     def validate(self) -> list[Violation]:
         """All the ways this spec fails to be a well-formed self-map:
@@ -386,11 +365,7 @@ class MappingSpec:
             for tag, ivs in cut.items():
                 expr = piece.branch_for(tag)
                 for iv in ivs:
-                    _add(
-                        img,
-                        tag if expr.slope else None,
-                        iv.map_affine(expr.slope, expr.intercept),
-                    )
+                    _add_image(img, tag, iv, expr.slope, expr.intercept)
             escape = {tag: _plain_intersect(img[tag], outside) for tag in _TAGS}
             if any(class_nonempty(tag, ivs) for tag, ivs in escape.items()):
                 out.append(

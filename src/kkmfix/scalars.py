@@ -117,19 +117,24 @@ def simplest_rational_between(lo, hi) -> Fraction:
 
 
 def _simplest_nonneg(lo: QuadExt, hi: QuadExt) -> Fraction:
-    # 0 <= lo < hi, open interval
-    n = lo.floor() + 1
-    if n < hi:
-        return Fraction(n)
-    f = lo.floor()
-    frac_lo = lo - f
-    frac_hi = hi - f
-    # x = f + 1/y with y in the reciprocal interval
-    if not frac_lo:
-        y = Fraction((1 / frac_hi).floor() + 1)
-    else:
-        y = _simplest_nonneg(1 / frac_hi, 1 / frac_lo)
-    return f + 1 / y
+    # 0 <= lo < hi, open interval.  The answer is f0 + 1/(f1 + 1/(... + 1/x))
+    # with f0 = floor(lo) and f1, ... the floors of the reciprocal intervals;
+    # a loop, since the expansion can outgrow Python's recursion limit.
+    floors = []
+    while True:
+        f = lo.floor()
+        if f + 1 < hi:
+            x = Fraction(f + 1)
+            break
+        floors.append(f)
+        lo, hi = lo - f, hi - f
+        if not lo:
+            x = Fraction((1 / hi).floor() + 1)
+            break
+        lo, hi = 1 / hi, 1 / lo
+    for f in reversed(floors):
+        x = f + 1 / x
+    return x
 
 
 def irrational_between(lo, hi) -> QuadExt:

@@ -45,6 +45,14 @@ def rand_point_in(rng: random.Random, iv: Interval, reach: int = 20) -> QuadExt:
     return lo + width / 2
 
 
+def fib(n: int) -> int:
+    """The Fibonacci number F_n, with F_1 = F_2 = 1."""
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
 @pytest.fixture(scope="session")
 def corpus():
     return {n: corpus_entry(n) for n in range(1, 15)}

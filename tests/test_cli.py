@@ -12,7 +12,7 @@ import kkmfix
 from kkmfix import TheoremId, b_value, parse_scalar, serialize
 from kkmfix.cli import Report, UsageError, main, run_command
 
-from conftest import HULL_KINDS
+from conftest import HULL_KINDS, fib
 
 _IDENTITY_MAP = """\
 label identity on the unit interval
@@ -284,6 +284,32 @@ def test_usage_errors(maps, capsys, argv, flag):
     assert err.startswith("kkmfix: error:")
     assert err.count("\n") == 1
     assert flag in err
+
+
+def test_map_not_utf8_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "latin1.map"
+    path.write_bytes(b"domain [0, 1]\npiece [0, 1] all: x \xff\n")
+    assert main(["parse", "--map", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("kkmfix: error: --map: ")
+    assert err.count("\n") == 1
+
+
+def test_check_onto_long_continued_fraction(tmp_path, capsys):
+    # f misses (a, b) for neighbouring golden-ratio convergents a < b; the
+    # missed point onto reports takes ~1,500 continued-fraction terms
+    a, b, mediant = (f"{fib(n + 1)}/{fib(n)}" for n in (1501, 1502, 1503))
+    path = tmp_path / "fib.map"
+    path.write_text(
+        f"domain [0, 2]\npiece [0, {a}] all: x\npiece ({a}, {b}) all: 0\n"
+        f"piece [{b}, 2] all: x\n",
+        encoding="utf-8",
+    )
+    code = main(["check", "--json", "--map", str(path), "--theorem", "t1"])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    onto = json.loads(out)["verdicts"]["verdict"]["conditions"]["onto"]
+    assert (onto["status"], onto["witness"]) == ("Falsified", mediant)
 
 
 def test_usage_error_is_exception(maps):

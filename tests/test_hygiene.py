@@ -1,9 +1,12 @@
 """Source hygiene that no installed linter checks: every name a module
 imports is used in it, every module-level private function or class is
-referenced somewhere in the package beyond its own definition, and every
-module-level private constant is read by its module or taken from it."""
+referenced somewhere in the package beyond its own definition, every
+module-level private constant is read by its module or taken from it, and
+every public method of a package class is read as an attribute in the
+package, its tests or the benchmark."""
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -13,6 +16,11 @@ import kkmfix
 
 _PACKAGE = sorted(Path(kkmfix.__file__).parent.glob("*.py"))
 _SOURCES = [p for p in _PACKAGE if p.name != "__init__.py"]
+_ROOT = Path(__file__).resolve().parent.parent
+# where a method may be used: the package, its tests and the benchmark
+_READERS = _PACKAGE + sorted((_ROOT / "tests").glob("*.py")) + sorted(
+    (_ROOT / "perfbench").glob("*.py")
+)
 
 
 def _annotations(tree):
@@ -204,3 +212,63 @@ def test_constant_orphan_finder():
 def test_no_orphan_private_constants():
     sources = {p.name: p.read_text(encoding="utf-8") for p in _PACKAGE}
     assert _constant_orphans(sources) == []
+
+
+def _unused_methods(source: str, namespace: dict, attributes: set[str]) -> list[str]:
+    """Public methods of the module-level classes in ``source`` that no
+    reader takes as an attribute (``attributes``), bar overrides of a
+    base-class method; ``namespace`` maps the class names to the classes."""
+    out = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        bases = namespace[node.name].__mro__[1:]
+        for item in node.body:
+            if (
+                isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not item.name.startswith("_")
+                and item.name not in attributes
+                and not any(hasattr(base, item.name) for base in bases)
+            ):
+                out.append(f"{node.name}.{item.name}")
+    return sorted(out)
+
+
+_METHOD_SAMPLE = """\
+class Base:
+    def read(self): pass
+    def unread(self): pass
+    def _private(self): pass
+class Child(Base):
+    def unread(self): pass
+    @property
+    def flag(self): pass
+class Text(str):
+    def upper(self): pass
+"""
+
+
+def test_unused_method_finder():
+    namespace = {}
+    exec(_METHOD_SAMPLE, namespace)
+    assert _unused_methods(_METHOD_SAMPLE, namespace, {"read"}) == [
+        "Base.unread",
+        "Child.flag",
+    ]
+
+
+def test_no_unused_public_methods():
+    attributes = {
+        node.attr
+        for path in _READERS
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+    }
+    out = []
+    for path in _SOURCES:
+        source = path.read_text(encoding="utf-8")
+        if any(isinstance(n, ast.ClassDef) for n in ast.parse(source).body):
+            module = importlib.import_module(f"kkmfix.{path.stem}")
+            found = _unused_methods(source, vars(module), attributes)
+            out.extend(f"{path.name}: {name}" for name in found)
+    assert out == []

@@ -16,7 +16,8 @@ from kkmfix.kkm import (
     intersection_witness,
     verify_kkm,
 )
-from kkmfix.scalars import QuadExt
+from kkmfix.randmaps import random_specs
+from kkmfix.scalars import SQRT2, QuadExt, dist
 
 from conftest import rand_point_in
 
@@ -53,6 +54,31 @@ def test_g_set_contains_its_point_for_g1(corpus):
             # it contains the midpoint boundary, and x itself when f(x) = x
             if spec.evaluate(x) == x:
                 assert g_set(G1, spec, x).contains(x)
+
+
+def test_g_set_matches_its_definition(corpus):
+    """G(x) = {y in C : |f(x) - y| >= g(y)} pointwise, with g(y) = |x - y|
+    (anchor), |f(x) - x| (displacement) or delta/2 (gap)."""
+    rng = random.Random(101)
+    gap = GKind(GForm.GAP, Fraction(3, 2))
+    ys = [QuadExt(Fraction(k, 4)) for k in range(-12, 53)]
+    ys += [y + SQRT2 / 16 for y in ys]
+    specs = [entry.spec for entry in corpus.values()] + list(random_specs(20, 13))
+    for spec in specs:
+        xs = [rand_point_in(rng, spec.domain) for _ in range(3)]
+        xs += [x + SQRT2 / 64 for x in xs if spec.domain.contains(x + SQRT2 / 64)]
+        for x in xs:
+            fx = spec.evaluate(x)
+            gauges = (
+                (G1, lambda y: dist(x, y)),
+                (G2, lambda y: dist(fx, x)),
+                (gap, lambda y: gap.delta / 2),
+            )
+            for kind, g in gauges:
+                got = g_set(kind, spec, x)
+                for y in ys:
+                    want = spec.domain.contains(y) and dist(fx, y) >= g(y)
+                    assert got.contains(y) == want, (spec.label, kind, x, y)
 
 
 def test_verify_kkm_holds_on_seeded_subsets(corpus):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from kkmfix.intervals import ClassSet, Interval
+from kkmfix.kkm import default_gap_delta
 from kkmfix.mapdef import parse
 from kkmfix.mapping import AffineExpr, MappingSpec, Piece, PointOverride
 from kkmfix.randmaps import random_specs
@@ -102,14 +103,17 @@ def test_identity_has_infinite_fixed_set():
 
 
 def test_inf_residual_pins(corpus):
-    r5 = corpus[5].spec.inf_residual()
-    assert (r5.value, r5.attained) == (1, True)
-    r9 = corpus[9].spec.inf_residual()
-    assert (r9.value, r9.attained, r9.where) == (0, True, 5)
-    r14 = corpus[14].spec.inf_residual()
-    assert (r14.value, r14.attained) == (2, True)
-    r12 = corpus[12].spec.inf_residual()
-    assert (r12.value, r12.attained) == (1, True)
+    assert corpus[5].spec.inf_residual() == 1
+    assert corpus[9].spec.inf_residual() == 0
+    assert corpus[14].spec.inf_residual() == 2
+    assert corpus[12].spec.inf_residual() == 1
+    # the root of x/2 - x sits at the open end 0: approached, not attained
+    halving = parse("domain (0, 1]\npiece (0, 1] all: 1/2 x\n")
+    assert halving.inf_residual() == 0
+    assert default_gap_delta(halving) is None
+    shift = parse("domain (-inf, inf)\npiece (-inf, inf) all: x + 1\n")
+    assert shift.inf_residual() == 1
+    assert default_gap_delta(shift) == 2
 
 
 def test_validate_reports_escape_and_gaps():

@@ -21,7 +21,7 @@ from kkmfix.scalars import (
     simplest_rational_between,
 )
 
-from conftest import rand_quad
+from conftest import fib, rand_quad
 
 N_AXIOM = 10_000
 
@@ -106,6 +106,40 @@ def test_between_pickers():
         assert a < q < b and isinstance(q, Fraction)
         w = irrational_between(a, b)
         assert a < w < b and class_of(w) is ClassTag.IRRATIONAL
+
+
+def _least_denominator(a: QuadExt, b: QuadExt) -> Fraction:
+    """The rational of (a, b) with the least denominator, the one nearest 0
+    among those: searched one denominator at a time."""
+    q = 1
+    while True:
+        lo = (a * q).floor() + 1  # least p with p/q > a
+        hi = -(-b * q).floor() - 1  # greatest p with p/q < b
+        if lo <= hi:
+            return Fraction(min(max(0, lo), hi), q)
+        q += 1
+
+
+def test_simplest_rational_between_least_denominator():
+    rng = random.Random(31)
+    for _ in range(300):
+        a = rand_quad(rng, 5)
+        width = QuadExt(
+            Fraction(1, rng.randint(1, 200)), Fraction(rng.randint(0, 1), 200)
+        )
+        assert simplest_rational_between(a, a + width) == _least_denominator(
+            a, a + width
+        )
+
+
+def test_simplest_rational_between_long_expansion():
+    # neighbouring convergents of the golden ratio, each ~1,500 continued
+    # fraction terms long; the simplest rational between them is their mediant
+    a = Fraction(fib(1502), fib(1501))
+    b = Fraction(fib(1503), fib(1502))
+    mediant = Fraction(fib(1504), fib(1503))
+    assert simplest_rational_between(a, b) == mediant
+    assert simplest_rational_between(-b, -a) == -mediant
 
 
 def test_as_scalar_coercions():
