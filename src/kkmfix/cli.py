@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .conditions import ConditionVerdict, Status, SubsetWitness
 from .intervals import ClassSet
-from .kkm import GForm, GKind, default_gap_delta, intersection_witness, verify_kkm
+from .kkm import GForm, GKind, _common, _covers, default_gap_delta, g_set
 from .mapdef import ParseError, parse
 from .mapping import MappingSpec
 from .plotting import FORMATS, emit_plot
@@ -259,8 +259,9 @@ def _cmd_kkm(args) -> Report:
             f"--points: {_scalar(outside[0])} outside the domain {spec.domain}"
         )
     kind = GKind(form, delta)
-    holds, uncovered = verify_kkm(kind, spec, points)
-    witness = intersection_witness(kind, spec, points)
+    sets = [g_set(kind, spec, p) for p in points]
+    holds, uncovered = _covers(points, sets)
+    witness = _common(sets)
     payload = {
         "kind": args.kind,
         "delta": None if delta is None else _scalar(delta),

@@ -108,33 +108,28 @@ def _require_in_domain(spec: MappingSpec, x: QuadExt) -> None:
 _ZERO, _ONE, _MINUS_ONE = QuadExt(0), QuadExt(1), QuadExt(-1)
 
 
-def _narrow(ends, root, below: bool, strict: bool):
-    """Cut ``ends`` = (lo, lo_open, hi, hi_open), a nonempty interval with
-    None for an infinite end, to t < root (below) or t > root, non-strict
-    unless ``strict``.  Returns the same tuple when nothing is cut and None
-    when nothing is left."""
-    lo, lo_open, hi, hi_open = ends
+def _narrow(iv: Interval, root, below: bool, strict: bool) -> Interval | None:
+    """Cut ``iv`` to t < root (below) or t > root, non-strict unless
+    ``strict``.  Returns ``iv`` itself when nothing is cut and None when
+    nothing is left."""
+    lo, hi, lo_closed, hi_closed = iv
     if below:
         if hi is None or root < hi:
-            hi, hi_open = root, strict
-        elif root == hi and strict and not hi_open:
-            hi_open = True
+            hi, hi_closed = root, not strict
+        elif root == hi and strict and hi_closed:
+            hi_closed = False
         else:
-            return ends
+            return iv
     elif lo is None or root > lo:
-        lo, lo_open = root, strict
-    elif root == lo and strict and not lo_open:
-        lo_open = True
+        lo, lo_closed = root, not strict
+    elif root == lo and strict and lo_closed:
+        lo_closed = False
     else:
-        return ends
+        return iv
     if lo is not None and hi is not None:
-        if lo > hi or (lo == hi and (lo_open or hi_open)):
+        if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
             return None
-    return lo, lo_open, hi, hi_open
-
-
-def _ends(iv: Interval):
-    return iv.lo, not iv.lo_closed, iv.hi, not iv.hi_closed
+    return Interval(lo, hi, lo_closed, hi_closed)
 
 
 def _solve_affine(slope, intercept, rel: str, within: Interval) -> Interval | None:
@@ -145,15 +140,8 @@ def _solve_affine(slope, intercept, rel: str, within: Interval) -> Interval | No
     if not slope:
         sign = intercept.sign() if rel[0] == "<" else -intercept.sign()
         return within if sign < 0 or (not strict and not sign) else None
-    start = _ends(within)
     below = (slope.sign() > 0) == (rel[0] == "<")
-    ends = _narrow(start, -intercept / slope, below, strict)
-    if ends is None:
-        return None
-    if ends is start:
-        return within
-    lo, lo_open, hi, hi_open = ends
-    return Interval(lo, hi, not lo_open, not hi_open)
+    return _narrow(within, -intercept / slope, below, strict)
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +296,9 @@ def check_b3_strong(
 
 def _x_pieces(kind: BKind, pieces) -> tuple[list, list]:
     """The value pieces as x pieces for ``_near_u``, split into those
-    usable below u and those usable above it: each is (ends, slope,
-    intercept, lower bounds, upper bounds), ends as in ``_narrow`` and the
-    bounds on x as in ``_project_u``.
+    usable below u and those usable above it: each is (interval, slope,
+    intercept, lower bounds, upper bounds), the bounds on x as in
+    ``_project_u``.
 
     The other rows of a projection are strict, so a nondegenerate piece
     projects the same whatever its class, the closedness of its ends and
@@ -326,24 +314,23 @@ def _x_pieces(kind: BKind, pieces) -> tuple[list, list]:
         if key in seen:
             continue
         seen.add(key)
-        ends = _ends(iv)
         if kind is BKind.RESIDUAL:
-            halves = (ends, ends)
+            halves = (iv, iv)
         elif c == _ONE:
             sign = d.sign()
-            halves = (ends if sign > 0 else None, ends if sign < 0 else None)
+            halves = (iv if sign > 0 else None, iv if sign < 0 else None)
         else:
             # f(x) > x above the root when c > 1, below it otherwise
             root, rising = d / (_ONE - c), c > _ONE
             halves = (
-                _narrow(ends, root, not rising, True),
-                _narrow(ends, root, rising, True),
+                _narrow(iv, root, not rising, True),
+                _narrow(iv, root, rising, True),
             )
         for half, out in zip(halves, (lefts, rights)):
             if half is not None:
-                lo, lo_open, hi, hi_open = half
-                lows = [] if lo is None else [(_ZERO, lo, lo_open)]
-                highs = [] if hi is None else [(_ZERO, hi, hi_open)]
+                lo, hi, lo_closed, hi_closed = half
+                lows = [] if lo is None else [(_ZERO, lo, not lo_closed)]
+                highs = [] if hi is None else [(_ZERO, hi, not hi_closed)]
                 out.append((half, c, d, lows, highs))
     return lefts, rights
 
@@ -354,8 +341,8 @@ def _window(lefts, rights) -> Interval | None:
     piece and some x' in a right one."""
     if not lefts or not rights:
         return None
-    los = [ends[0] for ends, *_ in lefts]
-    his = [ends[2] for ends, *_ in rights]
+    los = [half.lo for half, *_ in lefts]
+    his = [half.hi for half, *_ in rights]
     lo = None if any(v is None for v in los) else min(los)
     hi = None if any(v is None for v in his) else max(his)
     if lo is not None and hi is not None and lo >= hi:
@@ -370,26 +357,21 @@ def _project_u(lows, highs, on_u, within: Interval) -> Interval | None:
     (s, i, strict) is s*u + i, passed strictly or not.
 
     Fourier-Motzkin: x exists iff every lower bound stays below every upper
-    bound.  The ends of u are narrowed in place; one Interval is built at
-    the end."""
+    bound."""
     pairs = (
         (ls - hs, li - hi, l_strict or h_strict)
         for ls, li, l_strict in lows
         for hs, hi, h_strict in highs
     )
-    start = ends = _ends(within)
     for b, c, strict in itertools.chain(on_u, pairs):
         if not b:
             if c.sign() > 0 or (strict and not c):
                 return None
             continue
-        ends = _narrow(ends, -c / b, b.sign() > 0, strict)
-        if ends is None:
+        within = _narrow(within, -c / b, b.sign() > 0, strict)
+        if within is None:
             return None
-    if ends is start:
-        return within
-    lo, lo_open, hi, hi_open = ends
-    return Interval(lo, hi, not lo_open, not hi_open)
+    return within
 
 
 def _gauges(kind: BKind, c, d, below: bool, k, m):
@@ -417,7 +399,7 @@ def _near_u(kind, x_pieces, k, m, below: bool, within: Interval) -> list:
     """The u in ``within`` with some x on one side of u, in one of the x
     pieces, such that |f(x) - u| < g."""
     out = []
-    for (lo, _, hi, _), c, d, iv_lows, iv_highs in x_pieces:
+    for (lo, hi, _, _), c, d, iv_lows, iv_highs in x_pieces:
         # x >= lo >= within.hi >= u (or the mirror) cannot hold
         if below:
             if lo is not None and within.hi is not None and lo >= within.hi:

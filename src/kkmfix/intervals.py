@@ -1,10 +1,11 @@
 """Exact subsets of the real line split into rational/irrational slices.
 
-``Interval`` is a nonempty real interval with optional infinite ends.
-``ClassSet`` holds two slices, one per membership class: the set it
-denotes is (union of rat-slice intervals restricted to the rationals)
-united with (irr-slice restricted to the irrationals).  Slices are kept
-in a canonical form, so structural equality is set equality:
+``Interval`` is a nonempty real interval, the 4-tuple (lo, hi, lo_closed,
+hi_closed) with None for an infinite end.  ``ClassSet`` holds two
+slices, one per membership class: the set it denotes is (union of
+rat-slice intervals restricted to the rationals) united with (irr-slice
+restricted to the irrationals).  Slices are kept in a canonical form, so
+structural equality is set equality:
 
 - degenerate intervals whose point has the wrong class are dropped,
 - finite endpoints of the wrong class are forced open,
@@ -15,6 +16,7 @@ in a canonical form, so structural equality is set equality:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from kkmfix.scalars import (
     ClassTag,
@@ -31,19 +33,23 @@ __all__ = ["ClassSet", "Interval", "class_nonempty", "pick_in"]
 _ZERO = QuadExt(0)
 
 
-class Interval:
-    """Nonempty real interval; a ``None`` bound is an infinite end.
-
-    Immutable, compared and hashed by its four fields."""
-
-    __slots__ = ("lo", "hi", "lo_closed", "hi_closed")
-
+class _Fields(NamedTuple):
     lo: QuadExt | None
     hi: QuadExt | None
     lo_closed: bool
     hi_closed: bool
 
-    def __init__(self, lo, hi, lo_closed: bool = True, hi_closed: bool = True):
+
+class Interval(_Fields):
+    """Nonempty real interval; a ``None`` bound is an infinite end.
+
+    The named tuple (lo, hi, lo_closed, hi_closed): immutable, compared and
+    hashed by its four fields, and checked by ``__new__`` on every
+    construction, unpickling included."""
+
+    __slots__ = ()
+
+    def __new__(cls, lo, hi, lo_closed: bool = True, hi_closed: bool = True):
         if lo is not None and lo.__class__ is not QuadExt:
             lo = as_scalar(lo)
         if hi is not None and hi.__class__ is not QuadExt:
@@ -57,38 +63,7 @@ class Interval:
                 raise ValueError("backwards interval")
             if lo == hi and not (lo_closed and hi_closed):
                 raise ValueError("empty interval")
-        _set_lo(self, lo)
-        _set_hi(self, hi)
-        _set_lo_closed(self, lo_closed)
-        _set_hi_closed(self, hi_closed)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Interval is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Interval is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not Interval:
-            return NotImplemented
-        return (
-            self.lo == other.lo
-            and self.hi == other.hi
-            and self.lo_closed == other.lo_closed
-            and self.hi_closed == other.hi_closed
-        )
-
-    def __hash__(self):
-        return hash((self.lo, self.hi, self.lo_closed, self.hi_closed))
-
-    def __reduce__(self):
-        return (Interval, (self.lo, self.hi, self.lo_closed, self.hi_closed))
-
-    def __repr__(self) -> str:
-        return (
-            f"Interval(lo={self.lo!r}, hi={self.hi!r}, "
-            f"lo_closed={self.lo_closed!r}, hi_closed={self.hi_closed!r})"
-        )
+        return tuple.__new__(cls, (lo, hi, lo_closed, hi_closed))
 
     @classmethod
     def closed(cls, lo, hi) -> "Interval":
@@ -134,11 +109,12 @@ class Interval:
 
     def contains(self, x) -> bool:
         x = as_scalar(x)
-        if self.lo is not None:
-            if x < self.lo or (x == self.lo and not self.lo_closed):
+        lo, hi, lo_closed, hi_closed = self
+        if lo is not None:
+            if x < lo or (x == lo and not lo_closed):
                 return False
-        if self.hi is not None:
-            if x > self.hi or (x == self.hi and not self.hi_closed):
+        if hi is not None:
+            if x > hi or (x == hi and not hi_closed):
                 return False
         return True
 
@@ -158,17 +134,17 @@ class Interval:
     def __str__(self) -> str:
         if self.is_degenerate:
             return "{" + format_scalar(self.lo) + "}"
-        lo_s = "-inf" if self.lo is None else format_scalar(self.lo)
-        hi_s = "inf" if self.hi is None else format_scalar(self.hi)
-        lob = "[" if self.lo_closed else "("
-        hib = "]" if self.hi_closed else ")"
-        return f"{lob}{lo_s}, {hi_s}{hib}"
+        return _bracket(self)
 
 
-_set_lo = Interval.lo.__set__
-_set_hi = Interval.hi.__set__
-_set_lo_closed = Interval.lo_closed.__set__
-_set_hi_closed = Interval.hi_closed.__set__
+def _bracket(iv: Interval) -> str:
+    """The bracket form of iv, such as ``[0, 1)`` or ``(-inf, sqrt2]``; a
+    point is written ``[a, a]``."""
+    lo = "-inf" if iv.lo is None else format_scalar(iv.lo)
+    hi = "inf" if iv.hi is None else format_scalar(iv.hi)
+    lob = "[" if iv.lo_closed else "("
+    hib = "]" if iv.hi_closed else ")"
+    return f"{lob}{lo}, {hi}{hib}"
 
 
 def _lo_key(iv: Interval):
@@ -210,22 +186,24 @@ def _plain_union(ivs) -> tuple[Interval, ...]:
 
 
 def _intersect_iv(a: Interval, b: Interval) -> Interval | None:
-    if a.lo is None:
-        lo, loc = b.lo, b.lo_closed
-    elif b.lo is None or a.lo > b.lo:
-        lo, loc = a.lo, a.lo_closed
-    elif b.lo > a.lo:
-        lo, loc = b.lo, b.lo_closed
+    a_lo, a_hi, a_loc, a_hic = a
+    b_lo, b_hi, b_loc, b_hic = b
+    if a_lo is None:
+        lo, loc = b_lo, b_loc
+    elif b_lo is None or a_lo > b_lo:
+        lo, loc = a_lo, a_loc
+    elif b_lo > a_lo:
+        lo, loc = b_lo, b_loc
     else:
-        lo, loc = a.lo, a.lo_closed and b.lo_closed
-    if a.hi is None:
-        hi, hic = b.hi, b.hi_closed
-    elif b.hi is None or a.hi < b.hi:
-        hi, hic = a.hi, a.hi_closed
-    elif b.hi < a.hi:
-        hi, hic = b.hi, b.hi_closed
+        lo, loc = a_lo, a_loc and b_loc
+    if a_hi is None:
+        hi, hic = b_hi, b_hic
+    elif b_hi is None or a_hi < b_hi:
+        hi, hic = a_hi, a_hic
+    elif b_hi < a_hi:
+        hi, hic = b_hi, b_hic
     else:
-        hi, hic = a.hi, a.hi_closed and b.hi_closed
+        hi, hic = a_hi, a_hic and b_hic
     if lo is not None and hi is not None:
         if lo > hi or (lo == hi and not (loc and hic)):
             return None

@@ -100,9 +100,13 @@ def verify_kkm(
     pts = [as_scalar(p) for p in points]
     if not pts:
         raise ValueError("empty subset")
-    covers = [g_set(kind, spec, p) for p in pts]
+    return _covers(pts, [g_set(kind, spec, p) for p in pts])
+
+
+def _covers(pts, sets) -> tuple[bool, QuadExt | None]:
+    """``verify_kkm`` given the witness set of each point."""
     union = ClassSet(
-        [iv for g in covers for iv in g.rat], [iv for g in covers for iv in g.irr]
+        [iv for g in sets for iv in g.rat], [iv for g in sets for iv in g.irr]
     )
     hull = ClassSet.from_interval(Interval.closed(min(pts), max(pts)))
     uncovered = hull.difference(union)
@@ -118,9 +122,14 @@ def intersection_witness(kind: GKind, spec: MappingSpec, sample) -> ClassSet:
     pts = [as_scalar(p) for p in sample]
     if not pts:
         raise ValueError("empty sample")
-    out = g_set(kind, spec, pts[0])
-    for p in pts[1:]:
-        out = out.intersect(g_set(kind, spec, p))
+    return _common([g_set(kind, spec, p) for p in pts])
+
+
+def _common(sets) -> ClassSet:
+    """``intersection_witness`` given the witness set of each point."""
+    out = sets[0]
+    for g in sets[1:]:
+        out = out.intersect(g)
     return out
 
 

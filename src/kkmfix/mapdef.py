@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from kkmfix.intervals import Interval
+from kkmfix.intervals import Interval, _bracket
 from kkmfix.mapping import AffineExpr, MappingSpec, Piece, PointOverride
 from kkmfix.scalars import format_scalar, parse_scalar
 
@@ -192,35 +192,27 @@ def parse(text: str, validate: bool = True) -> MappingSpec:
     return spec
 
 
-def _fmt_interval(iv: Interval) -> str:
-    lo = "-inf" if iv.lo is None else format_scalar(iv.lo)
-    hi = "inf" if iv.hi is None else format_scalar(iv.hi)
-    lob = "[" if iv.lo_closed else "("
-    hib = "]" if iv.hi_closed else ")"
-    return f"{lob}{lo}, {hi}{hib}"
-
-
 def serialize(spec: MappingSpec) -> str:
     """Mapdef text for a spec; parse inverts it for parser-producible
     specs (a piece holding two different branches becomes two lines)."""
     lines = []
     if spec.label:
         lines.append(f"label {spec.label}")
-    lines.append(f"domain {_fmt_interval(spec.domain)}")
+    lines.append(f"domain {_bracket(spec.domain)}")
     for piece in spec.pieces:
         if (
             piece.rational_branch is not None
             and piece.rational_branch == piece.irrational_branch
         ):
-            lines.append(f"piece {_fmt_interval(piece.over)} all: {piece.rational_branch}")
+            lines.append(f"piece {_bracket(piece.over)} all: {piece.rational_branch}")
             continue
         if piece.rational_branch is not None:
             lines.append(
-                f"piece {_fmt_interval(piece.over)} rational: {piece.rational_branch}"
+                f"piece {_bracket(piece.over)} rational: {piece.rational_branch}"
             )
         if piece.irrational_branch is not None:
             lines.append(
-                f"piece {_fmt_interval(piece.over)} irrational: {piece.irrational_branch}"
+                f"piece {_bracket(piece.over)} irrational: {piece.irrational_branch}"
             )
     for o in spec.overrides:
         lines.append(f"override {format_scalar(o.at)} -> {format_scalar(o.value)}")

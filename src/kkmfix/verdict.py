@@ -8,6 +8,7 @@ lower-semicontinuity condition, or plain domain compactness.
 from __future__ import annotations
 
 import importlib.resources
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -40,20 +41,17 @@ class TheoremId(Enum):
 
 
 # per theorem: domain must be compact (else closed suffices), the hull
-# inequality kind and its condition key, and the extra side condition
-_SHAPE: dict[TheoremId, tuple[bool, BKind, str, str | None]] = {
-    TheoremId.T1: (False, BKind.ANCHOR, "kkm_anchor", "compact_anchor_set"),
+# inequality kind and its condition key, and the extra side condition as
+# (key, decider)
+_SHAPE: dict[TheoremId, tuple[bool, BKind, str, tuple[str, Callable] | None]] = {
+    TheoremId.T1: (False, BKind.ANCHOR, "kkm_anchor",
+                   ("compact_anchor_set", decide_c1)),
     TheoremId.COR3: (True, BKind.ANCHOR, "kkm_anchor", None),
     TheoremId.T3: (False, BKind.DISPLACEMENT, "kkm_displacement",
-                   "compact_displacement_set"),
+                   ("compact_displacement_set", decide_c2)),
     TheoremId.COR4: (True, BKind.DISPLACEMENT, "kkm_displacement", None),
-    TheoremId.T5: (True, BKind.RESIDUAL, "kkm_residual", "residual_lsc"),
-}
-
-_EXTRA_CHECK = {
-    "compact_anchor_set": decide_c1,
-    "compact_displacement_set": decide_c2,
-    "residual_lsc": check_c3,
+    TheoremId.T5: (True, BKind.RESIDUAL, "kkm_residual",
+                   ("residual_lsc", check_c3)),
 }
 
 
@@ -86,14 +84,15 @@ def run_theorem(spec: MappingSpec, theorem: TheoremId) -> TheoremVerdict:
     ends Proven or Falsified."""
     if not isinstance(theorem, TheoremId):
         raise ValueError(f"unknown theorem: {theorem!r}")
-    need_compact, kind, b_key, extra_key = _SHAPE[theorem]
+    need_compact, kind, b_key, extra = _SHAPE[theorem]
 
     conditions: dict[str, ConditionVerdict] = {}
     conditions["domain"] = _check_domain(spec, need_compact)
     conditions["onto"] = check_onto(spec)
     conditions[b_key] = decide_b(kind, spec)
-    if extra_key is not None:
-        conditions[extra_key] = _EXTRA_CHECK[extra_key](spec)
+    if extra is not None:
+        extra_key, decide = extra
+        conditions[extra_key] = decide(spec)
 
     fset = spec.fixed_point_set()
     fpts = fset.finite_points()
@@ -130,55 +129,34 @@ class CorpusEntry:
     deviations: str
 
 
-def _t1_expected(onto=True, hull=True, compact_set=True) -> dict[str, bool]:
-    return {
-        "domain": True,
-        "onto": onto,
-        "kkm_anchor": hull,
-        "compact_anchor_set": compact_set,
-    }
-
-
-def _cor4_expected() -> dict[str, bool]:
-    return {"domain": True, "onto": True, "kkm_displacement": True}
-
-
-def _t5_expected(onto=True, hull=True, lsc=True) -> dict[str, bool]:
-    return {
-        "domain": True,
-        "onto": onto,
-        "kkm_residual": hull,
-        "residual_lsc": lsc,
-    }
-
-
 _FAMILY_NOTE = (
     "one representative of a family: every self-map matching the stated "
     "sign and range constraints earns the same verdicts"
 )
 
-# index -> (theorem, expected, expected fixed points, deviations)
-_EXPECTED: dict[int, tuple[TheoremId, dict[str, bool], tuple[int, ...], str]] = {
-    1: (TheoremId.T1, _t1_expected(), (6,), _FAMILY_NOTE),
-    2: (TheoremId.T1, _t1_expected(), (0, 5), ""),
-    3: (TheoremId.T1, _t1_expected(onto=False), (), ""),
-    4: (TheoremId.T1, _t1_expected(hull=False), (), ""),
-    5: (TheoremId.T1, _t1_expected(compact_set=False), (), ""),
-    6: (TheoremId.COR4, _cor4_expected(), (0, 10), _FAMILY_NOTE),
-    7: (TheoremId.COR4, _cor4_expected(), (0, 10), _FAMILY_NOTE),
-    8: (TheoremId.COR4, _cor4_expected(), (0, 10), ""),
-    9: (TheoremId.T5, _t5_expected(), (5,), ""),
-    10: (TheoremId.T5, _t5_expected(), (5,), ""),
-    11: (TheoremId.T5, _t5_expected(), (5,), ""),
+# index -> (theorem, the one hypothesis the map breaks or None, expected
+# fixed points, deviations)
+_EXPECTED: dict[int, tuple[TheoremId, str | None, tuple[int, ...], str]] = {
+    1: (TheoremId.T1, None, (6,), _FAMILY_NOTE),
+    2: (TheoremId.T1, None, (0, 5), ""),
+    3: (TheoremId.T1, "onto", (), ""),
+    4: (TheoremId.T1, "kkm_anchor", (), ""),
+    5: (TheoremId.T1, "compact_anchor_set", (), ""),
+    6: (TheoremId.COR4, None, (0, 10), _FAMILY_NOTE),
+    7: (TheoremId.COR4, None, (0, 10), _FAMILY_NOTE),
+    8: (TheoremId.COR4, None, (0, 10), ""),
+    9: (TheoremId.T5, None, (5,), ""),
+    10: (TheoremId.T5, None, (5,), ""),
+    11: (TheoremId.T5, None, (5,), ""),
     12: (
         TheoremId.T5,
-        _t5_expected(onto=False),
+        "onto",
         (),
         "the two steps leave 10 unassigned; the entry completes the "
         "self-map with f(10) = 4",
     ),
-    13: (TheoremId.T5, _t5_expected(lsc=False), (), ""),
-    14: (TheoremId.T5, _t5_expected(hull=False), (), ""),
+    13: (TheoremId.T5, "residual_lsc", (), ""),
+    14: (TheoremId.T5, "kkm_residual", (), ""),
 }
 
 
@@ -190,12 +168,14 @@ def corpus_entry(n: int) -> CorpusEntry:
     text = (
         importlib.resources.files("kkmfix") / "data" / f"corpus{n:02d}.map"
     ).read_text(encoding="utf-8")
-    theorem, expected, fixed, deviations = _EXPECTED[n]
+    theorem, broken, fixed, deviations = _EXPECTED[n]
+    _, _, b_key, extra = _SHAPE[theorem]
+    keys = ("domain", "onto", b_key) + (() if extra is None else (extra[0],))
     return CorpusEntry(
         index=n,
         spec=parse(text),
         theorem=theorem,
-        expected=dict(expected),
+        expected={key: key != broken for key in keys},
         expected_fixed_points=tuple(QuadExt(p) for p in fixed),
         deviations=deviations,
     )

@@ -72,6 +72,45 @@ def test_check_json_is_byte_identical_to_golden(monkeypatch):
             assert _stdout(argv) == golden.read_bytes(), (name, theorem)
 
 
+_KKM_KINDS = {"g1": [], "g2": [], "g3": ["--delta", "1/2"]}
+_KKM_POINTS = "0,3,sqrt2,7,10"
+
+
+def test_kkm_json_is_byte_identical_to_golden(monkeypatch):
+    """kkm/corpusNN.K.json is ``python -m kkmfix kkm --json --map
+    corpusNN.map --kind K --points 0,3,sqrt2,7,10`` (with ``--delta 1/2``
+    for g3) run in the package's data directory."""
+    monkeypatch.chdir(_CORPUS_DIR)
+    for name in _MAPS:
+        for kind, extra in _KKM_KINDS.items():
+            argv = ["kkm", "--json", "--map", name, "--kind", kind, *extra,
+                    "--points", _KKM_POINTS]
+            golden = _GOLDEN / "kkm" / f"{name[:-4]}.{kind}.json"
+            assert _stdout(argv) == golden.read_bytes(), (name, kind)
+
+
+def test_kkm_builds_each_witness_set_once(monkeypatch):
+    import kkmfix.conditions
+    import kkmfix.kkm
+
+    built = []
+    build = kkmfix.conditions._witness_set
+
+    def counted(spec, x, gauge):
+        built.append(x)
+        return build(spec, x, gauge)
+
+    # check_c1/check_c2 read the conditions binding, the gap form kkm's own
+    monkeypatch.setattr(kkmfix.conditions, "_witness_set", counted)
+    monkeypatch.setattr(kkmfix.kkm, "_witness_set", counted)
+    monkeypatch.chdir(_CORPUS_DIR)
+    for kind, extra in _KKM_KINDS.items():
+        built.clear()
+        run_command(["kkm", "--map", "corpus09.map", "--kind", kind, *extra,
+                     "--points", _KKM_POINTS])
+        assert len(built) == 5, kind
+
+
 def test_parse_json_is_byte_identical_to_golden(monkeypatch):
     """golden/parse/NAME.json is ``python -m kkmfix parse --json --map
     NAME.map`` run in data/parse: one malformed map per Violation kind, one

@@ -10,6 +10,8 @@ from kkmfix.conditions import (
     BKind,
     Status,
     SubsetWitness,
+    _narrow,
+    _solve_affine,
     b_value,
     check_b3_strong,
     check_b_subset,
@@ -31,6 +33,7 @@ from kkmfix.verdict import corpus_entry
 
 from conftest import rand_point_in
 from pair_oracle import falsify_b
+from test_intervals import _query_end, _query_interval
 
 
 def _hull_points(rng, pts, count):
@@ -317,6 +320,59 @@ def test_decide_b_pins(corpus):
     verdict = decide_b(BKind.RESIDUAL, corpus[14].spec)
     assert verdict.status is Status.FALSIFIED
     _check_witness(BKind.RESIDUAL, corpus[14].spec, verdict)
+
+
+def _samples(iv: Interval, root) -> list[QuadExt]:
+    """The ends of iv, the root, their sqrt2/64 nudges and the midpoints
+    between neighbours: a point of each stretch the root and ends cut."""
+    nudge = SQRT2 / 64
+    marks = [t for t in (iv.lo, iv.hi, root) if t is not None] or [QuadExt(0)]
+    pts = sorted({m + s for m in marks for s in (0, nudge, -nudge)})
+    return pts + [(a + b) / 2 for a, b in zip(pts, pts[1:])]
+
+
+def _check_cut(iv, got, samples, keep):
+    """got is iv cut to the points where keep holds: None when no sampled
+    point survives, iv itself when none is cut, else the kept points."""
+    inside = [t for t in samples if iv.contains(t)]
+    if not any(keep(t) for t in inside):
+        assert got is None, (iv, got)
+        return
+    assert got is not None, iv
+    if all(keep(t) for t in inside):
+        assert got is iv, (iv, got)
+    for t in samples:
+        assert got.contains(t) == (iv.contains(t) and keep(t)), (iv, got, t)
+
+
+def test_narrow_and_solve_affine_match_their_definition():
+    rng = random.Random(14)
+    rels = {
+        "<": lambda v: v < 0,
+        "<=": lambda v: v <= 0,
+        ">": lambda v: v > 0,
+        ">=": lambda v: v >= 0,
+    }
+    for _ in range(300):
+        iv = _query_interval(rng)
+        ends = [t for t in (iv.lo, iv.hi) if t is not None]
+        root = rng.choice(ends) if ends and rng.random() < 0.4 else _query_end(rng)
+        samples = _samples(iv, root)
+        for below in (True, False):
+            for strict in (True, False):
+                def keep(t):
+                    # t < root, t <= root, t > root or t >= root
+                    d = root - t if below else t - root
+                    return d > 0 or (not strict and d == 0)
+
+                _check_cut(iv, _narrow(iv, root, below, strict), samples, keep)
+        slope = QuadExt(0) if rng.random() < 0.2 else _query_end(rng)
+        intercept = _query_end(rng)
+        root = -intercept / slope if slope else None
+        samples = _samples(iv, root)
+        for rel, holds in rels.items():
+            got = _solve_affine(slope, intercept, rel, iv)
+            _check_cut(iv, got, samples, lambda t: holds(slope * t + intercept))
 
 
 def test_check_b3_strong_pins(corpus):

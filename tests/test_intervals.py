@@ -155,6 +155,7 @@ def test_interval_is_an_immutable_value():
     same = Interval(QuadExt(1), QuadExt(3, 0) / 2, True, False)
     assert iv == same and hash(iv) == hash(same)
     assert iv != Interval(1, Fraction(3, 2)) and iv != (iv.lo, iv.hi)
+    assert tuple(iv) == (iv.lo, iv.hi, iv.lo_closed, iv.hi_closed)
     table = {iv: "a", Interval.point(SQRT2): "b"}
     assert table[same] == "a" and table[Interval.closed(SQRT2, SQRT2)] == "b"
     assert Interval(1, Fraction(3, 2)) not in table
