@@ -45,7 +45,8 @@ class Interval(_Fields):
 
     The named tuple (lo, hi, lo_closed, hi_closed): immutable, compared and
     hashed by its four fields, and checked by ``__new__`` on every
-    construction, unpickling included."""
+    construction: ``_make``, ``_replace`` and unpickling at every protocol
+    go through it too."""
 
     __slots__ = ()
 
@@ -64,6 +65,13 @@ class Interval(_Fields):
             if lo == hi and not (lo_closed and hi_closed):
                 raise ValueError("empty interval")
         return tuple.__new__(cls, (lo, hi, lo_closed, hi_closed))
+
+    @classmethod
+    def _make(cls, fields) -> "Interval":
+        return cls(*fields)
+
+    def __reduce__(self):
+        return Interval, tuple(self)
 
     @classmethod
     def closed(cls, lo, hi) -> "Interval":

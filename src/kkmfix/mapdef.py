@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from kkmfix.intervals import Interval, _bracket
 from kkmfix.mapping import AffineExpr, MappingSpec, Piece, PointOverride
-from kkmfix.scalars import format_scalar, parse_scalar
+from kkmfix.scalars import ClassTag, format_scalar, parse_scalar
 
 __all__ = ["ParseError", "parse", "serialize"]
 
@@ -39,9 +39,15 @@ class ParseError(ValueError):
         self.column = column
 
 
+# a piece line's class word -> its class tag, None for both classes
+_CLASS_WORDS = {
+    "rational": ClassTag.RATIONAL,
+    "irrational": ClassTag.IRRATIONAL,
+    "all": None,
+}
 _RAT_TEXT = r"-?\d+(?:/\d+)?"
 _PIECE_RE = re.compile(
-    r"piece\s+(?P<interval>.+?)\s+(?P<cls>rational|irrational|all)\s*:\s*(?P<expr>.*)$"
+    rf"piece\s+(?P<interval>.+?)\s+(?P<cls>{'|'.join(_CLASS_WORDS)})\s*:\s*(?P<expr>.*)$"
 )
 _OVERRIDE_RE = re.compile(r"override\s+(?P<at>.+?)\s*->\s*(?P<value>.+?)\s*$")
 _INTERVAL_RE = re.compile(
@@ -56,10 +62,7 @@ _AFFINE_RE = re.compile(
 def _parse_endpoint(text: str, infinite_word: str, lineno: int, col: int):
     if text == infinite_word:
         return None
-    try:
-        return parse_scalar(text)
-    except ValueError as exc:
-        raise ParseError(str(exc), lineno, col) from None
+    return _parse_scalar_at(text, lineno, col)
 
 
 def _parse_interval(text: str, lineno: int, col: int) -> Interval:
@@ -151,14 +154,7 @@ def parse(text: str, validate: bool = True) -> MappingSpec:
             if not expr_text:
                 raise ParseError("piece needs an expression", lineno, indent + 1)
             expr = _parse_affine(expr_text, lineno, indent + 1 + m.start("expr"))
-            cls = m.group("cls")
-            pieces.append(
-                Piece(
-                    over,
-                    expr if cls in ("rational", "all") else None,
-                    expr if cls in ("irrational", "all") else None,
-                )
-            )
+            pieces.append(Piece(over, expr, _CLASS_WORDS[m.group("cls")]))
             piece_lines.append(lineno)
         elif word == "override":
             m = _OVERRIDE_RE.match(body)
@@ -193,27 +189,15 @@ def parse(text: str, validate: bool = True) -> MappingSpec:
 
 
 def serialize(spec: MappingSpec) -> str:
-    """Mapdef text for a spec; parse inverts it for parser-producible
-    specs (a piece holding two different branches becomes two lines)."""
+    """Mapdef text for a spec, one line per piece and override; parse
+    inverts it whenever the label is text parse could have read."""
     lines = []
     if spec.label:
         lines.append(f"label {spec.label}")
     lines.append(f"domain {_bracket(spec.domain)}")
     for piece in spec.pieces:
-        if (
-            piece.rational_branch is not None
-            and piece.rational_branch == piece.irrational_branch
-        ):
-            lines.append(f"piece {_bracket(piece.over)} all: {piece.rational_branch}")
-            continue
-        if piece.rational_branch is not None:
-            lines.append(
-                f"piece {_bracket(piece.over)} rational: {piece.rational_branch}"
-            )
-        if piece.irrational_branch is not None:
-            lines.append(
-                f"piece {_bracket(piece.over)} irrational: {piece.irrational_branch}"
-            )
+        cls = piece.tag or "all"
+        lines.append(f"piece {_bracket(piece.over)} {cls}: {piece.expr}")
     for o in spec.overrides:
         lines.append(f"override {format_scalar(o.at)} -> {format_scalar(o.value)}")
     return "\n".join(lines) + "\n"

@@ -1,10 +1,10 @@
 """Piecewise-affine self-maps with class-split branches and point overrides.
 
-A map is given on an interval domain by pieces.  Each piece carries an
-affine expression per membership class (rational / irrational inputs);
-finitely many point overrides replace the value at single points.  The
-pieces with a branch for a class must cover the domain's points of that
-class exactly once.
+A map is given on an interval domain by pieces.  Each piece is one
+affine expression on one interval, for the points of one membership class
+(rational or irrational inputs) or of both; finitely many point overrides
+replace the value at single points.  The pieces serving a class must cover
+the domain's points of that class exactly once.
 """
 
 from __future__ import annotations
@@ -69,21 +69,16 @@ class AffineExpr:
 
 @dataclass(frozen=True)
 class Piece:
-    """One domain interval with an affine branch per class; a branch may
-    be absent when another piece covers that class."""
+    """One mapping line: f(x) = expr.at(x) on the tag-class points of
+    ``over``, tag None meaning both classes."""
 
     over: Interval
-    rational_branch: AffineExpr | None = None
-    irrational_branch: AffineExpr | None = None
+    expr: AffineExpr
+    tag: ClassTag | None = None
 
     def __post_init__(self):
-        if self.rational_branch is None and self.irrational_branch is None:
-            raise ValueError("piece needs at least one branch")
-
-    def branch_for(self, tag: ClassTag) -> AffineExpr | None:
-        if tag is ClassTag.RATIONAL:
-            return self.rational_branch
-        return self.irrational_branch
+        if self.tag is not None and self.tag.__class__ is not ClassTag:
+            raise TypeError(f"class tag or None required, got {self.tag!r}")
 
 
 @dataclass(frozen=True)
@@ -192,19 +187,18 @@ class MappingSpec:
 
     @cached_property
     def _cut_table(self) -> tuple[dict, list[dict]]:
-        """Each (piece, class) with a branch, cut once: the class cells per
-        class, in ``class_cells`` order, and per piece its cut for each
-        class it has a branch for, which ``validate`` reads."""
+        """Each (piece, class) the piece serves, cut once: the class cells
+        per class, in ``class_cells`` order, and per piece its cut for each
+        class it serves, which ``validate`` reads."""
         cells: dict[ClassTag, tuple[tuple[Interval, AffineExpr], ...]] = {}
         cuts: list[dict[ClassTag, tuple[Interval, ...]]] = [{} for _ in self.pieces]
         for tag in _TAGS:
             out = []
             for piece, cut in zip(self.pieces, cuts):
-                expr = piece.branch_for(tag)
-                if expr is not None:
+                if piece.tag in (None, tag):
                     cut[tag] = ivs = self._cut(piece.over, tag)
                     for iv in ivs:
-                        out.append((iv, expr))
+                        out.append((iv, piece.expr))
             cells[tag] = tuple(out)
         return cells, cuts
 
@@ -222,9 +216,8 @@ class MappingSpec:
             return value
         tag = class_of(x)
         for piece in self.pieces:
-            expr = piece.branch_for(tag)
-            if expr is not None and piece.over.contains(x):
-                return expr.at(x)
+            if piece.tag in (None, tag) and piece.over.contains(x):
+                return piece.expr.at(x)
         raise ValueError(f"no branch covers {format_scalar(x)}")
 
     def residual(self, x) -> QuadExt:
@@ -362,10 +355,10 @@ class MappingSpec:
                 )
         for idx, (piece, cut) in enumerate(zip(self.pieces, cuts)):
             img = _slices()
+            slope, intercept = piece.expr.slope, piece.expr.intercept
             for tag, ivs in cut.items():
-                expr = piece.branch_for(tag)
                 for iv in ivs:
-                    _add_image(img, tag, iv, expr.slope, expr.intercept)
+                    _add_image(img, tag, iv, slope, intercept)
             escape = {tag: _plain_intersect(img[tag], outside) for tag in _TAGS}
             if any(class_nonempty(tag, ivs) for tag, ivs in escape.items()):
                 out.append(

@@ -1,7 +1,7 @@
 """Deterministic plot renderings of a mapping spec.
 
 CSV tabulates both class branches and the displacement at evenly spaced
-sample points; SVG draws one polyline per class branch per piece, the
+sample points; SVG draws one polyline per piece and class it serves, the
 identity line, and the finite fixed points.  Byte-identical output for
 identical inputs.
 """
@@ -50,9 +50,8 @@ def plot_window(spec: MappingSpec) -> tuple[QuadExt, QuadExt]:
 
 def _branch_value(spec: MappingSpec, x: QuadExt, tag: ClassTag) -> QuadExt | None:
     for piece in spec.pieces:
-        expr = piece.branch_for(tag)
-        if expr is not None and piece.over.contains(x):
-            return expr.at(x)
+        if piece.tag in (None, tag) and piece.over.contains(x):
+            return piece.expr.at(x)
     return None
 
 
@@ -159,16 +158,12 @@ def _svg_content(spec: MappingSpec) -> str:
         if span is None or span.lo == span.hi:
             continue
         a, b = float(span.lo), float(span.hi)
-        for tag in (ClassTag.RATIONAL, ClassTag.IRRATIONAL):
-            expr = piece.branch_for(tag)
-            if expr is None:
-                continue
-            seg = _clip_y(
-                a, float(expr.at(span.lo)), b, float(expr.at(span.hi)), lo, hi
-            )
-            if seg is None:
-                continue
-            x1, y1, x2, y2 = seg
+        expr = piece.expr
+        seg = _clip_y(a, float(expr.at(span.lo)), b, float(expr.at(span.hi)), lo, hi)
+        if seg is None:
+            continue
+        x1, y1, x2, y2 = seg
+        for tag in colors if piece.tag is None else (piece.tag,):
             lines.append(
                 f'<polyline class="{tag}-branch" points="'
                 f'{_px(x1, lo, hi):.2f},{_py(y1, lo, hi):.2f} '

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from .intervals import Interval
 from .mapping import AffineExpr, MappingSpec, Piece, PointOverride
+from .scalars import ClassTag
 
 LOW = Fraction(0)
 HIGH = Fraction(10)
@@ -59,10 +60,13 @@ def _interp(a: Fraction, b: Fraction, ya: Fraction, yb: Fraction) -> AffineExpr:
 
 
 def _pieces_for(cell: Interval, expr: AffineExpr, irr: AffineExpr) -> list[Piece]:
-    """Parser-shaped pieces: one all-class piece, or two single-branch ones."""
+    """One all-class piece, or a rational and an irrational one."""
     if irr == expr:
-        return [Piece(cell, expr, expr)]
-    return [Piece(cell, expr, None), Piece(cell, None, irr)]
+        return [Piece(cell, expr)]
+    return [
+        Piece(cell, expr, ClassTag.RATIONAL),
+        Piece(cell, irr, ClassTag.IRRATIONAL),
+    ]
 
 
 def _interpolated(rng: random.Random) -> MappingSpec:
@@ -104,7 +108,7 @@ def _zigzag(rng: random.Random) -> MappingSpec:
     pieces = []
     for i, cell in enumerate(cells):
         expr = _interp(xs[i], xs[i + 1], ys[i], ys[i + 1])
-        pieces.append(Piece(cell, expr, expr))
+        pieces.append(Piece(cell, expr))
     return MappingSpec(Interval.closed(LOW, HIGH), tuple(pieces))
 
 
@@ -122,7 +126,7 @@ def _swap(rng: random.Random) -> MappingSpec:
     high_expr = _interp(m, HIGH, c, d)
     pieces = (
         *_pieces_for(Interval(LOW, m, False, False), low_expr, low_irr),
-        Piece(Interval(m, HIGH, True, False), high_expr, high_expr),
+        Piece(Interval(m, HIGH, True, False), high_expr),
     )
     overrides = (
         PointOverride(LOW, rng.choice((HIGH, _rat(rng, Fraction(1), HIGH)))),

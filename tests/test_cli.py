@@ -89,6 +89,19 @@ def test_kkm_json_is_byte_identical_to_golden(monkeypatch):
             assert _stdout(argv) == golden.read_bytes(), (name, kind)
 
 
+def test_plot_is_byte_identical_to_golden(monkeypatch, tmp_path):
+    """plot/corpusNN.F is ``python -m kkmfix plot --map corpusNN.map --out
+    corpusNN.F --format F`` (default ``--samples 101``) run in the package's
+    data directory."""
+    monkeypatch.chdir(_CORPUS_DIR)
+    for name in _MAPS:
+        for fmt in ("svg", "csv"):
+            out = tmp_path / f"{name[:-4]}.{fmt}"
+            run_command(["plot", "--map", name, "--out", str(out), "--format", fmt])
+            golden = _GOLDEN / "plot" / out.name
+            assert out.read_bytes() == golden.read_bytes(), out.name
+
+
 def test_kkm_builds_each_witness_set_once(monkeypatch):
     import kkmfix.conditions
     import kkmfix.kkm

@@ -522,9 +522,9 @@ def _structural_points(spec):
     pts.update(e for e in (spec.domain.lo, spec.domain.hi) if e is not None)
     for piece in spec.pieces:
         pts.update(e for e in (piece.over.lo, piece.over.hi) if e is not None)
-        for expr in (piece.rational_branch, piece.irrational_branch):
-            if expr is not None and expr.slope != 1:
-                pts.add(expr.intercept / (1 - expr.slope))
+        expr = piece.expr
+        if expr.slope != 1:
+            pts.add(expr.intercept / (1 - expr.slope))
     return {p for p in pts if spec.domain.contains(p)}
 
 

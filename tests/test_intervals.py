@@ -139,6 +139,19 @@ def test_interval_rejects_each_malformed_form():
     ):
         with pytest.raises(ValueError, match=re.escape(message)):
             Interval(*args)
+    # the named tuple's own constructors and unpickling check too
+    backwards = tuple.__new__(Interval, (QuadExt(1), QuadExt(0), True, True))
+    routes = [
+        lambda: Interval._make((1, 0, True, True)),
+        lambda: Interval.closed(0, 1)._replace(lo=5),
+    ]
+    routes += [
+        lambda p=p: pickle.loads(pickle.dumps(backwards, protocol=p))
+        for p in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    for route in routes:
+        with pytest.raises(ValueError, match="backwards interval"):
+            route()
 
 
 def test_interval_is_an_immutable_value():
@@ -159,7 +172,10 @@ def test_interval_is_an_immutable_value():
     table = {iv: "a", Interval.point(SQRT2): "b"}
     assert table[same] == "a" and table[Interval.closed(SQRT2, SQRT2)] == "b"
     assert Interval(1, Fraction(3, 2)) not in table
-    assert pickle.loads(pickle.dumps(iv)) == iv
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(iv, protocol=protocol))
+        assert back == iv and back.__class__ is Interval
+    assert iv._replace(hi_closed=True) == Interval(1, Fraction(3, 2))
 
 
 def _query_end(rng) -> QuadExt:

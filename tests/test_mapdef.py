@@ -1,12 +1,18 @@
 """Mapping text format: parse/serialize round-trips and located rejections."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import kkmfix
+from kkmfix.intervals import Interval
 from kkmfix.mapdef import ParseError, parse, serialize
+from kkmfix.mapping import AffineExpr, MappingSpec, Piece
 from kkmfix.randmaps import random_specs
-from kkmfix.scalars import QuadExt
+from kkmfix.scalars import ClassTag, QuadExt
+
+_CORPUS_DIR = Path(kkmfix.__file__).parent / "data"
 
 
 def test_roundtrip_corpus(corpus):
@@ -17,6 +23,23 @@ def test_roundtrip_corpus(corpus):
 def test_roundtrip_generated():
     for spec in random_specs(100, seed=1):
         assert parse(serialize(spec)) == spec
+
+
+def test_roundtrip_class_split_piece():
+    iv = Interval.closed(0, 10)
+    spec = MappingSpec(
+        iv,
+        (
+            Piece(iv, AffineExpr(Fraction(1, 2), 0), ClassTag.RATIONAL),
+            Piece(iv, AffineExpr(0, 3), ClassTag.IRRATIONAL),
+        ),
+    )
+    assert serialize(spec) == (
+        "domain [0, 10]\n"
+        "piece [0, 10] rational: 1/2 x\n"
+        "piece [0, 10] irrational: 3\n"
+    )
+    assert parse(serialize(spec)) == spec
 
 
 def test_parse_scalar_and_interval_forms():
@@ -88,3 +111,13 @@ def test_serialize_is_canonical(corpus):
     assert text.splitlines()[0].startswith("label ")
     assert "domain [0, 10]" in text
     assert serialize(parse(text)) == text
+
+
+def test_serialize_reproduces_every_corpus_file():
+    """serialize(parse(text)) is the corpus file itself, less comments and
+    blank lines, split class lines included."""
+    for path in sorted(_CORPUS_DIR.glob("corpus*.map")):
+        text = path.read_text(encoding="utf-8")
+        kept = [line.split("#", 1)[0].rstrip() for line in text.splitlines()]
+        expected = "".join(line + "\n" for line in kept if line.strip())
+        assert serialize(parse(text)) == expected, path.name

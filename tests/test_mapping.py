@@ -1,6 +1,7 @@
 """Mapping specs: evaluation, self-map validity, exact images and fixed
 points, displacement infimum, and violation reporting."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -40,11 +41,7 @@ def test_affine_expr_holds_rational_quadext(corpus):
         with pytest.raises(TypeError):
             AffineExpr(0, bad)
     branches = [
-        expr
-        for entry in corpus.values()
-        for piece in entry.spec.pieces
-        for expr in (piece.rational_branch, piece.irrational_branch)
-        if expr is not None
+        piece.expr for entry in corpus.values() for piece in entry.spec.pieces
     ]
     assert len(branches) > 14
     for expr in branches:
@@ -94,8 +91,7 @@ def test_fixed_point_pins(corpus):
 def test_identity_has_infinite_fixed_set():
     spec = MappingSpec(
         Interval.closed(0, 1),
-        (Piece(Interval.closed(0, 1), AffineExpr(Fraction(1), Fraction(0)),
-               AffineExpr(Fraction(1), Fraction(0))),),
+        (Piece(Interval.closed(0, 1), AffineExpr(Fraction(1), Fraction(0))),),
     )
     assert spec.fixed_point_set() == ClassSet.from_interval(Interval.closed(0, 1))
     with pytest.raises(ValueError):
@@ -116,28 +112,34 @@ def test_inf_residual_pins(corpus):
     assert default_gap_delta(shift) == 2
 
 
+def test_piece_is_one_expression_for_one_class_or_both():
+    iv, expr = Interval.closed(0, 1), AffineExpr(Fraction(1), Fraction(0))
+    assert [f.name for f in dataclasses.fields(Piece)] == ["over", "expr", "tag"]
+    assert Piece(iv, expr).tag is None
+    assert Piece(iv, expr, ClassTag.IRRATIONAL).tag is ClassTag.IRRATIONAL
+    with pytest.raises(TypeError):
+        Piece(iv, expr, expr)  # a second expression where the tag goes
+
+
 def test_validate_reports_escape_and_gaps():
     dom = Interval.closed(0, 10)
     expr = AffineExpr(Fraction(2), Fraction(0))
-    escaping = MappingSpec(dom, (Piece(dom, expr, expr),))
+    escaping = MappingSpec(dom, (Piece(dom, expr),))
     assert any(v.kind == "not-self-map" for v in escaping.validate())
 
     half = Piece(Interval(QuadExt(0), QuadExt(5), True, True),
-                 AffineExpr(Fraction(0), Fraction(1)),
                  AffineExpr(Fraction(0), Fraction(1)))
     gappy = MappingSpec(dom, (half,))
     assert any(v.kind == "coverage-gap" for v in gappy.validate())
 
     other = Piece(Interval(QuadExt(3), QuadExt(10), True, True),
-                  AffineExpr(Fraction(0), Fraction(2)),
                   AffineExpr(Fraction(0), Fraction(2)))
     overlapping = MappingSpec(dom, (half, other))
     assert any(v.kind == "coverage-overlap" for v in overlapping.validate())
 
     dupes = MappingSpec(
         dom,
-        (Piece(dom, AffineExpr(Fraction(0), Fraction(1)),
-               AffineExpr(Fraction(0), Fraction(1))),),
+        (Piece(dom, AffineExpr(Fraction(0), Fraction(1))),),
         (PointOverride(0, 2), PointOverride(0, 3)),
     )
     assert any(v.kind == "override-duplicate" for v in dupes.validate())

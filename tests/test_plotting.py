@@ -18,7 +18,7 @@ from kkmfix import (
 
 _IDENTITY = MappingSpec(
     Interval.closed(0, 1),
-    (Piece(Interval.closed(0, 1), AffineExpr(1, 0), AffineExpr(1, 0)),),
+    (Piece(Interval.closed(0, 1), AffineExpr(1, 0)),),
     label="identity on the unit interval",
 )
 
@@ -87,7 +87,7 @@ def test_svg_structure(corpus):
     assert svg.count("<rect") == 1
     assert svg.count('class="identity"') == 1
     assert 'stroke-dasharray="4 4"' in svg
-    # one polyline per class branch per piece inside the window
+    # one polyline per piece inside the window and class it serves
     lo, hi = plot_window(corpus[2].spec)
     expected = 0
     for piece in corpus[2].spec.pieces:
@@ -95,9 +95,7 @@ def test_svg_structure(corpus):
         span_hi = piece.over.hi if piece.over.hi is not None else hi
         if max(span_lo, lo) >= min(span_hi, hi):
             continue
-        expected += (piece.rational_branch is not None) + (
-            piece.irrational_branch is not None
-        )
+        expected += 2 if piece.tag is None else 1
     assert svg.count("<polyline") == expected == 6
     assert 'class="rational-branch"' in svg
     assert 'class="irrational-branch"' in svg
@@ -148,11 +146,7 @@ def test_fraction_samples_render_exactly():
     spec = MappingSpec(
         Interval.closed(0, Fraction(1, 3)),
         (
-            Piece(
-                Interval.closed(0, Fraction(1, 3)),
-                AffineExpr(0, Fraction(1, 4)),
-                AffineExpr(0, Fraction(1, 4)),
-            ),
+            Piece(Interval.closed(0, Fraction(1, 3)), AffineExpr(0, Fraction(1, 4))),
         ),
     )
     rows = _rows(emit_plot(spec, format="csv", samples=3))
