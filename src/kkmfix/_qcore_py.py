@@ -125,12 +125,9 @@ class QuadExt:
             t = isqrt(2 * q * q)
         else:
             t = -isqrt(2 * q * q) - 1
-        f = (p + t) // r
-        while _sign_pq(p - (f + 1) * r, q) >= 0:
-            f += 1
-        while _sign_pq(p - f * r, q) < 0:
-            f -= 1
-        return f
+        # t = floor(q*sqrt2) exactly, as 2q^2 is never a square, and
+        # floor((n + theta)/r) = n // r for integer n and 0 <= theta < 1
+        return (p + t) // r
 
     __floor__ = floor
 

@@ -32,7 +32,6 @@ class UsageError(Exception):
 @dataclass(frozen=True)
 class Report:
     command: str
-    inputs: str
     verdicts: dict
     exit_code: int
     rendered: str
@@ -380,7 +379,7 @@ def _report(command, inputs, payload, exit_code, args, lines) -> Report:
         rendered = json.dumps(body, indent=2)
     else:
         rendered = "\n".join(lines)
-    return Report(command, inputs, payload, exit_code, rendered)
+    return Report(command, payload, exit_code, rendered)
 
 
 _COMMANDS = {

@@ -100,11 +100,6 @@ class ConditionVerdict:
         return f"{self.status}: {self.detail}"
 
 
-def _require_in_domain(spec: MappingSpec, x: QuadExt) -> None:
-    if not spec.domain.contains(x):
-        raise ValueError(f"{format_scalar(x)} outside domain")
-
-
 _ZERO, _ONE, _MINUS_ONE = QuadExt(0), QuadExt(1), QuadExt(-1)
 
 
@@ -173,14 +168,11 @@ def b_value(kind: BKind, spec: MappingSpec, points, u) -> QuadExt:
     if not pts:
         raise ValueError("empty subset")
     u = as_scalar(u)
-    for p in pts:
-        _require_in_domain(spec, p)
+    images = [spec.evaluate(p) for p in pts]
     if not (min(pts) <= u <= max(pts)):
         raise ValueError(f"{format_scalar(u)} outside the hull")
-    _require_in_domain(spec, u)
     best = None
-    for p in pts:
-        fp = spec.evaluate(p)
+    for p, fp in zip(pts, images):
         if kind is BKind.ANCHOR:
             g = dist(p, u)
         elif kind is BKind.DISPLACEMENT:
@@ -221,8 +213,6 @@ def check_b_subset(kind: BKind, spec: MappingSpec, points) -> ConditionVerdict:
     pts = sorted({as_scalar(p) for p in points})
     if not pts:
         raise ValueError("empty subset")
-    for p in pts:
-        _require_in_domain(spec, p)
     lo, hi = pts[0], pts[-1]
     images = [spec.evaluate(p) for p in pts]
     hull = Interval.closed(lo, hi)
@@ -283,10 +273,9 @@ def check_b3_strong(
         raise ValueError("one weight per point required")
     u = sum((w * p for w, p in zip(ws, pts)), QuadExt(0))
     SubsetWitness(pts, ws, u)  # validates weights and hull membership
-    for p in pts:
-        _require_in_domain(spec, p)
+    images = [spec.evaluate(p) for p in pts]
     lhs = spec.residual(u)
-    rhs = sum((w * dist(spec.evaluate(p), u) for w, p in zip(ws, pts)), QuadExt(0))
+    rhs = sum((w * dist(fp, u) for w, fp in zip(ws, images)), QuadExt(0))
     return lhs, rhs, lhs <= rhs
 
 

@@ -74,13 +74,11 @@ class EmChainReport:
     """Sublevel sets at thresholds 1/m for m = 1..m_max.
 
     ``tail_intersection`` cuts the last level down to the exact fixed-point
-    set (the infinite chain's limit); ``tail_equals_fixed_points`` records
-    whether the last level alone already reached it."""
+    set, the infinite chain's limit."""
 
     levels: tuple[tuple[int, ClassSet, bool, bool], ...]
     nested: bool
     tail_intersection: ClassSet
-    tail_equals_fixed_points: bool
 
 
 def g_set(kind: GKind, spec: MappingSpec, x) -> ClassSet:
@@ -157,10 +155,4 @@ def em_chain(spec: MappingSpec, m_max: int) -> EmChainReport:
         if previous is not None and not level.difference(previous).is_empty:
             nested = False
         previous = level
-    tail = levels[-1][1]
-    return EmChainReport(
-        levels=tuple(levels),
-        nested=nested,
-        tail_intersection=tail.intersect(fixed),
-        tail_equals_fixed_points=tail == fixed,
-    )
+    return EmChainReport(tuple(levels), nested, previous.intersect(fixed))

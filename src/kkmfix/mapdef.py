@@ -190,7 +190,7 @@ def parse(text: str, validate: bool = True) -> MappingSpec:
 
 def serialize(spec: MappingSpec) -> str:
     """Mapdef text for a spec, one line per piece and override; parse
-    inverts it whenever the label is text parse could have read."""
+    inverts it."""
     lines = []
     if spec.label:
         lines.append(f"label {spec.label}")

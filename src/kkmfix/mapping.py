@@ -165,6 +165,9 @@ class MappingSpec:
     def __post_init__(self):
         object.__setattr__(self, "pieces", tuple(self.pieces))
         object.__setattr__(self, "overrides", tuple(self.overrides))
+        label = self.label  # as mapdef's ``label`` line reads it back
+        if label != label.strip() or "#" in label or len(label.splitlines()) > 1:
+            raise ValueError(f"label {label!r} does not read back from map text")
 
     @cached_property
     def _override_map(self) -> dict[QuadExt, QuadExt]:

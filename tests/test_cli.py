@@ -25,6 +25,11 @@ domain [0, 1]
 piece [0, 1] all: x + 4
 """
 
+_SYNTAX_ERROR_MAP = """\
+domain [0, 1
+piece [0, 1] all: x
+"""
+
 
 @pytest.fixture(scope="module")
 def maps(tmp_path_factory):
@@ -42,6 +47,9 @@ def maps(tmp_path_factory):
     bad = d / "bad.map"
     bad.write_text(_BAD_MAP, encoding="utf-8")
     paths["bad"] = str(bad)
+    syntax = d / "syntax.map"
+    syntax.write_text(_SYNTAX_ERROR_MAP, encoding="utf-8")
+    paths["syntax"] = str(syntax)
     return paths
 
 
@@ -326,10 +334,19 @@ def test_main_prints_rendered(maps, capsys):
         (["plot", "--map", "x", "--out", "/no/such/dir/a.svg"], "--out"),
         (["plot", "--map", "x", "--out", "a", "--samples", "0"], "--samples"),
         (["kkm", "--map", "x", "--kind", "g1", "--points", "20,30"], "--points"),
+        (["kkm", "--map", "x", "--kind", "g3", "--delta", "abc",
+          "--points", "1"], "--delta"),
+        # entry 9 has a fixed point, so no displacement gap to default to
+        (["kkm", "--map", "x", "--kind", "g3", "--points", "1"], "--delta"),
+        (["kkm", "--map", "x", "--kind", "g1", "--points", "1,zz"], "--points"),
+        (["kkm", "--map", "x", "--kind", "g1", "--points", ","], "--points"),
+        (["check", "--map", "syntax", "--theorem", "t1"], "--map"),
+        (["parse", "--map", "syntax"], "--map"),
     ],
 )
 def test_usage_errors(maps, capsys, argv, flag):
-    argv = [maps[9] if token == "x" else token for token in argv]
+    named = {"x": maps[9], "syntax": maps["syntax"]}
+    argv = [named.get(token, token) for token in argv]
     code = main(argv)
     assert code == 2
     err = capsys.readouterr().err

@@ -26,10 +26,11 @@ from kkmfix.conditions import (
 )
 from kkmfix.intervals import ClassSet, Interval
 from kkmfix.kkm import GKind, verify_kkm
-from kkmfix.mapdef import parse
+from kkmfix.mapdef import parse, serialize
+from kkmfix.mapping import AffineExpr, MappingSpec, Piece, PointOverride
 from kkmfix.randmaps import random_specs
-from kkmfix.scalars import SQRT2, QuadExt, dist, format_scalar
-from kkmfix.verdict import corpus_entry
+from kkmfix.scalars import SQRT2, ClassTag, QuadExt, dist, format_scalar
+from kkmfix.verdict import TheoremId, corpus_entry, run_theorem
 
 from conftest import rand_point_in
 from pair_oracle import falsify_b
@@ -650,3 +651,136 @@ def test_subset_witness_validation():
         u=QuadExt(1),
     )
     assert witness.u == 1
+
+
+@pytest.mark.parametrize(
+    "text, c1, c2",
+    [
+        (
+            "domain (0, 10]\npiece (0, 10] all: 1/2 x\n",
+            "Proven: f(10) < 10 caps a closed bounded final segment of C",
+            "Proven: x* = 10 empties the part at the open end",
+        ),
+        (
+            "domain [0, 10)\npiece [0, 10) all: 1/2 x + 5\n",
+            "Proven: f(0) > 0 caps a closed bounded initial segment of C",
+            "Proven: x* = 0 empties the part at the open end",
+        ),
+        (
+            "domain (0, 10)\npiece (0, 10) all: 1/2 x + 5/2\n",
+            "Falsified: no x* gives a compact set: every candidate set keeps an "
+            "unbounded or non-closed side of C",
+            "Falsified: every x* keeps a nonempty part ending at an open end of C",
+        ),
+        (
+            "domain (0, 10]\npiece (0, 10] all: 1/2 x + 5\n",
+            "Falsified: no x* gives a compact set: every candidate set keeps an "
+            "unbounded or non-closed side of C",
+            "Falsified: every x* keeps a nonempty part ending at an open end of C",
+        ),
+    ],
+)
+def test_compact_set_deciders_on_bounded_non_closed_domains(text, c1, c2):
+    # the closed-upper-end route of decide_c1 and both half-open routes of
+    # decide_c2, taken and missed; T1 needs C closed and gets it on none
+    spec = parse(text)
+    assert (str(decide_c1(spec)), str(decide_c2(spec))) == (c1, c2)
+    domain = run_theorem(spec, TheoremId.T1).conditions["domain"]
+    assert str(domain) == "Falsified: C is not closed"
+
+
+# closed, two half-open, open, four rays and the line
+_SHAPES = [
+    Interval(0, 10, True, True),
+    Interval(0, 10, True, False),
+    Interval(0, 10, False, True),
+    Interval(0, 10, False, False),
+    Interval(0, None, True, False),
+    Interval(0, None, False, False),
+    Interval(None, 10, False, True),
+    Interval(None, 10, False, False),
+    Interval(None, None, False, False),
+]
+
+
+def _shape_spec(rng, dom):
+    """A valid self-map of ``dom``: a chain of cells broken at quarters in
+    (0, 10), some split by class, each branch sending its cell into dom
+    (some as the identity), and up to two overrides."""
+    lo = QuadExt(-2) if dom.lo is None else dom.lo
+    hi = QuadExt(12) if dom.hi is None else dom.hi
+    pool = [lo + (hi - lo) * Fraction(k, 40) for k in range(41)]
+    pool = [v.a for v in pool if dom.contains(v)]
+    cuts = sorted({Fraction(rng.randint(1, 39), 4) for _ in range(rng.randint(0, 2))})
+    first, last = (None if e is None else e.a for e in (dom.lo, dom.hi))
+    ends = [first, *cuts, last]
+    # closed[i]: ends[i] belongs to the cell above it, not the one below
+    closed = [dom.lo_closed, *(rng.random() < 0.5 for _ in cuts), not dom.hi_closed]
+
+    def branch(a, b):
+        if rng.random() < 0.15:  # the identity, a cell of fixed points
+            return AffineExpr(1, 0)
+        if a is not None and b is not None:
+            ya, yb = rng.choice(pool), rng.choice(pool)
+            slope = (yb - ya) / (b - a)
+            return AffineExpr(slope, ya - slope * a)
+        if a is None and b is None:  # dom is the line
+            return AffineExpr(rng.choice((-1, 0, 2)), rng.randint(-3, 3))
+        # a ray: a slope may carry its image only where dom is unbounded
+        up, end = (dom.hi is None, a) if b is None else (dom.lo is None, b)
+        down = dom.lo is None if b is None else dom.hi is None
+        slope = rng.choice([0] + [1, 2] * up + [-1, Fraction(-1, 2)] * down)
+        return AffineExpr(slope, rng.choice(pool) - slope * end)
+
+    pieces = []
+    for i in range(len(ends) - 1):
+        iv = Interval(ends[i], ends[i + 1], closed[i], not closed[i + 1])
+        if rng.random() < 0.3:
+            pieces += [Piece(iv, branch(*ends[i : i + 2]), tag) for tag in ClassTag]
+        else:
+            pieces.append(Piece(iv, branch(*ends[i : i + 2])))
+    count = rng.randint(0, 2)
+    sources = {rng.choice(pool) + rng.choice((0, SQRT2 / 8)) for _ in range(count)}
+    overrides = [
+        PointOverride(x, rng.choice(pool)) for x in sorted(sources) if dom.contains(x)
+    ]
+    spec = MappingSpec(dom, pieces, overrides)
+    assert spec.validate() == [], serialize(spec)
+    return spec
+
+
+def test_compact_set_deciders_by_definition():
+    """A Proven x* makes the check_c1 (check_c2) set compact; after a
+    Falsified verdict no grid x*, at k/16 or k/16 + sqrt2/64, does."""
+    rng = random.Random(61)
+    grid = [Fraction(k, 16) for k in range(-32, 193)]
+    grid += [g + SQRT2 / 64 for g in grid]
+    for dom in _SHAPES:
+        xs = [x for x in grid if dom.contains(x)]
+        for _ in range(5):
+            spec = _shape_spec(rng, dom)
+            for decide, check in ((decide_c1, check_c1), (decide_c2, check_c2)):
+                verdict = decide(spec)
+                if verdict.status is Status.PROVEN:
+                    assert dom.contains(verdict.witness)
+                    assert check(spec, verdict.witness)[1], serialize(spec)
+                else:
+                    assert verdict.status is Status.FALSIFIED
+                    assert not any(check(spec, x)[1] for x in xs), serialize(spec)
+
+
+def test_out_of_domain_point_is_named():
+    # the first point outside C, in the order each function reads them;
+    # u = 13 lies outside C as well, but no function names it
+    spec = corpus_entry(9).spec
+    for kind in BKind:
+        with pytest.raises(ValueError, match=r"^12 outside domain$"):
+            b_value(kind, spec, (4, 12, 15), 5)
+        with pytest.raises(ValueError, match=r"^12 outside domain$"):
+            b_value(kind, spec, (12, 14), 13)
+        with pytest.raises(ValueError, match=r"^-1 outside domain$"):
+            check_b_subset(kind, spec, (15, 4, -1))
+    with pytest.raises(ValueError, match=r"^12 outside domain$"):
+        check_b3_strong(spec, (12, 14), (Fraction(1, 2), Fraction(1, 2)))
+    with pytest.raises(ValueError, match=r"^5 outside the hull$"):
+        b_value(BKind.ANCHOR, spec, (6, 8), 5)

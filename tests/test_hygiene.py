@@ -1,9 +1,10 @@
 """Source hygiene that no installed linter checks: every name a module
 imports is used in it, every module-level private function or class is
 referenced somewhere in the package beyond its own definition, every
-module-level private constant is read by its module or taken from it, and
+module-level private constant is read by its module or taken from it,
 every public method of a package class is read as an attribute in the
-package, its tests or the benchmark."""
+package, its tests or the benchmark, and so is every field of a package
+dataclass or named tuple."""
 
 import ast
 import importlib
@@ -271,4 +272,81 @@ def test_no_unused_public_methods():
             module = importlib.import_module(f"kkmfix.{path.stem}")
             found = _unused_methods(source, vars(module), attributes)
             out.extend(f"{path.name}: {name}" for name in found)
+    assert out == []
+
+
+def _record_fields(source: str) -> list[tuple[str, str]]:
+    """(class, field) for each annotated field of the module-level
+    dataclasses and named tuples in ``source``."""
+    out = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = {
+            ast.unparse(d.func if isinstance(d, ast.Call) else d)
+            for d in node.decorator_list
+        }
+        bases = {ast.unparse(b) for b in node.bases}
+        if "dataclass" in decorators or "NamedTuple" in bases:
+            out.extend(
+                (node.name, item.target.id)
+                for item in node.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            )
+    return out
+
+
+def _unread_fields(source: str, loaded: set[str]) -> list[str]:
+    """Record fields in ``source`` that no reader loads as an attribute
+    (``loaded``); a field only ever written or passed is flagged."""
+    return sorted(
+        f"{cls}.{field}" for cls, field in _record_fields(source) if field not in loaded
+    )
+
+
+_FIELD_SAMPLE = """\
+from dataclasses import dataclass
+from typing import NamedTuple
+@dataclass(frozen=True)
+class Record:
+    read: int
+    written: int
+    unread: str = ""
+    def method(self): return self.read
+@dataclass
+class Bare:
+    kept: int
+class Pair(NamedTuple):
+    left: int
+    right: int
+class Plain:
+    note: int
+def build(r): r.written = 1; return Pair(1, 2).left
+"""
+
+
+def _loaded_attributes(sources) -> set[str]:
+    return {
+        node.attr
+        for source in sources
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_unread_field_finder():
+    loaded = _loaded_attributes([_FIELD_SAMPLE, "x.kept"])
+    assert _unread_fields(_FIELD_SAMPLE, loaded) == [
+        "Pair.right",
+        "Record.unread",
+        "Record.written",
+    ]
+
+
+def test_no_unread_record_fields():
+    loaded = _loaded_attributes(p.read_text(encoding="utf-8") for p in _READERS)
+    out = []
+    for path in _SOURCES:
+        found = _unread_fields(path.read_text(encoding="utf-8"), loaded)
+        out.extend(f"{path.name}: {name}" for name in found)
     assert out == []

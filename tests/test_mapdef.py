@@ -42,6 +42,17 @@ def test_roundtrip_class_split_piece():
     assert parse(serialize(spec)) == spec
 
 
+@pytest.mark.parametrize(
+    "label", ["  a  b ", "x # y", "a\nb", "a\x0cb", "a\x85b", "a\u2028b", " "]
+)
+def test_label_that_would_not_read_back_is_rejected(label):
+    # each would come back from parse(serialize(spec)) cut short, stripped
+    # or as an unknown directive
+    iv = Interval.closed(0, 10)
+    with pytest.raises(ValueError, match="does not read back"):
+        MappingSpec(iv, (Piece(iv, AffineExpr(0, 3)),), label=label)
+
+
 def test_parse_scalar_and_interval_forms():
     spec = parse(
         "label demo\n"

@@ -1,13 +1,16 @@
-"""Property test for the mapping text format: every text drawn from a
+"""Property tests for the mapping text format: every text drawn from a
 small line grammar, malformed tokens mixed in, is either rejected with a
-ParseError or parsed to a spec that serialize writes back exactly."""
+ParseError or parsed to a spec that serialize writes back exactly, and
+every label is either rejected by MappingSpec or read back exactly."""
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
+from kkmfix.intervals import Interval  # noqa: E402
 from kkmfix.mapdef import ParseError, parse, serialize  # noqa: E402
+from kkmfix.mapping import AffineExpr, MappingSpec, Piece  # noqa: E402
 
 
 # a small mapdef grammar on the domain [0, 10]: mostly well-formed tokens
@@ -66,3 +69,19 @@ def test_parse_rejects_or_round_trips(head, lines):
         except ParseError:
             continue
         assert parse(serialize(spec), validate=validate) == spec
+
+
+# spaces, a comment mark and every kind of line break str.splitlines
+# knows, among plain letters and a tab
+_LABEL_CHARS = "ab #\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+@hypothesis.given(st.text(alphabet=_LABEL_CHARS, max_size=6))
+def test_label_is_rejected_or_read_back(label):
+    iv = Interval.closed(0, 10)
+    try:
+        spec = MappingSpec(iv, (Piece(iv, AffineExpr(0, 3)),), label=label)
+    except ValueError:
+        return
+    assert parse(serialize(spec)) == spec

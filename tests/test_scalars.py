@@ -254,3 +254,27 @@ def test_pure_kernel_matches_fraction():
     for r in wide + no_inverse:
         assert hash(Q(r)) == hash(r)
     assert {hash(Q(r)) for r in no_inverse} == {sys.hash_info.inf, -sys.hash_info.inf}
+
+
+def test_floor_of_irrationals_by_definition():
+    """f = floor(x) satisfies f <= x < f + 1, compared exactly: on values
+    with up to 30-digit coefficients and b of either sign, and on
+    n + (p - q*sqrt2) for Pell pairs p^2 - 2q^2 = +-1, within 1/(2p) of an
+    integer on either side."""
+    rng = random.Random(43)
+
+    def big():
+        return Fraction(
+            rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** rng.randint(0, 30))
+        )
+
+    values = [QuadExt(big(), big() or 1) for _ in range(2000)]
+    p, q = 1, 1
+    while p < 10 ** 30:
+        for n in (-3, 0, 7):
+            values += [QuadExt(n + p, -q), QuadExt(n - p, q)]
+        p, q = p + 2 * q, p + q
+    for x in values:
+        f = x.floor()
+        assert QuadExt(f) <= x < QuadExt(f + 1), x
+        assert math.ceil(x) == f + 1
