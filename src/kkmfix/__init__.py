@@ -1,116 +1,85 @@
-"""kkmfix: exact verification toolkit for piecewise-affine interval self-maps."""
+"""kkmfix: exact verification toolkit for piecewise-affine interval self-maps.
 
-from .scalars import (
-    KERNEL,
-    SQRT2,
-    ClassTag,
-    QuadExt,
-    as_scalar,
-    class_of,
-    dist,
-    format_scalar,
-    parse_scalar,
-)
-from .intervals import ClassSet, Interval
-from .mapping import AffineExpr, MappingSpec, Piece, PointOverride, Violation
-from .mapdef import ParseError, parse, serialize
-from .conditions import (
-    BKind,
-    ConditionVerdict,
-    Status,
-    SubsetWitness,
-    b_value,
-    check_b3_strong,
-    check_b_subset,
-    check_c1,
-    check_c2,
-    check_c3,
-    check_onto,
-    decide_b,
-    decide_c1,
-    decide_c2,
-    sublevel,
-)
-from .kkm import (
-    EmChainReport,
-    GForm,
-    GKind,
-    default_gap_delta,
-    em_chain,
-    g_set,
-    intersection_witness,
-    verify_kkm,
-)
-from .verdict import (
-    CorpusEntry,
-    TheoremId,
-    TheoremVerdict,
-    corpus_entry,
-    run_corpus,
-    run_theorem,
-)
-from .randmaps import FAMILIES, random_spec, random_specs
-from .plotting import emit_plot, plot_window
-from .cli import Report, main, run_command
+The public names load on first use (PEP 562): ``import kkmfix`` imports no
+submodule, and ``kkmfix.run_theorem`` imports ``kkmfix.verdict`` and what it
+needs, then keeps the name here.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "KERNEL",
-    "SQRT2",
-    "ClassTag",
-    "QuadExt",
-    "as_scalar",
-    "class_of",
-    "dist",
-    "format_scalar",
-    "parse_scalar",
-    "ClassSet",
-    "Interval",
-    "AffineExpr",
-    "MappingSpec",
-    "Piece",
-    "PointOverride",
-    "Violation",
-    "ParseError",
-    "parse",
-    "serialize",
-    "BKind",
-    "ConditionVerdict",
-    "Status",
-    "SubsetWitness",
-    "b_value",
-    "check_b3_strong",
-    "check_b_subset",
-    "check_c1",
-    "check_c2",
-    "check_c3",
-    "check_onto",
-    "decide_b",
-    "decide_c1",
-    "decide_c2",
-    "sublevel",
-    "EmChainReport",
-    "GForm",
-    "GKind",
-    "default_gap_delta",
-    "em_chain",
-    "g_set",
-    "intersection_witness",
-    "verify_kkm",
-    "CorpusEntry",
-    "TheoremId",
-    "TheoremVerdict",
-    "corpus_entry",
-    "run_corpus",
-    "run_theorem",
-    "FAMILIES",
-    "random_spec",
-    "random_specs",
-    "emit_plot",
-    "plot_window",
-    "Report",
-    "main",
-    "run_command",
-    "__version__",
-]
+# public name -> the submodule that defines it
+_HOME = {
+    name: module
+    for module, names in {
+        "scalars": (
+            "KERNEL",
+            "SQRT2",
+            "ClassTag",
+            "QuadExt",
+            "as_scalar",
+            "class_of",
+            "dist",
+            "format_scalar",
+            "parse_scalar",
+        ),
+        "intervals": ("ClassSet", "Interval"),
+        "mapping": ("AffineExpr", "MappingSpec", "Piece", "PointOverride", "Violation"),
+        "mapdef": ("ParseError", "parse", "serialize"),
+        "conditions": (
+            "BKind",
+            "ConditionVerdict",
+            "Status",
+            "SubsetWitness",
+            "b_value",
+            "check_b3_strong",
+            "check_b_subset",
+            "check_c1",
+            "check_c2",
+            "check_c3",
+            "check_onto",
+            "decide_b",
+            "decide_c1",
+            "decide_c2",
+            "sublevel",
+        ),
+        "kkm": (
+            "EmChainReport",
+            "GForm",
+            "GKind",
+            "default_gap_delta",
+            "em_chain",
+            "g_set",
+            "intersection_witness",
+            "verify_kkm",
+        ),
+        "verdict": (
+            "CorpusEntry",
+            "TheoremId",
+            "TheoremVerdict",
+            "corpus_entry",
+            "run_corpus",
+            "run_theorem",
+        ),
+        "randmaps": ("FAMILIES", "random_spec", "random_specs"),
+        "plotting": ("emit_plot", "plot_window"),
+        "cli": ("Report", "main", "run_command"),
+    }.items()
+    for name in names
+}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -4,33 +4,31 @@ Exit codes: 0 all checks favorable or matching, 1 a falsification or
 mismatch, 2 usage or parse error.  Identical argv produce byte-identical
 output; every scalar prints exactly (JSON mode round-trips through
 parse_scalar).
+
+Each command imports the modules only it uses, so that a process loads
+no decider it does not run: ``check`` and ``corpus`` load ``verdict``,
+``kkm`` loads ``kkm``, and ``plot`` loads ``plotting``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
-from .conditions import ConditionVerdict, Status, SubsetWitness
 from .intervals import ClassSet
-from .kkm import GForm, GKind, _common, _covers, default_gap_delta, g_set
 from .mapdef import ParseError, parse
 from .mapping import MappingSpec
-from .plotting import FORMATS, emit_plot
 from .scalars import as_scalar, format_scalar, parse_scalar
-from .verdict import TheoremId, TheoremVerdict, run_corpus, run_theorem
 
 
 class UsageError(Exception):
     """Bad invocation; the message names the offending flag."""
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     command: str
     verdicts: dict
     exit_code: int
@@ -49,7 +47,12 @@ def _positive(text: str) -> int:
     return value
 
 
-_KINDS = {"g1": GForm.ANCHOR, "g2": GForm.DISPLACEMENT, "g3": GForm.GAP}
+# the option choices, spelled here so that building the parser imports no
+# decider: the TheoremId values, the GForm value of each --kind and
+# plotting.FORMATS
+_THEOREMS = ("t1", "cor3", "t3", "cor4", "t5")
+_KINDS = {"g1": "anchor", "g2": "displacement", "g3": "gap"}
+_FORMATS = ("svg", "csv")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,9 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", parents=[shared], help="run one theorem")
     check.add_argument("--map", required=True)
-    check.add_argument(
-        "--theorem", required=True, choices=[t.value for t in TheoremId]
-    )
+    check.add_argument("--theorem", required=True, choices=_THEOREMS)
 
     fixed = sub.add_parser(
         "fixed-points", parents=[shared], help="exact fixed points"
@@ -90,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     plot = sub.add_parser("plot", parents=[shared], help="render a mapping file")
     plot.add_argument("--map", required=True)
     plot.add_argument("--out", required=True)
-    plot.add_argument("--format", choices=FORMATS, default="svg")
+    plot.add_argument("--format", choices=_FORMATS, default="svg")
     plot.add_argument("--samples", type=_positive, default=101)
     return parser
 
@@ -111,6 +112,8 @@ def _scalar(x) -> str:
 
 
 def _witness_payload(witness):
+    from .conditions import SubsetWitness
+
     if witness is None:
         return None
     if isinstance(witness, SubsetWitness):
@@ -128,7 +131,7 @@ def _witness_payload(witness):
     return _scalar(witness)
 
 
-def _condition_payload(verdict: ConditionVerdict) -> dict:
+def _condition_payload(verdict) -> dict:
     return {
         "status": verdict.status.value,
         "detail": verdict.detail,
@@ -136,7 +139,7 @@ def _condition_payload(verdict: ConditionVerdict) -> dict:
     }
 
 
-def _theorem_payload(verdict: TheoremVerdict) -> dict:
+def _theorem_payload(verdict) -> dict:
     return {
         "theorem": verdict.theorem.value,
         "conditions": {
@@ -157,7 +160,9 @@ def _theorem_payload(verdict: TheoremVerdict) -> dict:
 _KEY_COLUMN = 26
 
 
-def _condition_lines(verdict: TheoremVerdict) -> list[str]:
+def _condition_lines(verdict) -> list[str]:
+    from .conditions import Status
+
     lines = []
     pad = " " * (_KEY_COLUMN + 14)
     for key, cond in verdict.conditions.items():
@@ -174,7 +179,7 @@ def _condition_lines(verdict: TheoremVerdict) -> list[str]:
     return lines
 
 
-def _fixed_line(verdict: TheoremVerdict) -> str:
+def _fixed_line(verdict) -> str:
     if verdict.fixed_points is None:
         return f"fixed-point set (infinite): {verdict.fixed_point_set}"
     if not verdict.fixed_points:
@@ -183,6 +188,9 @@ def _fixed_line(verdict: TheoremVerdict) -> str:
 
 
 def _cmd_check(args) -> Report:
+    from .conditions import Status
+    from .verdict import TheoremId, run_theorem
+
     spec = _load_spec(args.map)
     theorem = TheoremId(args.theorem)
     verdict = run_theorem(spec, theorem)
@@ -221,8 +229,10 @@ def _cmd_fixed_points(args) -> Report:
 
 
 def _cmd_kkm(args) -> Report:
+    from .kkm import GForm, GKind, _common, _covers, default_gap_delta, g_set
+
     spec = _load_spec(args.map)
-    form = _KINDS[args.kind]
+    form = GForm(_KINDS[args.kind])
     delta = None
     if args.kind != "g3":
         if args.delta is not None:
@@ -284,6 +294,8 @@ def _cmd_kkm(args) -> Report:
 
 
 def _cmd_corpus(args) -> Report:
+    from .verdict import run_corpus
+
     indices = None
     if args.only is not None:
         if not 1 <= args.only <= 14:
@@ -351,6 +363,8 @@ def _cmd_parse(args) -> Report:
 
 
 def _cmd_plot(args) -> Report:
+    from .plotting import emit_plot
+
     spec = _load_spec(args.map)
     content = emit_plot(spec, args.format, args.samples)
     try:
@@ -370,6 +384,8 @@ def _cmd_plot(args) -> Report:
 
 def _report(command, inputs, payload, exit_code, args, lines) -> Report:
     if args.json:
+        import json
+
         body = {
             "command": command,
             "inputs": inputs,

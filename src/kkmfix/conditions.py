@@ -16,10 +16,12 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .intervals import (
     ClassSet,
     Interval,
+    _Validated,
     _intersect_iv,
     _plain_complement,
     _plain_intersect,
@@ -63,31 +65,33 @@ class BKind(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class SubsetWitness:
-    """A subset, optional convex weights, and the hull point they cover."""
-
+class _Witness(NamedTuple):
     points: tuple[QuadExt, ...]
     weights: tuple[QuadExt, ...] | None
     u: QuadExt
 
-    def __post_init__(self):
-        pts = tuple(as_scalar(p) for p in self.points)
+
+class SubsetWitness(_Validated, _Witness):
+    """A subset, optional convex weights, and the hull point they cover."""
+
+    __slots__ = ()
+
+    def __new__(cls, points, weights, u):
+        pts = tuple(as_scalar(p) for p in points)
         if not pts:
             raise ValueError("witness needs at least one point")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "u", as_scalar(self.u))
-        if self.weights is not None:
-            ws = tuple(as_scalar(w) for w in self.weights)
-            if len(ws) != len(pts):
+        u = as_scalar(u)
+        if weights is not None:
+            weights = tuple(as_scalar(w) for w in weights)
+            if len(weights) != len(pts):
                 raise ValueError("one weight per point required")
-            if any(w <= 0 for w in ws):
+            if any(w <= 0 for w in weights):
                 raise ValueError("weights must be positive")
-            if sum(ws, QuadExt(0)) != 1:
+            if sum(weights, QuadExt(0)) != 1:
                 raise ValueError("weights must sum to 1")
-            object.__setattr__(self, "weights", ws)
-        if not (min(pts) <= self.u <= max(pts)):
+        if not (min(pts) <= u <= max(pts)):
             raise ValueError("u must lie in the hull of the points")
+        return tuple.__new__(cls, (pts, weights, u))
 
 
 @dataclass(frozen=True)

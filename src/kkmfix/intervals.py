@@ -15,7 +15,6 @@ structural equality is set equality:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from kkmfix.scalars import (
@@ -33,6 +32,21 @@ __all__ = ["ClassSet", "Interval", "class_nonempty", "pick_in"]
 _ZERO = QuadExt(0)
 
 
+class _Validated:
+    """Mixin for a named tuple whose ``__new__`` checks or converts its
+    fields: ``_make``, ``_replace`` (which calls ``_make``) and unpickling
+    at every protocol go through ``__new__`` too."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+    def __reduce__(self):
+        return self.__class__, tuple(self)
+
+
 class _Fields(NamedTuple):
     lo: QuadExt | None
     hi: QuadExt | None
@@ -40,7 +54,7 @@ class _Fields(NamedTuple):
     hi_closed: bool
 
 
-class Interval(_Fields):
+class Interval(_Validated, _Fields):
     """Nonempty real interval; a ``None`` bound is an infinite end.
 
     The named tuple (lo, hi, lo_closed, hi_closed): immutable, compared and
@@ -65,13 +79,6 @@ class Interval(_Fields):
             if lo == hi and not (lo_closed and hi_closed):
                 raise ValueError("empty interval")
         return tuple.__new__(cls, (lo, hi, lo_closed, hi_closed))
-
-    @classmethod
-    def _make(cls, fields) -> "Interval":
-        return cls(*fields)
-
-    def __reduce__(self):
-        return Interval, tuple(self)
 
     @classmethod
     def closed(cls, lo, hi) -> "Interval":
@@ -319,19 +326,23 @@ def _canonical_slice(ivs, tag: ClassTag) -> tuple[Interval, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ClassSet:
+class _Slices(NamedTuple):
+    rat: tuple[Interval, ...]
+    irr: tuple[Interval, ...]
+
+
+class ClassSet(_Validated, _Slices):
     """Canonical two-slice subset of the line; equality is set equality."""
 
-    rat: tuple[Interval, ...] = ()
-    irr: tuple[Interval, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "rat", _canonical_slice(tuple(self.rat), ClassTag.RATIONAL)
-        )
-        object.__setattr__(
-            self, "irr", _canonical_slice(tuple(self.irr), ClassTag.IRRATIONAL)
+    def __new__(cls, rat=(), irr=()):
+        return tuple.__new__(
+            cls,
+            (
+                _canonical_slice(rat, ClassTag.RATIONAL),
+                _canonical_slice(irr, ClassTag.IRRATIONAL),
+            ),
         )
 
     @classmethod

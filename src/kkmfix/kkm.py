@@ -10,12 +10,12 @@ fixed-point set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .conditions import _witness_set, check_c1, check_c2, sublevel
-from .intervals import ClassSet, Interval
+from .intervals import ClassSet, Interval, _Validated
 from .mapping import MappingSpec
 from .scalars import QuadExt, as_scalar, format_scalar
 
@@ -35,21 +35,24 @@ class GForm(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class GKind:
+class _Kind(NamedTuple):
     form: GForm
-    delta: QuadExt | None = None
+    delta: QuadExt | None
 
-    def __post_init__(self):
-        if self.form is GForm.GAP:
-            if self.delta is None:
+
+class GKind(_Validated, _Kind):
+    __slots__ = ()
+
+    def __new__(cls, form, delta=None):
+        if form is GForm.GAP:
+            if delta is None:
                 raise ValueError("the gap form needs a delta")
-            d = as_scalar(self.delta)
-            if d <= 0:
+            delta = as_scalar(delta)
+            if delta <= 0:
                 raise ValueError("delta must be positive")
-            object.__setattr__(self, "delta", d)
-        elif self.delta is not None:
+        elif delta is not None:
             raise ValueError("delta only applies to the gap form")
+        return tuple.__new__(cls, (form, delta))
 
     @classmethod
     def anchor(cls) -> "GKind":
@@ -69,8 +72,7 @@ class GKind:
         return str(self.form)
 
 
-@dataclass(frozen=True)
-class EmChainReport:
+class EmChainReport(NamedTuple):
     """Sublevel sets at thresholds 1/m for m = 1..m_max.
 
     ``tail_intersection`` cuts the last level down to the exact fixed-point

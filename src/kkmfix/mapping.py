@@ -9,13 +9,14 @@ the domain's points of that class exactly once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from kkmfix.intervals import (
     ClassSet,
     Interval,
+    _Validated,
     _canonical_slice,
     _plain_complement,
     _plain_intersect,
@@ -38,21 +39,25 @@ _ZERO, _ONE = QuadExt(0), QuadExt(1)
 def _as_rational(v) -> QuadExt:
     if isinstance(v, (int, Fraction)):
         return QuadExt(v)
-    raise TypeError(f"rational coefficient required, got {type(v).__name__}")
+    if v.__class__ is QuadExt and v.is_rational:
+        return v
+    raise TypeError(f"rational coefficient required, got {v!r}")
 
 
-@dataclass(frozen=True)
-class AffineExpr:
-    """x -> slope*x + intercept with rational coefficients, given as int or
-    Fraction and held as rational QuadExt, so evaluating stays on the
-    kernel's rational path."""
-
+class _Affine(NamedTuple):
     slope: QuadExt
     intercept: QuadExt
 
-    def __post_init__(self):
-        object.__setattr__(self, "slope", _as_rational(self.slope))
-        object.__setattr__(self, "intercept", _as_rational(self.intercept))
+
+class AffineExpr(_Validated, _Affine):
+    """x -> slope*x + intercept with rational coefficients, given as int,
+    Fraction or rational QuadExt and held as rational QuadExt, so
+    evaluating stays on the kernel's rational path."""
+
+    __slots__ = ()
+
+    def __new__(cls, slope, intercept):
+        return tuple.__new__(cls, (_as_rational(slope), _as_rational(intercept)))
 
     def at(self, x) -> QuadExt:
         return self.slope * x + self.intercept
@@ -67,34 +72,39 @@ class AffineExpr:
         return f"{head} + {c}" if c > 0 else f"{head} - {-c}"
 
 
-@dataclass(frozen=True)
-class Piece:
+class _Piece(NamedTuple):
+    over: Interval
+    expr: AffineExpr
+    tag: ClassTag | None
+
+
+class Piece(_Validated, _Piece):
     """One mapping line: f(x) = expr.at(x) on the tag-class points of
     ``over``, tag None meaning both classes."""
 
-    over: Interval
-    expr: AffineExpr
-    tag: ClassTag | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.tag is not None and self.tag.__class__ is not ClassTag:
-            raise TypeError(f"class tag or None required, got {self.tag!r}")
+    def __new__(cls, over, expr, tag=None):
+        if tag is not None and tag.__class__ is not ClassTag:
+            raise TypeError(f"class tag or None required, got {tag!r}")
+        return tuple.__new__(cls, (over, expr, tag))
 
 
-@dataclass(frozen=True)
-class PointOverride:
-    """f(at) = value, replacing whatever the pieces would give."""
-
+class _Override(NamedTuple):
     at: QuadExt
     value: QuadExt
 
-    def __post_init__(self):
-        object.__setattr__(self, "at", as_scalar(self.at))
-        object.__setattr__(self, "value", as_scalar(self.value))
+
+class PointOverride(_Validated, _Override):
+    """f(at) = value, replacing whatever the pieces would give."""
+
+    __slots__ = ()
+
+    def __new__(cls, at, value):
+        return tuple.__new__(cls, (as_scalar(at), as_scalar(value)))
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One way a mapping fails to be a well-formed self-map."""
 
     kind: str
@@ -153,21 +163,27 @@ def _pick(tag: ClassTag | None, ivs) -> str:
     return format_scalar(_restrict(tag, *ivs).pick())
 
 
-@dataclass(frozen=True)
-class MappingSpec:
-    """A piecewise-affine self-map of an interval."""
-
+class _Spec(NamedTuple):
     domain: Interval
     pieces: tuple[Piece, ...]
-    overrides: tuple[PointOverride, ...] = ()
-    label: str = ""
+    overrides: tuple[PointOverride, ...]
+    label: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "pieces", tuple(self.pieces))
-        object.__setattr__(self, "overrides", tuple(self.overrides))
-        label = self.label  # as mapdef's ``label`` line reads it back
+
+class MappingSpec(_Validated, _Spec):
+    """A piecewise-affine self-map of an interval.
+
+    No ``__slots__``: the cached properties live in the instance
+    ``__dict__``, and ``__setattr__`` keeps every other name read-only."""
+
+    def __new__(cls, domain, pieces, overrides=(), label=""):
+        # as mapdef's ``label`` line reads it back
         if label != label.strip() or "#" in label or len(label.splitlines()) > 1:
             raise ValueError(f"label {label!r} does not read back from map text")
+        return tuple.__new__(cls, (domain, tuple(pieces), tuple(overrides), label))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"MappingSpec is immutable: cannot set {name!r}")
 
     @cached_property
     def _override_map(self) -> dict[QuadExt, QuadExt]:

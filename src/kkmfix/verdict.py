@@ -7,11 +7,11 @@ lower-semicontinuity condition, or plain domain compactness.
 
 from __future__ import annotations
 
-import importlib.resources
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 from .conditions import (
     BKind,
@@ -119,8 +119,7 @@ def run_theorem(spec: MappingSpec, theorem: TheoremId) -> TheoremVerdict:
     )
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     index: int
     spec: MappingSpec
     theorem: TheoremId
@@ -163,6 +162,8 @@ _EXPECTED: dict[int, tuple[TheoremId, str | None, tuple[int, ...], str]] = {
 @lru_cache(maxsize=None)
 def corpus_entry(n: int) -> CorpusEntry:
     """The built-in worked example n (1..14) with its expected verdicts."""
+    import importlib.resources
+
     if not 1 <= n <= 14:
         raise IndexError(f"corpus index out of range: {n}")
     text = (

@@ -420,3 +420,50 @@ def test_closed_stdout_ends_quietly(extra):
 def test_rendered_determinism(maps):
     argv = ["check", "--map", maps[2], "--theorem", "t1"]
     assert run_command(argv).rendered == run_command(argv).rendered
+
+
+def _modules(code: str, *argv) -> set[str]:
+    """The modules a fresh interpreter holds when it exits after running
+    code with argv."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    probe = (
+        "import atexit, sys\n"
+        "atexit.register(lambda: print(*sorted(sys.modules), file=sys.stderr))\n"
+        + code
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode in (0, 1), proc.stderr
+    return set(proc.stderr.split())
+
+
+_RUN_CLI = "import runpy\nrunpy.run_module('kkmfix', run_name='__main__', alter_sys=True)\n"
+_DECIDERS = {"kkmfix.conditions", "kkmfix.verdict", "kkmfix.kkm", "kkmfix.randmaps"}
+
+
+def test_each_command_loads_only_its_modules(maps, tmp_path):
+    # what the interpreter itself loads (site hooks included) is no one's cost
+    bare = _modules("")
+    assert {m for m in _modules("import kkmfix") if m.startswith("kkmfix.")} == set()
+    for argv in (
+        ["parse", "--map", maps[9]],
+        ["fixed-points", "--map", maps[9]],
+        ["plot", "--map", maps[9], "--out", str(tmp_path / "f.csv"), "--format", "csv"],
+    ):
+        loaded = _modules(_RUN_CLI, *argv, "--json") - bare
+        assert "kkmfix.mapdef" in loaded
+        assert loaded & (_DECIDERS | {"dataclasses"}) == set(), argv
+    assert "json" not in _modules(_RUN_CLI, "parse", "--map", maps[9]) - bare
+    loaded = _modules(_RUN_CLI, "check", "--map", maps[9], "--theorem", "t5", "--json")
+    assert "kkmfix.verdict" in loaded
+    assert loaded & {"kkmfix.kkm", "kkmfix.plotting", "kkmfix.randmaps"} == set()
+
+
+def test_option_choices_match_the_modules_they_name():
+    from kkmfix import cli, plotting
+    from kkmfix.kkm import GForm
+
+    assert list(cli._THEOREMS) == [t.value for t in TheoremId]
+    assert [GForm(v) for v in cli._KINDS.values()] == list(GForm)
+    assert cli._FORMATS == plotting.FORMATS

@@ -1,7 +1,6 @@
 """Mapping specs: evaluation, self-map validity, exact images and fixed
 points, displacement infimum, and violation reporting."""
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -114,7 +113,7 @@ def test_inf_residual_pins(corpus):
 
 def test_piece_is_one_expression_for_one_class_or_both():
     iv, expr = Interval.closed(0, 1), AffineExpr(Fraction(1), Fraction(0))
-    assert [f.name for f in dataclasses.fields(Piece)] == ["over", "expr", "tag"]
+    assert Piece._fields == ("over", "expr", "tag")
     assert Piece(iv, expr).tag is None
     assert Piece(iv, expr, ClassTag.IRRATIONAL).tag is ClassTag.IRRATIONAL
     with pytest.raises(TypeError):
