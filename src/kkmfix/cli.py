@@ -21,7 +21,7 @@ from typing import NamedTuple
 from .intervals import ClassSet
 from .mapdef import ParseError, parse
 from .mapping import MappingSpec
-from .scalars import as_scalar, format_scalar, parse_scalar
+from .scalars import format_scalar, parse_scalar
 
 
 class UsageError(Exception):
@@ -107,10 +107,6 @@ def _load_spec(path: str, validate: bool = True) -> MappingSpec:
         raise UsageError(f"--map: {err}") from err
 
 
-def _scalar(x) -> str:
-    return format_scalar(as_scalar(x))
-
-
 def _witness_payload(witness):
     from .conditions import SubsetWitness
 
@@ -118,17 +114,17 @@ def _witness_payload(witness):
         return None
     if isinstance(witness, SubsetWitness):
         return {
-            "points": [_scalar(p) for p in witness.points],
+            "points": [format_scalar(p) for p in witness.points],
             "weights": (
                 None
                 if witness.weights is None
-                else [_scalar(w) for w in witness.weights]
+                else [format_scalar(w) for w in witness.weights]
             ),
-            "u": _scalar(witness.u),
+            "u": format_scalar(witness.u),
         }
     if isinstance(witness, ClassSet):
         return str(witness)
-    return _scalar(witness)
+    return format_scalar(witness)
 
 
 def _condition_payload(verdict) -> dict:
@@ -149,7 +145,7 @@ def _theorem_payload(verdict) -> dict:
         "fixed_points": (
             None
             if verdict.fixed_points is None
-            else [_scalar(p) for p in verdict.fixed_points]
+            else [format_scalar(p) for p in verdict.fixed_points]
         ),
         "consistent": verdict.consistent,
         "notes": verdict.notes,
@@ -184,7 +180,7 @@ def _fixed_line(verdict) -> str:
         return f"fixed-point set (infinite): {verdict.fixed_point_set}"
     if not verdict.fixed_points:
         return "fixed points: (none)"
-    return "fixed points: " + ", ".join(_scalar(p) for p in verdict.fixed_points)
+    return "fixed points: " + ", ".join(format_scalar(p) for p in verdict.fixed_points)
 
 
 def _cmd_check(args) -> Report:
@@ -217,14 +213,14 @@ def _cmd_fixed_points(args) -> Report:
     points = fset.finite_points()
     payload = {
         "fixed_point_set": str(fset),
-        "fixed_points": None if points is None else [_scalar(p) for p in points],
+        "fixed_points": None if points is None else [format_scalar(p) for p in points],
     }
     if points is None:
         lines = [f"fixed-point set (infinite): {fset}"]
     elif not points:
         lines = ["(none)"]
     else:
-        lines = [", ".join(_scalar(p) for p in points)]
+        lines = [", ".join(format_scalar(p) for p in points)]
     return _report("fixed-points", f"map={args.map}", payload, 0, args, lines)
 
 
@@ -265,7 +261,7 @@ def _cmd_kkm(args) -> Report:
     outside = [p for p in points if not spec.domain.contains(p)]
     if outside:
         raise UsageError(
-            f"--points: {_scalar(outside[0])} outside the domain {spec.domain}"
+            f"--points: {format_scalar(outside[0])} outside the domain {spec.domain}"
         )
     kind = GKind(form, delta)
     sets = [g_set(kind, spec, p) for p in points]
@@ -273,22 +269,22 @@ def _cmd_kkm(args) -> Report:
     witness = _common(sets)
     payload = {
         "kind": args.kind,
-        "delta": None if delta is None else _scalar(delta),
-        "points": [_scalar(p) for p in points],
+        "delta": None if delta is None else format_scalar(delta),
+        "points": [format_scalar(p) for p in points],
         "holds": holds,
-        "uncovered": None if uncovered is None else _scalar(uncovered),
+        "uncovered": None if uncovered is None else format_scalar(uncovered),
         "intersection": str(witness),
     }
     head = f"kkm {args.kind} on {args.map}: " + (
-        "covers the hull" if holds else f"FAILS, uncovered {_scalar(uncovered)}"
+        "covers the hull" if holds else f"FAILS, uncovered {format_scalar(uncovered)}"
     )
     lines = [
         head,
-        f"points: {', '.join(_scalar(p) for p in points)}",
+        f"points: {', '.join(format_scalar(p) for p in points)}",
         f"intersection of witness sets: {witness}",
     ]
     if delta is not None:
-        lines.insert(1, f"delta: {_scalar(delta)}")
+        lines.insert(1, f"delta: {format_scalar(delta)}")
     inputs = f"map={args.map} kind={args.kind} points={args.points}"
     return _report("kkm", inputs, payload, 0 if holds else 1, args, lines)
 
@@ -308,7 +304,7 @@ def _cmd_corpus(args) -> Report:
         fixed = (
             "(infinite)"
             if verdict.fixed_points is None
-            else ", ".join(_scalar(p) for p in verdict.fixed_points) or "-"
+            else ", ".join(format_scalar(p) for p in verdict.fixed_points) or "-"
         )
         rows.append(
             {
@@ -318,7 +314,7 @@ def _cmd_corpus(args) -> Report:
                 "fixed_points": (
                     None
                     if verdict.fixed_points is None
-                    else [_scalar(p) for p in verdict.fixed_points]
+                    else [format_scalar(p) for p in verdict.fixed_points]
                 ),
                 "verdict": _theorem_payload(verdict),
             }

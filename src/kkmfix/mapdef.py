@@ -11,20 +11,22 @@ Line oriented, ``#`` starts a comment, blank lines ignored::
 Intervals use ``[``/``(`` brackets with ``-inf``/``inf`` for unbounded
 ends; endpoint and override scalars use the textual Q(sqrt 2) form
 (``5/2``, ``1 - 1/3*sqrt2``).  A piece's class is ``rational``,
-``irrational``, or ``all`` (both classes, same expression).  The pieces
-and override sources together must cover the domain, once per class;
-``parse`` raises ParseError on malformed lines and, unless told not to,
-on specs that fail ``MappingSpec.validate``.
+``irrational``, or ``all`` (both classes, same expression).  Its
+expression is ``[c] x [+|- d]`` with rational ``c`` and ``d`` (``c`` may
+be ``-``, and ``c*x`` reads too) or a rational constant, so ``10 - x``
+is written ``-x + 10``.  The pieces and override sources together must
+cover the domain, once per class; ``parse`` raises ParseError on
+malformed lines and, unless told not to, on specs that fail
+``MappingSpec.validate``.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from kkmfix.intervals import Interval, _bracket
 from kkmfix.mapping import AffineExpr, MappingSpec, Piece, PointOverride
-from kkmfix.scalars import ClassTag, format_scalar, parse_scalar
+from kkmfix.scalars import _RAT, _URAT, ClassTag, _read_rat, format_scalar, parse_scalar
 
 __all__ = ["ParseError", "parse", "serialize"]
 
@@ -45,7 +47,6 @@ _CLASS_WORDS = {
     "irrational": ClassTag.IRRATIONAL,
     "all": None,
 }
-_RAT_TEXT = r"-?\d+(?:/\d+)?"
 _PIECE_RE = re.compile(
     rf"piece\s+(?P<interval>.+?)\s+(?P<cls>{'|'.join(_CLASS_WORDS)})\s*:\s*(?P<expr>.*)$"
 )
@@ -54,15 +55,15 @@ _INTERVAL_RE = re.compile(
     r"(?P<lob>[\[\(])\s*(?P<lo>[^,]+?)\s*,\s*(?P<hi>[^,]+?)\s*(?P<hib>[\]\)])$"
 )
 _AFFINE_RE = re.compile(
-    rf"(?:(?P<coef>{_RAT_TEXT}|-)\s*\*?\s*)?x(?:\s*(?P<op>[+-])\s*(?P<const>\d+(?:/\d+)?))?$"
-    rf"|(?P<only>{_RAT_TEXT})$"
+    rf"(?:(?P<coef>{_RAT}|-)\s*\*?\s*)?x(?:\s*(?P<op>[+-])\s*(?P<const>{_URAT}))?$"
+    rf"|(?P<only>{_RAT})$"
 )
 
 
 def _parse_endpoint(text: str, infinite_word: str, lineno: int, col: int):
     if text == infinite_word:
         return None
-    return _parse_scalar_at(text, lineno, col)
+    return _read_at(parse_scalar, text, lineno, col)
 
 
 def _parse_interval(text: str, lineno: int, col: int) -> Interval:
@@ -77,37 +78,31 @@ def _parse_interval(text: str, lineno: int, col: int) -> Interval:
         raise ParseError(str(exc), lineno, col) from None
 
 
-def _frac(text: str, lineno: int, col: int) -> Fraction:
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ParseError(f"zero denominator in {text!r}", lineno, col) from None
-
-
 def _parse_affine(text: str, lineno: int, col: int) -> AffineExpr:
     m = _AFFINE_RE.match(text)
     if m is None:
         raise ParseError(f"malformed affine expression {text!r}", lineno, col)
     if m.group("only") is not None:
-        return AffineExpr(Fraction(0), _frac(m.group("only"), lineno, col))
+        return AffineExpr(0, _read_at(_read_rat, m.group("only"), lineno, col))
     coef = m.group("coef")
     if coef is None:
-        slope = Fraction(1)
+        slope = 1
     elif coef == "-":
-        slope = Fraction(-1)
+        slope = -1
     else:
-        slope = _frac(coef, lineno, col)
-    const = Fraction(0)
+        slope = _read_at(_read_rat, coef, lineno, col)
+    const = 0
     if m.group("op"):
-        const = _frac(m.group("const"), lineno, col)
+        const = _read_at(_read_rat, m.group("const"), lineno, col)
         if m.group("op") == "-":
             const = -const
     return AffineExpr(slope, const)
 
 
-def _parse_scalar_at(text: str, lineno: int, col: int):
+def _read_at(read, text: str, lineno: int, col: int):
+    # read(text), with its ValueError as a ParseError at lineno, col
     try:
-        return parse_scalar(text)
+        return read(text)
     except ValueError as exc:
         raise ParseError(str(exc), lineno, col) from None
 
@@ -160,9 +155,11 @@ def parse(text: str, validate: bool = True) -> MappingSpec:
             m = _OVERRIDE_RE.match(body)
             if m is None:
                 raise ParseError("malformed override line", lineno, indent + 1)
-            at = _parse_scalar_at(m.group("at"), lineno, indent + 1 + m.start("at"))
-            value = _parse_scalar_at(
-                m.group("value"), lineno, indent + 1 + m.start("value")
+            at = _read_at(
+                parse_scalar, m.group("at"), lineno, indent + 1 + m.start("at")
+            )
+            value = _read_at(
+                parse_scalar, m.group("value"), lineno, indent + 1 + m.start("value")
             )
             overrides.append(PointOverride(at, value))
             override_lines.append(lineno)

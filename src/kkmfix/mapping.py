@@ -9,7 +9,6 @@ the domain's points of that class exactly once.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
@@ -22,7 +21,15 @@ from kkmfix.intervals import (
     _plain_intersect,
     class_nonempty,
 )
-from kkmfix.scalars import ClassTag, QuadExt, as_scalar, class_of, dist, format_scalar
+from kkmfix.scalars import (
+    ClassTag,
+    QuadExt,
+    _coerce,
+    as_scalar,
+    class_of,
+    dist,
+    format_scalar,
+)
 
 __all__ = [
     "AffineExpr",
@@ -37,11 +44,10 @@ _ZERO, _ONE = QuadExt(0), QuadExt(1)
 
 
 def _as_rational(v) -> QuadExt:
-    if isinstance(v, (int, Fraction)):
-        return QuadExt(v)
-    if v.__class__ is QuadExt and v.is_rational:
-        return v
-    raise TypeError(f"rational coefficient required, got {v!r}")
+    q = _coerce(v)
+    if q is None or not q.is_rational:
+        raise TypeError(f"rational coefficient required, got {v!r}")
+    return q
 
 
 class _Affine(NamedTuple):

@@ -1,16 +1,35 @@
 """Scalar layer: exact Q(sqrt 2) numbers, class tags, text forms, pickers.
 
-The arithmetic is the pure-Python kernel ``kkmfix._qcore_py``;
-``KERNEL`` names it.
+The arithmetic is the pure-Python kernel ``QuadExt``; ``KERNEL`` names
+it.  A value is ``a + b*sqrt(2)`` with rational ``a``, ``b`` kept as
+reduced integer pairs: ``(an, ad)`` and ``(bn, bd)`` with
+``gcd(n, d) == 1`` and ``d > 0``, so zero is ``(0, 1)``.  This canonical
+form makes equality a comparison of the four integers.  Every operation
+is exact; comparisons never round.
+
+Rational path: almost every value the deciders handle is rational
+(``bn == 0``).  When both operands are, add, sub, mul, div, inverse,
+``sign``, ``floor`` and the order comparisons work on ``an/ad`` alone:
+one fraction operation and at most one ``gcd``, and comparisons
+cross-multiply without building a difference.  Operands with
+``bn != 0`` take the general path.  The operands select the path, and
+both give the same canonical results.
+
+``_fast`` and ``_rat`` are the trusted constructors.  They write the
+slots through the cached slot descriptors and check nothing, so every
+caller must pass reduced pairs with positive denominators.
+``QuadExt(a, b)`` is the validating constructor: it takes only ``int``
+and ``Fraction`` components, which are reduced already.  ``as_scalar``
+is the one coercion, and the operators apply it to their other operand.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from enum import Enum
 from fractions import Fraction
-
-from kkmfix._qcore_py import SQRT2, QuadExt
+from math import gcd, isqrt
 
 KERNEL = "pure"
 
@@ -28,6 +47,357 @@ __all__ = [
     "simplest_rational_between",
 ]
 
+_SQRT2_FLOAT = 2.0 ** 0.5
+_HASH_MODULUS = sys.hash_info.modulus
+_HASH_INF = sys.hash_info.inf
+
+
+def _norm2(n: int, d: int) -> tuple[int, int]:
+    # reduced pair, d > 0
+    if d < 0:
+        n, d = -n, -d
+    g = gcd(n, d)
+    if g > 1:
+        n //= g
+        d //= g
+    return n, d
+
+
+def _f_add(n1: int, d1: int, n2: int, d2: int) -> tuple[int, int]:
+    return _norm2(n1 * d2 + n2 * d1, d1 * d2)
+
+
+def _f_mul(n1: int, d1: int, n2: int, d2: int) -> tuple[int, int]:
+    return _norm2(n1 * n2, d1 * d2)
+
+
+def _sign_pq(p: int, q: int) -> int:
+    # sign of p + q*sqrt(2) for integers p, q
+    if q == 0:
+        return (p > 0) - (p < 0)
+    if p == 0:
+        return 1 if q > 0 else -1
+    if p > 0 and q > 0:
+        return 1
+    if p < 0 and q < 0:
+        return -1
+    # opposite signs: |p| vs |q|*sqrt2, squares never tie (sqrt2 irrational)
+    lhs = p * p
+    rhs = 2 * q * q
+    assert lhs != rhs
+    if lhs > rhs:
+        return 1 if p > 0 else -1
+    return 1 if q > 0 else -1
+
+
+def _ratpair(x) -> tuple[int, int]:
+    # an int or a Fraction as its pair, already reduced with d > 0
+    if isinstance(x, int):
+        return x, 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    raise TypeError(f"rational component required, got {type(x).__name__}")
+
+
+class QuadExt:
+    """Element a + b*sqrt(2) of Q(sqrt 2); immutable, hashable, ordered."""
+
+    __slots__ = ("_an", "_ad", "_bn", "_bd")
+
+    def __init__(self, a=0, b=0):
+        an, ad = _ratpair(a)
+        bn, bd = _ratpair(b)
+        _set_an(self, an)
+        _set_ad(self, ad)
+        _set_bn(self, bn)
+        _set_bd(self, bd)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("QuadExt is immutable")
+
+    # components
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self._an, self._ad)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._bn, self._bd)
+
+    @property
+    def is_rational(self) -> bool:
+        return self._bn == 0
+
+    def sign(self) -> int:
+        if not self._bn:
+            an = self._an
+            return (an > 0) - (an < 0)
+        return _sign_pq(self._an * self._bd, self._bn * self._ad)
+
+    def floor(self) -> int:
+        if not self._bn:
+            return self._an // self._ad
+        p = self._an * self._bd
+        q = self._bn * self._ad
+        r = self._ad * self._bd
+        if q >= 0:
+            t = isqrt(2 * q * q)
+        else:
+            t = -isqrt(2 * q * q) - 1
+        # t = floor(q*sqrt2) exactly, as 2q^2 is never a square, and
+        # floor((n + theta)/r) = n // r for integer n and 0 <= theta < 1
+        return (p + t) // r
+
+    __floor__ = floor
+
+    def __ceil__(self) -> int:
+        return -(-self).floor()
+
+    # arithmetic
+
+    def __neg__(self) -> "QuadExt":
+        return _fast(-self._an, self._ad, -self._bn, self._bd)
+
+    def __pos__(self) -> "QuadExt":
+        return self
+
+    def __abs__(self) -> "QuadExt":
+        return -self if self.sign() < 0 else self
+
+    def __add__(self, other):
+        o = other if other.__class__ is QuadExt else _coerce(other)
+        if o is None:
+            return NotImplemented
+        if self._bn or o._bn:
+            return _add(self, o, 1)
+        return _q_add(self._an, self._ad, o._an, o._ad)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = other if other.__class__ is QuadExt else _coerce(other)
+        if o is None:
+            return NotImplemented
+        if self._bn or o._bn:
+            return _add(self, o, -1)
+        return _q_add(self._an, self._ad, -o._an, o._ad)
+
+    def __rsub__(self, other):
+        o = _coerce(other)
+        return NotImplemented if o is None else o - self
+
+    def __mul__(self, other):
+        o = other if other.__class__ is QuadExt else _coerce(other)
+        if o is None:
+            return NotImplemented
+        if self._bn or o._bn:
+            return _mul(self, o)
+        return _q_mul(self._an, self._ad, o._an, o._ad)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = other if other.__class__ is QuadExt else _coerce(other)
+        if o is None:
+            return NotImplemented
+        if self._bn or o._bn:
+            return _mul(self, _inverse(o))
+        return _q_mul(self._an, self._ad, *_q_inv(o._an, o._ad))
+
+    def __rtruediv__(self, other):
+        o = _coerce(other)
+        return NotImplemented if o is None else o / self
+
+    # order
+
+    def __eq__(self, other):
+        o = other if other.__class__ is QuadExt else _coerce(other)
+        if o is None:
+            return NotImplemented
+        return (
+            self._an == o._an
+            and self._ad == o._ad
+            and self._bn == o._bn
+            and self._bd == o._bd
+        )
+
+    def __lt__(self, other):
+        o = other if other.__class__ is QuadExt else _coerce(other)
+        if o is None:
+            return NotImplemented
+        if self._bn or o._bn:
+            return _cmp(self, o) < 0
+        return self._an * o._ad < o._an * self._ad
+
+    def __le__(self, other):
+        o = other if other.__class__ is QuadExt else _coerce(other)
+        if o is None:
+            return NotImplemented
+        if self._bn or o._bn:
+            return _cmp(self, o) <= 0
+        return self._an * o._ad <= o._an * self._ad
+
+    def __gt__(self, other):
+        o = other if other.__class__ is QuadExt else _coerce(other)
+        if o is None:
+            return NotImplemented
+        if self._bn or o._bn:
+            return _cmp(self, o) > 0
+        return self._an * o._ad > o._an * self._ad
+
+    def __ge__(self, other):
+        o = other if other.__class__ is QuadExt else _coerce(other)
+        if o is None:
+            return NotImplemented
+        if self._bn or o._bn:
+            return _cmp(self, o) >= 0
+        return self._an * o._ad >= o._an * self._ad
+
+    def __hash__(self):
+        if self._bn == 0:
+            n, d = self._an, self._ad
+            if d == 1:
+                return hash(n)  # == hash(Fraction(n, 1))
+            # Fraction's hash of n/d, computed without building one
+            try:
+                h = hash(hash(abs(n)) * pow(d, -1, _HASH_MODULUS))
+            except ValueError:  # d is a multiple of the modulus
+                h = _HASH_INF
+            if n < 0:
+                h = -h
+            return -2 if h == -1 else h
+        return hash((self._an, self._ad, self._bn, self._bd))
+
+    def __bool__(self):
+        return self._an != 0 or self._bn != 0
+
+    def __float__(self):
+        return self._an / self._ad + _SQRT2_FLOAT * (self._bn / self._bd)
+
+    def __reduce__(self):
+        return (QuadExt, (self.a, self.b))
+
+    def __str__(self):
+        if self._bn == 0:
+            return _fstr(self._an, self._ad)
+        coef = "" if (self._bn, self._bd) in ((1, 1), (-1, 1)) else (
+            _fstr(abs(self._bn), self._bd) + "*"
+        )
+        tail = coef + "sqrt2"
+        if self._an == 0:
+            return tail if self._bn > 0 else "-" + tail
+        op = " + " if self._bn > 0 else " - "
+        return _fstr(self._an, self._ad) + op + tail
+
+    def __repr__(self):
+        return f"QuadExt({_fstr(self._an, self._ad)}, {_fstr(self._bn, self._bd)})"
+
+
+_new = object.__new__
+_set_an = QuadExt._an.__set__
+_set_ad = QuadExt._ad.__set__
+_set_bn = QuadExt._bn.__set__
+_set_bd = QuadExt._bd.__set__
+
+
+def _fast(an: int, ad: int, bn: int, bd: int) -> QuadExt:
+    # trusted constructor: pairs already reduced, denominators > 0
+    self = _new(QuadExt)
+    _set_an(self, an)
+    _set_ad(self, ad)
+    _set_bn(self, bn)
+    _set_bd(self, bd)
+    return self
+
+
+def _rat(n: int, d: int) -> QuadExt:
+    # trusted rational constructor: n/d reduced, d > 0
+    self = _new(QuadExt)
+    _set_an(self, n)
+    _set_ad(self, d)
+    _set_bn(self, 0)
+    _set_bd(self, 1)
+    return self
+
+
+# rational path: operands n1/d1, n2/d2 reduced with positive denominators
+
+
+def _q_add(n1: int, d1: int, n2: int, d2: int) -> QuadExt:
+    if d1 == d2:
+        if d1 == 1:
+            return _rat(n1 + n2, 1)
+        n, d = n1 + n2, d1
+    else:
+        n, d = n1 * d2 + n2 * d1, d1 * d2
+    g = gcd(n, d)
+    return _rat(n // g, d // g) if g > 1 else _rat(n, d)
+
+
+def _q_mul(n1: int, d1: int, n2: int, d2: int) -> QuadExt:
+    n, d = n1 * n2, d1 * d2
+    if d == 1:
+        return _rat(n, 1)
+    g = gcd(n, d)
+    return _rat(n // g, d // g) if g > 1 else _rat(n, d)
+
+
+def _q_inv(n: int, d: int) -> tuple[int, int]:
+    # d/n is already reduced; only the sign moves
+    if n > 0:
+        return d, n
+    if n < 0:
+        return -d, -n
+    raise ZeroDivisionError("division by zero")
+
+
+# general path: at least one operand irrational
+
+
+def _add(x: QuadExt, y: QuadExt, s: int) -> QuadExt:
+    # x + s*y for s = +1 or -1
+    an, ad = _f_add(x._an, x._ad, s * y._an, y._ad)
+    bn, bd = _f_add(x._bn, x._bd, s * y._bn, y._bd)
+    return _fast(an, ad, bn, bd)
+
+
+def _mul(x: QuadExt, y: QuadExt) -> QuadExt:
+    # (a1 + b1 s)(a2 + b2 s) = a1 a2 + 2 b1 b2 + (a1 b2 + b1 a2) s
+    n1, d1 = _f_mul(x._an, x._ad, y._an, y._ad)
+    n2, d2 = _f_mul(2 * x._bn, x._bd, y._bn, y._bd)
+    an, ad = _f_add(n1, d1, n2, d2)
+    n3, d3 = _f_mul(x._an, x._ad, y._bn, y._bd)
+    n4, d4 = _f_mul(x._bn, x._bd, y._an, y._ad)
+    bn, bd = _f_add(n3, d3, n4, d4)
+    return _fast(an, ad, bn, bd)
+
+
+def _inverse(x: QuadExt) -> QuadExt:
+    # 1/(a + b s) = (a - b s)/(a^2 - 2 b^2)
+    if not x._bn:
+        return _rat(*_q_inv(x._an, x._ad))
+    nn = x._an * x._an * x._bd * x._bd
+    nn -= 2 * x._bn * x._bn * x._ad * x._ad
+    nd = x._ad * x._ad * x._bd * x._bd
+    an, ad = _f_mul(x._an, x._ad, nd, nn)
+    bn, bd = _f_mul(-x._bn, x._bd, nd, nn)
+    return _fast(an, ad, bn, bd)
+
+
+def _cmp(x: QuadExt, y: QuadExt) -> int:
+    # sign of x - y: (pa/(ad1 ad2)) + (pb/(bd1 bd2)) sqrt2, cross-multiplied
+    pa = x._an * y._ad - y._an * x._ad
+    pb = x._bn * y._bd - y._bn * x._bd
+    return _sign_pq(pa * x._bd * y._bd, pb * x._ad * y._ad)
+
+
+def _fstr(n: int, d: int) -> str:
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+SQRT2 = QuadExt(0, 1)
+
 
 class ClassTag(Enum):
     """Membership class of a scalar: rational or irrational."""
@@ -40,10 +410,20 @@ class ClassTag(Enum):
 
 
 def as_scalar(x) -> QuadExt:
-    """Coerce an int, Fraction, or QuadExt to QuadExt."""
-    if isinstance(x, QuadExt):
+    """Coerce an int, Fraction, or QuadExt to QuadExt; any other type
+    raises TypeError."""
+    if x.__class__ is QuadExt:
         return x
-    return QuadExt(x)
+    return _rat(*_ratpair(x))
+
+
+def _coerce(x):
+    # as_scalar for an operator's other operand: None for a type that is
+    # not a scalar, so the operator returns NotImplemented
+    try:
+        return as_scalar(x)
+    except TypeError:
+        return None
 
 
 def class_of(x) -> ClassTag:
@@ -64,7 +444,7 @@ _SCALAR_RE = re.compile(
 )
 
 
-def _rat(text: str) -> Fraction:
+def _read_rat(text: str) -> Fraction:
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -81,14 +461,14 @@ def parse_scalar(text: str) -> QuadExt:
     if m is None:
         raise ValueError(f"malformed scalar {text!r}")
     if m.group("a") is not None:
-        a = _rat(m.group("a"))
-        b = _rat(m.group("bu")) if m.group("bu") else Fraction(1)
+        a = _read_rat(m.group("a"))
+        b = _read_rat(m.group("bu")) if m.group("bu") else Fraction(1)
         if m.group("op") == "-":
             b = -b
         return QuadExt(a, b)
     if m.group("ra") is not None:
-        return QuadExt(_rat(m.group("ra")))
-    b = _rat(m.group("bs")) if m.group("bs") else Fraction(1)
+        return QuadExt(_read_rat(m.group("ra")))
+    b = _read_rat(m.group("bs")) if m.group("bs") else Fraction(1)
     if m.group("neg"):
         b = -b
     return QuadExt(0, b)

@@ -784,3 +784,14 @@ def test_out_of_domain_point_is_named():
         check_b3_strong(spec, (12, 14), (Fraction(1, 2), Fraction(1, 2)))
     with pytest.raises(ValueError, match=r"^5 outside the hull$"):
         b_value(BKind.ANCHOR, spec, (6, 8), 5)
+
+
+def test_empty_subset_and_missing_weights_are_named():
+    spec = corpus_entry(9).spec
+    for kind in BKind:
+        with pytest.raises(ValueError, match=r"^empty subset$"):
+            b_value(kind, spec, (), 5)
+        with pytest.raises(ValueError, match=r"^empty subset$"):
+            check_b_subset(kind, spec, ())
+    with pytest.raises(ValueError, match=r"^one weight per point required$"):
+        check_b3_strong(spec, (4, 6), (1,))

@@ -106,6 +106,11 @@ def test_verify_kkm_rejects_empty_subset(corpus):
         verify_kkm(G1, corpus[1].spec, ())
 
 
+def test_intersection_witness_rejects_empty_sample(corpus):
+    with pytest.raises(ValueError, match=r"^empty sample$"):
+        intersection_witness(G1, corpus[1].spec, [])
+
+
 def test_intersection_witness_shrinks(corpus):
     rng = random.Random(97)
     spec = corpus[2].spec

@@ -89,6 +89,7 @@ def test_comments_and_blank_lines_ignored():
         ("domain [0, 10]\ndomain [0, 10]\npiece [0, 10] all: 1\n", 2, "twice"),
         ("piece [0, 10] all: 1\n", 1, "missing domain"),
         ("domain [0 10]\npiece [0, 10] all: 1\n", 1, "malformed interval"),
+        ("domain [0, 10]\npiece [0, 10] all: 10 - x\n", 2, "malformed affine"),
         (
             "domain [0, 10]\npiece [0, 10] all: 1\noverride 3 -> 2\noverride 3 -> 4\n",
             4,
@@ -102,6 +103,13 @@ def test_rejections_are_located(text, line, reason_part):
         parse(text)
     assert err.value.line == line
     assert reason_part in err.value.reason
+
+
+def test_bare_domain_line_is_located():
+    with pytest.raises(
+        ParseError, match=r"^line 1, column 1: domain needs an interval$"
+    ):
+        parse("domain\npiece [0, 10] all: 1\n")
 
 
 def test_gap_points_at_domain_line():

@@ -33,6 +33,9 @@ def test_plot_window_pins(corpus):
     assert plot_window(corpus[1].spec) == (QuadExt(0), QuadExt(20))
     # unbounded both ways: fixed [-10, 10] window
     assert plot_window(corpus[5].spec) == (QuadExt(-10), QuadExt(10))
+    # unbounded below: 20 units down from the finite end
+    spec = parse("domain (-inf, 0]\npiece (-inf, 0] all: x\n")
+    assert plot_window(spec) == (QuadExt(-20), QuadExt(0))
 
 
 def test_csv_header_and_sample_rows(corpus):
@@ -99,6 +102,14 @@ def test_svg_structure(corpus):
     assert svg.count("<polyline") == expected == 6
     assert 'class="rational-branch"' in svg
     assert 'class="irrational-branch"' in svg
+
+
+def test_svg_drops_a_branch_above_the_frame():
+    # on the window [0, 20] the branch runs from 100 to 120, all clipped away
+    spec = parse("domain [0, inf)\npiece [0, inf) all: x + 100\n")
+    svg = emit_plot(spec, format="svg")
+    assert svg.count("<polyline") == 0
+    assert svg.count('class="identity"') == 1
 
 
 def test_svg_fixed_point_circles(corpus):

@@ -24,6 +24,7 @@ _SPEC = MappingSpec(
     [PointOverride(1, Fraction(3, 2))],
     "half plus one",
 )
+_WEIGHED = SubsetWitness((0, 2), (Fraction(1, 2), Fraction(1, 2)), 1)
 
 # per validated record: a well-formed one, fields that make it malformed,
 # and the error
@@ -43,8 +44,22 @@ _MALFORMED = {
     "SubsetWitness u outside hull": (
         SubsetWitness((0, 2), None, 1), {"u": 3}, ValueError, "hull of the points"
     ),
+    "SubsetWitness no points": (
+        SubsetWitness((0, 2), None, 1), {"points": ()}, ValueError,
+        "^witness needs at least one point$",
+    ),
+    "SubsetWitness weight count": (
+        _WEIGHED, {"weights": (1,)}, ValueError, "^one weight per point required$"
+    ),
+    "SubsetWitness non-positive weight": (
+        _WEIGHED, {"weights": (0, 1)}, ValueError, "^weights must be positive$"
+    ),
     "GKind gap without delta": (
         GKind.gap(1), {"delta": None}, ValueError, "needs a delta"
+    ),
+    "GKind delta on the anchor form": (
+        GKind.anchor(), {"delta": 1}, ValueError,
+        "^delta only applies to the gap form$",
     ),
 }
 

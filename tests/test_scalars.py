@@ -10,6 +10,7 @@ import pytest
 
 import kkmfix
 from kkmfix.scalars import (
+    SQRT2,
     ClassTag,
     QuadExt,
     as_scalar,
@@ -142,11 +143,22 @@ def test_simplest_rational_between_long_expansion():
     assert simplest_rational_between(-b, -a) == -mediant
 
 
+def test_simplest_rational_between_rejects_empty_interval():
+    for lo, hi in ((1, 1), (SQRT2, 1)):
+        with pytest.raises(ValueError, match=r"^empty interval$"):
+            simplest_rational_between(lo, hi)
+
+
 def test_as_scalar_coercions():
     assert as_scalar(3) == QuadExt(3)
-    assert as_scalar(Fraction(1, 2)) == QuadExt(Fraction(1, 2))
+    half = as_scalar(Fraction(2, 4))
+    assert half == QuadExt(Fraction(1, 2))
+    assert repr(half) == "QuadExt(1/2, 0)"  # the stored pairs, reduced
     x = QuadExt(1, 1)
     assert as_scalar(x) is x
+    for bad, name in ((0.5, "float"), ("1/2", "str")):
+        with pytest.raises(TypeError, match=f"rational component required, got {name}"):
+            as_scalar(bad)
 
 
 def test_kernel_is_pure():
@@ -168,9 +180,7 @@ def _sqrt2_sign(t: Fraction, d: Fraction) -> int:
 
 
 def test_pure_kernel_matches_fraction():
-    from kkmfix import _qcore_py
-
-    Q = _qcore_py.QuadExt
+    Q = QuadExt
     rng = random.Random(37)
 
     def rational():
