@@ -25,11 +25,13 @@ from .intervals import (
     _intersect_iv,
     _plain_complement,
     _plain_intersect,
-    class_nonempty,
+    class_pick,
     pick_in,
+    tagged,
 )
-from .mapping import MappingSpec, _add, _build, _image_slices, _restrict, _slices
+from .mapping import MappingSpec, _image_pairs
 from .scalars import (
+    ClassTag,
     QuadExt,
     as_scalar,
     dist,
@@ -151,10 +153,11 @@ def check_onto(spec: MappingSpec) -> ConditionVerdict:
     """Exact range check: Proven iff f(C) = C, else a missed point, a
     rational one first.  Each class of C is tested against the raw image
     intervals of that class; only the missed set is canonicalised."""
-    for tag, ivs in _image_slices(spec).items():
-        missed = _plain_intersect((spec.domain,), _plain_complement(ivs))
-        if class_nonempty(tag, missed):
-            w = _restrict(tag, *missed).pick()
+    image = list(_image_pairs(spec.value_pieces()))
+    for tag in (ClassTag.RATIONAL, ClassTag.IRRATIONAL):
+        ivs = [iv for t, iv in image if t in (None, tag)]
+        w = class_pick(tag, _plain_intersect((spec.domain,), _plain_complement(ivs)))
+        if w is not None:
             return ConditionVerdict(
                 Status.FALSIFIED, w, f"{format_scalar(w)} has no preimage"
             )
@@ -357,11 +360,7 @@ def _project_u(lows, highs, on_u, within: Interval) -> Interval | None:
         for hs, hi, h_strict in highs
     )
     for b, c, strict in itertools.chain(on_u, pairs):
-        if not b:
-            if c.sign() > 0 or (strict and not c):
-                return None
-            continue
-        within = _narrow(within, -c / b, b.sign() > 0, strict)
+        within = _solve_affine(b, c, "<" if strict else "<=", within)
         if within is None:
             return None
     return within
@@ -491,8 +490,8 @@ def decide_b(kind: BKind, spec: MappingSpec) -> ConditionVerdict:
             sides[key] = _sides(kind, lefts, rights, k, m, iv.closure(), window)
         below, above = sides[key]
         violating = _plain_intersect(_plain_intersect((iv,), below), above)
-        if class_nonempty(tag, violating):
-            u = _restrict(tag, *violating).pick()
+        u = class_pick(tag, violating)
+        if u is not None:
             return _b_falsified(kind, spec, pieces, u, k, m)
     return proven
 
@@ -541,7 +540,8 @@ def _witness_set(spec: MappingSpec, x, gauge) -> ClassSet:
     """G(x) = {y in C : |f(x) - y| >= |g(y)|} for the gauge g, an affine
     (slope, intercept) in y: C less the y where |f(x) - y| < |g(y)|."""
     near = _abs_below((_MINUS_ONE, spec.evaluate(x)), gauge, spec.domain)
-    return _restrict(None, *_plain_intersect((spec.domain,), _plain_complement(near)))
+    kept = _plain_intersect((spec.domain,), _plain_complement(near))
+    return ClassSet(kept, kept)
 
 
 def check_c1(spec: MappingSpec, xstar) -> tuple[ClassSet, bool]:
@@ -651,15 +651,15 @@ def sublevel(spec: MappingSpec, beta) -> tuple[ClassSet, bool]:
     b = as_scalar(beta)
     if b <= 0:
         raise ValueError("beta must be positive")
-    slices = _slices()
+    pairs = []
     for tag, iv, slope, intercept in spec.value_pieces():
         k = slope - _ONE
         region = _solve_affine(k, intercept - b, "<=", iv)
         if region is not None:
             region = _solve_affine(k, intercept + b, ">=", region)
         if region is not None:
-            _add(slices, tag, region)
-    out = _build(slices)
+            pairs.append((tag, region))
+    out = tagged(pairs)
     C = ClassSet.from_interval(spec.domain)
     closed = out.closure().intersect(C) == out
     return out, closed
@@ -679,7 +679,7 @@ def check_c3(spec: MappingSpec) -> ConditionVerdict:
     approaches = [
         (iv.closure(), (c - _ONE, d)) for _, iv, c, d in pieces if not iv.is_degenerate
     ]
-    failures = _slices()
+    failures = []
     for tag, iv, c, d in pieces:
         own = (c - _ONE, d)
         for closure, phi in approaches:
@@ -688,8 +688,8 @@ def check_c3(spec: MappingSpec) -> ConditionVerdict:
             near = _intersect_iv(iv, closure)
             if near is not None:
                 for part in _abs_below(phi, own, near):
-                    _add(failures, tag, part)
-    failures = _build(failures)
+                    failures.append((tag, part))
+    failures = tagged(failures)
     if failures.is_empty:
         return ConditionVerdict(
             Status.PROVEN, None, "the displacement is lower semicontinuous on C"

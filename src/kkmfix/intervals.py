@@ -11,6 +11,11 @@ structural equality is set equality:
 - finite endpoints of the wrong class are forced open,
 - intervals are merged when they overlap, or touch at a point that
   either side includes or that the class cannot contain.
+
+``tagged`` builds a set from (tag, interval) pairs, tag None meaning
+both classes, with one canonicalisation for all of them.  The queries
+``class_nonempty``, ``pick_in`` and ``class_pick`` answer on raw
+intervals; ``class_pick`` builds a set only when it has a point to pick.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from kkmfix.scalars import (
     simplest_rational_between,
 )
 
-__all__ = ["ClassSet", "Interval", "class_nonempty", "pick_in"]
+__all__ = ["ClassSet", "Interval", "class_nonempty", "class_pick", "pick_in", "tagged"]
 
 _ZERO = QuadExt(0)
 
@@ -474,3 +479,24 @@ class ClassSet(_Validated, _Slices):
             entries.append((_lo_key(Interval.point(pts[0])), "{" + body + "}"))
         entries.sort(key=lambda e: e[0])
         return " U ".join(text for _, text in entries)
+
+
+def tagged(pairs) -> ClassSet:
+    """The set of the tag-class points of each (tag, interval) pair, all
+    its points when tag is None."""
+    rat, irr = [], []
+    for tag, iv in pairs:
+        if tag is not ClassTag.IRRATIONAL:
+            rat.append(iv)
+        if tag is not ClassTag.RATIONAL:
+            irr.append(iv)
+    return ClassSet(rat, irr)
+
+
+def class_pick(tag: ClassTag | None, ivs) -> QuadExt | None:
+    """``ClassSet.pick`` of the tag-class points of ivs (all their points
+    when tag is None), or None when there are none; the set is built only
+    when ``class_nonempty`` finds a point."""
+    if not class_nonempty(tag, ivs):
+        return None
+    return tagged((tag, iv) for iv in ivs).pick()

@@ -20,6 +20,8 @@ from kkmfix.intervals import (
     _plain_complement,
     _plain_intersect,
     class_nonempty,
+    class_pick,
+    tagged,
 )
 from kkmfix.scalars import (
     ClassTag,
@@ -119,54 +121,12 @@ class Violation(NamedTuple):
     override_index: int | None = None
 
 
-def _restrict(tag: ClassTag | None, *ivs: Interval) -> ClassSet:
-    """The tag-class points of the intervals; all their points when tag is
-    None."""
-    if tag is None:
-        return ClassSet(ivs, ivs)
-    if tag is ClassTag.RATIONAL:
-        return ClassSet(ivs, ())
-    return ClassSet((), ivs)
-
-
-def _slices() -> dict[ClassTag, list[Interval]]:
-    """Empty per-class interval lists, filled and then built into one
-    ClassSet by ``_build``: one canonicalisation instead of one per union."""
-    return {tag: [] for tag in _TAGS}
-
-
-def _add(slices, tag: ClassTag | None, iv: Interval) -> None:
-    """Add iv to the tag slice; to both when tag is None."""
-    if tag is None:
-        for t in _TAGS:
-            slices[t].append(iv)
-    else:
-        slices[tag].append(iv)
-
-
-def _build(slices) -> ClassSet:
-    return ClassSet(slices[ClassTag.RATIONAL], slices[ClassTag.IRRATIONAL])
-
-
-def _image_slices(spec: MappingSpec) -> dict[ClassTag, list[Interval]]:
-    """f(C) as raw per-class interval lists, before canonicalisation."""
-    slices = _slices()
-    for tag, iv, slope, intercept in spec.value_pieces():
-        _add_image(slices, tag, iv, slope, intercept)
-    return slices
-
-
-def _add_image(slices, tag: ClassTag | None, iv: Interval, slope, intercept) -> None:
-    """Add the image of the tag-class points of iv under slope*x +
-    intercept.  A constant piece's image is one point, which goes in either
-    class: the canonical ClassSet keeps it in its own."""
-    _add(slices, tag if slope else None, iv.map_affine(slope, intercept))
-
-
-def _pick(tag: ClassTag | None, ivs) -> str:
-    """The point ClassSet.pick gives for the tag-class points of ivs,
-    formatted; for reporting a violation."""
-    return format_scalar(_restrict(tag, *ivs).pick())
+def _image_pairs(pieces):
+    """The image of value pieces (tag, interval, slope, intercept) as raw
+    (tag, interval) pairs.  A constant piece's image is one point, which
+    goes in either class: the canonical ClassSet keeps it in its own."""
+    for tag, iv, slope, intercept in pieces:
+        yield (tag if slope else None), iv.map_affine(slope, intercept)
 
 
 class _Spec(NamedTuple):
@@ -269,25 +229,25 @@ class MappingSpec(_Validated, _Spec):
         return tuple(out)
 
     def image(self) -> ClassSet:
-        return _build(_image_slices(self))
+        return tagged(_image_pairs(self.value_pieces()))
 
     def fixed_point_set(self) -> ClassSet:
         return self._fixed_point_set
 
     @cached_property
     def _fixed_point_set(self) -> ClassSet:
-        slices = _slices()
+        pairs = []
         for tag, iv, slope, intercept in self.value_pieces():
             if slope == _ONE:
                 if not intercept:
-                    _add(slices, tag, iv)
+                    pairs.append((tag, iv))
                 continue
             root = intercept / (_ONE - slope)
             # a cell's rational coefficients put its root in the rationals;
             # an override's root is its value, inside iff value == at
             if tag is not ClassTag.IRRATIONAL and iv.contains(root):
-                _add(slices, None, Interval.point(root))
-        return _build(slices)
+                pairs.append((None, Interval.point(root)))
+        return tagged(pairs)
 
     def fixed_points(self) -> tuple[QuadExt, ...]:
         pts = self.fixed_point_set().finite_points()
@@ -323,7 +283,8 @@ class MappingSpec(_Validated, _Spec):
                 out.append(
                     Violation(
                         "piece-outside",
-                        f"piece {idx} leaves the domain at {_pick(None, excess)}",
+                        f"piece {idx} leaves the domain at "
+                        f"{format_scalar(class_pick(None, excess))}",
                         piece_index=idx,
                     )
                 )
@@ -333,22 +294,23 @@ class MappingSpec(_Validated, _Spec):
             carriers = [(i, c[tag]) for i, c in enumerate(cuts) if tag in c]
             for ai, (i, a) in enumerate(carriers):
                 for j, b in carriers[ai + 1 :]:
-                    both = _plain_intersect(a, b)
-                    if class_nonempty(tag, both):
+                    w = class_pick(tag, _plain_intersect(a, b))
+                    if w is not None:
                         out.append(
                             Violation(
                                 "coverage-overlap",
                                 f"pieces {i} and {j} both cover {tag} point "
-                                f"{_pick(tag, both)}",
+                                f"{format_scalar(w)}",
                                 piece_index=j,
                             )
                         )
             covered = _plain_complement([iv for _, ivs in carriers for iv in ivs])
             gap = _plain_intersect(self._cut(self.domain, tag), covered)
-            if class_nonempty(tag, gap):
+            w = class_pick(tag, gap)
+            if w is not None:
                 out.append(
                     Violation(
-                        "coverage-gap", f"no {tag} branch covers {_pick(tag, gap)}"
+                        "coverage-gap", f"no {tag} branch covers {format_scalar(w)}"
                     )
                 )
         seen: dict[QuadExt, int] = {}
@@ -379,18 +341,20 @@ class MappingSpec(_Validated, _Spec):
                     )
                 )
         for idx, (piece, cut) in enumerate(zip(self.pieces, cuts)):
-            img = _slices()
-            slope, intercept = piece.expr.slope, piece.expr.intercept
-            for tag, ivs in cut.items():
-                for iv in ivs:
-                    _add_image(img, tag, iv, slope, intercept)
-            escape = {tag: _plain_intersect(img[tag], outside) for tag in _TAGS}
-            if any(class_nonempty(tag, ivs) for tag, ivs in escape.items()):
+            image = _image_pairs(
+                (tag, iv, *piece.expr) for tag, ivs in cut.items() for iv in ivs
+            )
+            escape = [
+                (tag, part)
+                for tag, iv in image
+                for part in _plain_intersect((iv,), outside)
+            ]
+            if any(class_nonempty(tag, (iv,)) for tag, iv in escape):
                 out.append(
                     Violation(
                         "not-self-map",
                         f"piece {idx} maps into "
-                        f"{format_scalar(_build(escape).pick())} outside the domain",
+                        f"{format_scalar(tagged(escape).pick())} outside the domain",
                         piece_index=idx,
                     )
                 )

@@ -12,15 +12,17 @@ Rational path: almost every value the deciders handle is rational
 ``sign``, ``floor`` and the order comparisons work on ``an/ad`` alone:
 one fraction operation and at most one ``gcd``, and comparisons
 cross-multiply without building a difference.  Operands with
-``bn != 0`` take the general path.  The operands select the path, and
-both give the same canonical results.
+``bn != 0`` take the general path, which computes each component with
+the rational path's operations.  The operands select the path, and both
+give the same canonical results.
 
 ``_fast`` and ``_rat`` are the trusted constructors.  They write the
 slots through the cached slot descriptors and check nothing, so every
 caller must pass reduced pairs with positive denominators.
 ``QuadExt(a, b)`` is the validating constructor: it takes only ``int``
-and ``Fraction`` components, which are reduced already.  ``as_scalar``
-is the one coercion, and the operators apply it to their other operand.
+and ``Fraction`` components, which are reduced already, and stores a
+``bool`` as the int it equals.  ``as_scalar`` is the one coercion, and
+the operators apply it to their other operand.
 """
 
 from __future__ import annotations
@@ -52,25 +54,6 @@ _HASH_MODULUS = sys.hash_info.modulus
 _HASH_INF = sys.hash_info.inf
 
 
-def _norm2(n: int, d: int) -> tuple[int, int]:
-    # reduced pair, d > 0
-    if d < 0:
-        n, d = -n, -d
-    g = gcd(n, d)
-    if g > 1:
-        n //= g
-        d //= g
-    return n, d
-
-
-def _f_add(n1: int, d1: int, n2: int, d2: int) -> tuple[int, int]:
-    return _norm2(n1 * d2 + n2 * d1, d1 * d2)
-
-
-def _f_mul(n1: int, d1: int, n2: int, d2: int) -> tuple[int, int]:
-    return _norm2(n1 * n2, d1 * d2)
-
-
 def _sign_pq(p: int, q: int) -> int:
     # sign of p + q*sqrt(2) for integers p, q
     if q == 0:
@@ -92,10 +75,12 @@ def _sign_pq(p: int, q: int) -> int:
 
 def _ratpair(x) -> tuple[int, int]:
     # an int or a Fraction as its pair, already reduced with d > 0
-    if isinstance(x, int):
+    if x.__class__ is int:
         return x, 1
     if isinstance(x, Fraction):
         return x.numerator, x.denominator
+    if isinstance(x, int):  # a bool, say: stored as the int it equals
+        return int(x), 1
     raise TypeError(f"rational component required, got {type(x).__name__}")
 
 
@@ -321,7 +306,9 @@ def _rat(n: int, d: int) -> QuadExt:
     return self
 
 
-# rational path: operands n1/d1, n2/d2 reduced with positive denominators
+# rational path: operands n1/d1, n2/d2 with positive denominators.  _q_add
+# and _q_mul reduce their result whatever the operands; _q_inv needs n/d
+# reduced already.
 
 
 def _q_add(n1: int, d1: int, n2: int, d2: int) -> QuadExt:
@@ -352,37 +339,33 @@ def _q_inv(n: int, d: int) -> tuple[int, int]:
     raise ZeroDivisionError("division by zero")
 
 
-# general path: at least one operand irrational
+# general path: at least one operand irrational; each component is a
+# rational-path result, so it comes back reduced
 
 
 def _add(x: QuadExt, y: QuadExt, s: int) -> QuadExt:
     # x + s*y for s = +1 or -1
-    an, ad = _f_add(x._an, x._ad, s * y._an, y._ad)
-    bn, bd = _f_add(x._bn, x._bd, s * y._bn, y._bd)
-    return _fast(an, ad, bn, bd)
+    a = _q_add(x._an, x._ad, s * y._an, y._ad)
+    b = _q_add(x._bn, x._bd, s * y._bn, y._bd)
+    return _fast(a._an, a._ad, b._an, b._ad)
 
 
 def _mul(x: QuadExt, y: QuadExt) -> QuadExt:
     # (a1 + b1 s)(a2 + b2 s) = a1 a2 + 2 b1 b2 + (a1 b2 + b1 a2) s
-    n1, d1 = _f_mul(x._an, x._ad, y._an, y._ad)
-    n2, d2 = _f_mul(2 * x._bn, x._bd, y._bn, y._bd)
-    an, ad = _f_add(n1, d1, n2, d2)
-    n3, d3 = _f_mul(x._an, x._ad, y._bn, y._bd)
-    n4, d4 = _f_mul(x._bn, x._bd, y._an, y._ad)
-    bn, bd = _f_add(n3, d3, n4, d4)
-    return _fast(an, ad, bn, bd)
+    a = _q_mul(x._an, x._ad, y._an, y._ad) + _q_mul(2 * x._bn, x._bd, y._bn, y._bd)
+    b = _q_mul(x._an, x._ad, y._bn, y._bd) + _q_mul(x._bn, x._bd, y._an, y._ad)
+    return _fast(a._an, a._ad, b._an, b._ad)
 
 
 def _inverse(x: QuadExt) -> QuadExt:
-    # 1/(a + b s) = (a - b s)/(a^2 - 2 b^2)
+    # 1/(a + b s) = (a - b s)/(a^2 - 2 b^2), the norm reduced as _q_inv needs
     if not x._bn:
         return _rat(*_q_inv(x._an, x._ad))
-    nn = x._an * x._an * x._bd * x._bd
-    nn -= 2 * x._bn * x._bn * x._ad * x._ad
-    nd = x._ad * x._ad * x._bd * x._bd
-    an, ad = _f_mul(x._an, x._ad, nd, nn)
-    bn, bd = _f_mul(-x._bn, x._bd, nd, nn)
-    return _fast(an, ad, bn, bd)
+    norm = _q_mul(x._an, x._ad, x._an, x._ad) - _q_mul(2 * x._bn, x._bd, x._bn, x._bd)
+    n, d = _q_inv(norm._an, norm._ad)
+    a = _q_mul(x._an, x._ad, n, d)
+    b = _q_mul(-x._bn, x._bd, n, d)
+    return _fast(a._an, a._ad, b._an, b._ad)
 
 
 def _cmp(x: QuadExt, y: QuadExt) -> int:

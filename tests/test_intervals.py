@@ -8,8 +8,14 @@ from fractions import Fraction
 
 import pytest
 
-from kkmfix.intervals import ClassSet, Interval, class_nonempty, pick_in
-from kkmfix.mapping import _restrict
+from kkmfix.intervals import (
+    ClassSet,
+    Interval,
+    class_nonempty,
+    class_pick,
+    pick_in,
+    tagged,
+)
 from kkmfix.scalars import SQRT2, ClassTag, QuadExt, class_of
 
 from conftest import rand_quad
@@ -200,21 +206,42 @@ def _query_interval(rng) -> Interval:
     )
 
 
+def _slicewise(tag, ivs) -> ClassSet:
+    # the tag-class points of ivs, each slice given to ClassSet directly
+    if tag is ClassTag.RATIONAL:
+        return ClassSet(ivs, ())
+    if tag is ClassTag.IRRATIONAL:
+        return ClassSet((), ivs)
+    return ClassSet(ivs, ivs)
+
+
 def test_direct_queries_match_the_built_set():
     rng = random.Random(59)
+    tags = (ClassTag.RATIONAL, ClassTag.IRRATIONAL, None)
     for _ in range(1500):
         iv = _query_interval(rng)
         ivs = [iv] + [_query_interval(rng) for _ in range(rng.randint(0, 2))]
-        for tag in (ClassTag.RATIONAL, ClassTag.IRRATIONAL, None):
-            assert class_nonempty(tag, ivs) == (not _restrict(tag, *ivs).is_empty)
+        for tag in tags:
+            built = _slicewise(tag, ivs)
+            assert tagged((tag, x) for x in ivs) == built
+            assert class_nonempty(tag, ivs) == (not built.is_empty)
             assert class_nonempty(tag, ivs[1:]) == (
-                not _restrict(tag, *ivs[1:]).is_empty
+                not _slicewise(tag, ivs[1:]).is_empty
             )
-            want = _restrict(tag, iv).pick()
+            got = class_pick(tag, ivs)
+            assert got == built.pick()
+            assert (got is None) == (not class_nonempty(tag, ivs))
+            want = _slicewise(tag, [iv]).pick()
             got = pick_in(tag, iv)
             assert (got is None) == (want is None)
             if want is not None:
                 assert got == want and got.__class__ is QuadExt
+        # mixed tags: the union of the per-pair sets
+        pairs = [(rng.choice(tags), x) for x in ivs]
+        want = ClassSet.empty()
+        for tag, x in pairs:
+            want = want.union(_slicewise(tag, [x]))
+        assert tagged(pairs) == want
         whole = ClassSet.from_interval(iv)
         assert iv.is_closed == whole.is_closed
         assert iv.is_bounded == whole.is_bounded

@@ -9,6 +9,9 @@ from fractions import Fraction
 import pytest
 
 import kkmfix
+from kkmfix.intervals import Interval
+from kkmfix.mapdef import parse, serialize
+from kkmfix.mapping import AffineExpr, MappingSpec, Piece
 from kkmfix.scalars import (
     SQRT2,
     ClassTag,
@@ -156,6 +159,24 @@ def test_as_scalar_coercions():
     assert repr(half) == "QuadExt(1/2, 0)"  # the stored pairs, reduced
     x = QuadExt(1, 1)
     assert as_scalar(x) is x
+    # a bool is stored as the int it equals, as Fraction(True) is
+    assert repr(QuadExt(True)) == "QuadExt(1, 0)"
+    assert repr(QuadExt(False, True)) == "QuadExt(0, 1)"
+    assert format_scalar(True) == "1" and parse_scalar(format_scalar(True)) == 1
+    assert type(as_scalar(True)._an) is int
+    # so the text forms of code-built values read back
+    assert str(Interval(True, 2)) == "[1, 2]"
+    assert str(Interval(False, True, False, True)) == "(0, 1]"
+    spec = MappingSpec(
+        Interval(False, 2),
+        [
+            Piece(Interval(False, True, True, False), AffineExpr(True, 1)),
+            Piece(Interval(True, 2), AffineExpr(0, True)),
+        ],
+    )
+    text = serialize(spec)
+    assert "True" not in text and "False" not in text
+    assert parse(text) == spec
     for bad, name in ((0.5, "float"), ("1/2", "str")):
         with pytest.raises(TypeError, match=f"rational component required, got {name}"):
             as_scalar(bad)
@@ -245,8 +266,29 @@ def test_pure_kernel_matches_fraction():
         assert (x < z) == (_sqrt2_sign(p - c, -d) < 0)
         assert (z <= x) == (_sqrt2_sign(c - p, d) <= 0)
         assert x != z and z.sign() == _sqrt2_sign(c, d)
+
+        # both irrational: z against w = e + f*sqrt2, whose norm
+        # e^2 - 2f^2 takes either sign
+        e, f = rational(), rational() or Fraction(-1)
+        w = Q(e, f)
+        norm = e * e - 2 * f * f
+        both = [
+            (z + w, c + e, d + f),
+            (z - w, c - e, d - f),
+            (z * w, c * e + 2 * d * f, c * f + d * e),
+            (z / w, (c * e - 2 * d * f) / norm, (d * e - c * f) / norm),
+        ]
+        for r, a, b in both:
+            assert (r.a, r.b) == (a, b) and canonical(r)
     with pytest.raises(AttributeError):
         (x + y)._an = 0  # results stay immutable
+
+    r = 1 / (1 + SQRT2)  # the divisor's norm is -1
+    assert r == Q(-1, 1) and canonical(r)
+    r = (1 + SQRT2) * (1 - SQRT2)  # the sqrt2 parts cancel
+    assert r == Q(-1) and canonical(r) and (r._bn, r._bd) == (0, 1)
+    r = Q(Fraction(1, 3), 1) - Q(Fraction(-1, 6), 1)  # a sum of sixths
+    assert (r._an, r._ad, r._bn, r._bd) == (1, 2, 0, 1)
 
     # the hash follows Fraction's formula for non-integer rationals: large
     # numerators, and denominators with no inverse modulo the hash prime
