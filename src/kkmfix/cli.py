@@ -55,44 +55,58 @@ _KINDS = {"g1": "anchor", "g2": "displacement", "g3": "gap"}
 _FORMATS = ("svg", "csv")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    shared = _Parser(add_help=False)
-    shared.add_argument(
-        "--json", action="store_true", help="structured report on stdout"
-    )
+_MAP = ("--map", {"required": True})
+
+# each command's help line and options after --json, in help order
+_OPTIONS = {
+    "check": (
+        "run one theorem",
+        [_MAP, ("--theorem", {"required": True, "choices": _THEOREMS})],
+    ),
+    "fixed-points": ("exact fixed points", [_MAP]),
+    "kkm": (
+        "witness-set coverage",
+        [
+            _MAP,
+            ("--kind", {"required": True, "choices": sorted(_KINDS)}),
+            ("--delta", {"default": None}),
+            ("--points", {"required": True}),
+        ],
+    ),
+    "corpus": (
+        "run the built-in examples",
+        [("--only", {"type": int, "default": None})],
+    ),
+    "parse": ("validate a mapping file", [_MAP]),
+    "plot": (
+        "render a mapping file",
+        [
+            _MAP,
+            ("--out", {"required": True}),
+            ("--format", {"choices": _FORMATS, "default": "svg"}),
+            ("--samples", {"type": _positive, "default": 101}),
+        ],
+    ),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The kkmfix parser.  When ``command`` names a command, only its
+    subparser is built: a subparser parses, helps and fails alike whatever
+    others exist, and argparse spends milliseconds per process building
+    the rest.  Otherwise, as for ``kkmfix --help`` or an unknown command,
+    every subparser is built."""
     parser = _Parser(prog="kkmfix", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    check = sub.add_parser("check", parents=[shared], help="run one theorem")
-    check.add_argument("--map", required=True)
-    check.add_argument("--theorem", required=True, choices=_THEOREMS)
-
-    fixed = sub.add_parser(
-        "fixed-points", parents=[shared], help="exact fixed points"
-    )
-    fixed.add_argument("--map", required=True)
-
-    kkm = sub.add_parser("kkm", parents=[shared], help="witness-set coverage")
-    kkm.add_argument("--map", required=True)
-    kkm.add_argument("--kind", required=True, choices=sorted(_KINDS))
-    kkm.add_argument("--delta", default=None)
-    kkm.add_argument("--points", required=True)
-
-    corpus = sub.add_parser(
-        "corpus", parents=[shared], help="run the built-in examples"
-    )
-    corpus.add_argument("--only", type=int, default=None)
-
-    parsecmd = sub.add_parser(
-        "parse", parents=[shared], help="validate a mapping file"
-    )
-    parsecmd.add_argument("--map", required=True)
-
-    plot = sub.add_parser("plot", parents=[shared], help="render a mapping file")
-    plot.add_argument("--map", required=True)
-    plot.add_argument("--out", required=True)
-    plot.add_argument("--format", choices=_FORMATS, default="svg")
-    plot.add_argument("--samples", type=_positive, default=101)
+    for name, (summary, options) in _OPTIONS.items():
+        if command in _OPTIONS and name != command:
+            continue
+        cmd = sub.add_parser(name, help=summary)
+        cmd.add_argument(
+            "--json", action="store_true", help="structured report on stdout"
+        )
+        for flag, kwargs in options:
+            cmd.add_argument(flag, **kwargs)
     return parser
 
 
@@ -406,7 +420,7 @@ _COMMANDS = {
 
 def run_command(argv) -> Report:
     """Parse argv and execute; raises UsageError on bad invocations."""
-    args = build_parser().parse_args(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     return _COMMANDS[args.command](args)
 
 

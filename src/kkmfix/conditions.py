@@ -22,7 +22,9 @@ from .intervals import (
     ClassSet,
     Interval,
     _Validated,
+    _cut_interval,
     _intersect_iv,
+    _narrow,
     _plain_complement,
     _plain_intersect,
     class_pick,
@@ -109,40 +111,22 @@ class ConditionVerdict:
 _ZERO, _ONE, _MINUS_ONE = QuadExt(0), QuadExt(1), QuadExt(-1)
 
 
-def _narrow(iv: Interval, root, below: bool, strict: bool) -> Interval | None:
-    """Cut ``iv`` to t < root (below) or t > root, non-strict unless
-    ``strict``.  Returns ``iv`` itself when nothing is cut and None when
-    nothing is left."""
-    lo, hi, lo_closed, hi_closed = iv
-    if below:
-        if hi is None or root < hi:
-            hi, hi_closed = root, not strict
-        elif root == hi and strict and hi_closed:
-            hi_closed = False
-        else:
-            return iv
-    elif lo is None or root > lo:
-        lo, lo_closed = root, not strict
-    elif root == lo and strict and lo_closed:
-        lo_closed = False
-    else:
-        return iv
-    if lo is not None and hi is not None:
-        if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
-            return None
-    return Interval(lo, hi, lo_closed, hi_closed)
+def _solve(ends, slope: QuadExt, intercept: QuadExt, rel: str):
+    """The part of the interval fields ``ends`` where slope*x + intercept
+    <rel> 0, as ``_narrow`` returns it: ``ends`` itself when nothing is
+    cut, None when nothing is left, else the cut fields."""
+    strict = len(rel) == 1
+    if not slope:
+        sign = intercept.sign() if rel[0] == "<" else -intercept.sign()
+        return ends if sign < 0 or (not strict and not sign) else None
+    below = (slope.sign() > 0) == (rel[0] == "<")
+    return _narrow(ends, -intercept / slope, below, strict)
 
 
 def _solve_affine(slope, intercept, rel: str, within: Interval) -> Interval | None:
     """Solution set of slope*x + intercept <rel> 0 inside ``within``."""
-    slope = as_scalar(slope)
-    intercept = as_scalar(intercept)
-    strict = len(rel) == 1
-    if not slope:
-        sign = intercept.sign() if rel[0] == "<" else -intercept.sign()
-        return within if sign < 0 or (not strict and not sign) else None
-    below = (slope.sign() > 0) == (rel[0] == "<")
-    return _narrow(within, -intercept / slope, below, strict)
+    cut = _solve(within, as_scalar(slope), as_scalar(intercept), rel)
+    return _cut_interval(within, cut)
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +274,11 @@ def check_b3_strong(
 # exact decider for the hull inequalities
 
 
-def _x_pieces(kind: BKind, pieces) -> tuple[list, list]:
-    """The value pieces as x pieces for ``_near_u``, split into those
-    usable below u and those usable above it: each is (interval, slope,
-    intercept, lower bounds, upper bounds), the bounds on x as in
-    ``_project_u``.
+def _x_pieces(kind: BKind, signs) -> tuple[list, list]:
+    """The rows of the sign table ``MappingSpec._signs`` as x pieces for
+    ``_near_u``, split into those usable below u and those usable above
+    it: each is (interval, slope, intercept, lower bounds, upper bounds),
+    the bounds on x as in ``_project_u``.
 
     The other rows of a projection are strict, so a nondegenerate piece
     projects the same whatever its class, the closedness of its ends and
@@ -302,27 +286,17 @@ def _x_pieces(kind: BKind, pieces) -> tuple[list, list]:
     branch count once.  For the anchor and displacement forms a negative
     term at x < u forces f(x) > x (were f(x) <= x, |f(x) - u| =
     (u - x) + (x - f(x)) would exceed both u - x and |f(x) - x|), and at
-    x > u it forces f(x) < x, so each piece is split once at the root of
-    (c - 1)x + d.  The residual form keeps every piece on both sides."""
+    x > u it forces f(x) < x, so a piece's left half is the table's part
+    where f(x) > x and its right half the part where f(x) < x.  The
+    residual form keeps every piece on both sides."""
     lefts, rights, seen = [], [], set()
-    for _, iv, c, d in pieces:
+    residual = kind is BKind.RESIDUAL
+    for _, iv, c, d, pos, _, neg in signs:
         key = (iv.lo, iv.hi, c, d)
         if key in seen:
             continue
         seen.add(key)
-        if kind is BKind.RESIDUAL:
-            halves = (iv, iv)
-        elif c == _ONE:
-            sign = d.sign()
-            halves = (iv if sign > 0 else None, iv if sign < 0 else None)
-        else:
-            # f(x) > x above the root when c > 1, below it otherwise
-            root, rising = d / (_ONE - c), c > _ONE
-            halves = (
-                _narrow(iv, root, not rising, True),
-                _narrow(iv, root, rising, True),
-            )
-        for half, out in zip(halves, (lefts, rights)):
+        for half, out in zip((iv, iv) if residual else (pos, neg), (lefts, rights)):
             if half is not None:
                 lo, hi, lo_closed, hi_closed = half
                 lows = [] if lo is None else [(_ZERO, lo, not lo_closed)]
@@ -352,18 +326,21 @@ def _project_u(lows, highs, on_u, within: Interval) -> Interval | None:
     ``lows`` and below every upper bound in ``highs``; a bound
     (s, i, strict) is s*u + i, passed strictly or not.
 
-    Fourier-Motzkin: x exists iff every lower bound stays below every upper
-    bound."""
+    Fourier-Motzkin (Dantzig and Eaves, J. Comb. Theory A 14, 1973): x
+    exists iff every lower bound stays below every upper bound.  The rows
+    cut the fields of ``within`` one after another, and one interval is
+    built from what is left."""
     pairs = (
         (ls - hs, li - hi, l_strict or h_strict)
         for ls, li, l_strict in lows
         for hs, hi, h_strict in highs
     )
+    ends = within
     for b, c, strict in itertools.chain(on_u, pairs):
-        within = _solve_affine(b, c, "<" if strict else "<=", within)
-        if within is None:
+        ends = _solve(ends, b, c, "<" if strict else "<=")
+        if ends is None:
             return None
-    return within
+    return _cut_interval(within, ends)
 
 
 def _gauges(kind: BKind, c, d, below: bool, k, m):
@@ -417,26 +394,29 @@ def _near_u(kind, x_pieces, k, m, below: bool, within: Interval) -> list:
     return out
 
 
-def _u_pieces(kind: BKind, spec: MappingSpec, pieces):
-    """(tag, interval, k, m) covering the hull points u.  The residual form
-    splits u by value piece and by the sign of f(u) - u, for which
-    |f(u) - u| = k*u + m; the other forms take all of C at once, with k
-    and m None."""
+def _u_pieces(kind: BKind, spec: MappingSpec, signs):
+    """The u pieces (tag, interval, k, m) that ``decide_b`` projects on.
+    The residual form reads them off the sign table ``MappingSpec._signs``:
+    on the part of a value piece where f(u) - u = (c - 1)u + d is positive,
+    |f(u) - u| is k*u + m for (k, m) = (c - 1, d), and on the negative part
+    for (k, m) = -(c - 1, d); a zero part, where the bound is 0, cannot be
+    violated and is skipped.  The other forms take all of C at once, with
+    k and m None."""
     if kind is not BKind.RESIDUAL:
         yield None, spec.domain, None, None
         return
-    for tag, iv, a, b in pieces:
-        for s in (1, -1):
-            yield tag, iv, s * (a - 1), s * b
+    for tag, _, c, d, pos, _, neg in signs:
+        k = c - _ONE
+        if pos is not None:
+            yield tag, pos, k, d
+        if neg is not None:
+            yield tag, neg, -k, -d
 
 
 def _sides(kind, lefts, rights, k, m, iv: Interval, window: Interval):
-    """L and R (see ``decide_b``) within the u of iv inside the window
-    where the residual bound k*u + m is positive; R is left empty when L
-    is."""
+    """L and R (see ``decide_b``) within the u of iv inside the window; R
+    is left empty when L is."""
     within = _intersect_iv(iv, window)
-    if within is not None and k is not None:
-        within = _solve_affine(k, m, ">", within)
     if within is None:
         return [], []
     below = _near_u(kind, lefts, k, m, True, within)
@@ -468,31 +448,34 @@ def decide_b(kind: BKind, spec: MappingSpec) -> ConditionVerdict:
     supply x' (see ``_x_pieces``); V lies in the open window between the
     two, so nothing is projected outside it, and nothing at all when it is
     empty (f <= id or f >= id on C, or a pivot with f <= id below it and
-    f >= id above).  Returns Proven, or Falsified with a two-point witness
-    around the first violating u found."""
+    f >= id above).  Both the x pieces and the residual form's u pieces
+    are read off the spec's sign table of f(x) - x (``MappingSpec._signs``),
+    whose roots are computed once per spec.  Returns Proven, or Falsified
+    with a two-point witness around the first violating u found."""
     proven = ConditionVerdict(
         Status.PROVEN,
         None,
         f"no u in C has x < u < x' with {_CLOSE[kind]}; the inequality holds "
         "for every finite subset",
     )
-    pieces = spec.value_pieces()
-    lefts, rights = _x_pieces(kind, pieces)
+    signs = spec._signs
+    lefts, rights = _x_pieces(kind, signs)
     window = _window(lefts, rights)
     if window is None:
         return proven
     # L and R depend on a u piece only through its ends and k, m: project
     # once on the closed hull, then cut to each class's own piece
     sides: dict[tuple, tuple[list, list]] = {}
-    for tag, iv, k, m in _u_pieces(kind, spec, pieces):
+    for tag, iv, k, m in _u_pieces(kind, spec, signs):
         key = (iv.lo, iv.hi, k, m)
-        if key not in sides:
-            sides[key] = _sides(kind, lefts, rights, k, m, iv.closure(), window)
-        below, above = sides[key]
+        got = sides.get(key)
+        if got is None:
+            got = sides[key] = _sides(kind, lefts, rights, k, m, iv.closure(), window)
+        below, above = got
         violating = _plain_intersect(_plain_intersect((iv,), below), above)
         u = class_pick(tag, violating)
         if u is not None:
-            return _b_falsified(kind, spec, pieces, u, k, m)
+            return _b_falsified(kind, spec, spec.value_pieces(), u, k, m)
     return proven
 
 
@@ -568,10 +551,24 @@ def _point_where(spec: MappingSpec, slope_shift, intercept_shift, rel: str):
     return None
 
 
+def _displaced_point(spec: MappingSpec, climbs: bool):
+    """The first tag-class point of a part of the sign table
+    ``MappingSpec._signs`` where f(x) > x (f(x) < x unless ``climbs``),
+    cells first, overrides last; None when f <= id (f >= id) on C."""
+    for tag, _, _, _, pos, _, neg in spec._signs:
+        part = pos if climbs else neg
+        spot = None if part is None else pick_in(tag, part)
+        if spot is not None:
+            return spot
+    return None
+
+
 def decide_c1(spec: MappingSpec) -> ConditionVerdict:
     """Does some x* make check_c1's set compact?  Decided exactly: yes iff
     C is compact, or C has a closed finite lower end and f climbs somewhere
-    (the set is then a closed bounded initial segment), or the mirror."""
+    (the set is then a closed bounded initial segment), or the mirror.
+    Where f climbs and where it falls are read off the spec's sign table
+    of f(x) - x."""
     dom = spec.domain
     if dom.is_bounded and dom.is_closed:
         x = dom.lo
@@ -579,7 +576,7 @@ def decide_c1(spec: MappingSpec) -> ConditionVerdict:
             Status.PROVEN, x, f"C is compact; any x* works, e.g. {format_scalar(x)}"
         )
     if dom.lo is not None and dom.lo_closed:
-        x = _point_where(spec, -1, 0, ">")  # f(x) > x
+        x = _displaced_point(spec, True)
         if x is not None:
             return ConditionVerdict(
                 Status.PROVEN,
@@ -588,7 +585,7 @@ def decide_c1(spec: MappingSpec) -> ConditionVerdict:
                 "bounded initial segment of C",
             )
     if dom.hi is not None and dom.hi_closed:
-        x = _point_where(spec, -1, 0, "<")  # f(x) < x
+        x = _displaced_point(spec, False)
         if x is not None:
             return ConditionVerdict(
                 Status.PROVEN,
@@ -674,11 +671,12 @@ def check_c3(spec: MappingSpec) -> ConditionVerdict:
     where one of these limits is below the displacement of the piece A
     holding p: the failures are the A-class points of A & closure(B) where
     |phi_B| < |phi_A|, phi = (c - 1, d), solved by ``_abs_below``; one
-    branch cannot dip below itself."""
+    branch cannot dip below itself.  Class twins approach alike, so each
+    distinct approach (closure, phi) is paired once."""
     pieces = spec.value_pieces()
-    approaches = [
+    approaches = dict.fromkeys(
         (iv.closure(), (c - _ONE, d)) for _, iv, c, d in pieces if not iv.is_degenerate
-    ]
+    )
     failures = []
     for tag, iv, c, d in pieces:
         own = (c - _ONE, d)

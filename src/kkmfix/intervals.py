@@ -230,6 +230,38 @@ def _intersect_iv(a: Interval, b: Interval) -> Interval | None:
     return Interval(lo, hi, loc, hic)
 
 
+def _narrow(ends, root, below: bool, strict: bool):
+    """Cut the interval fields ``ends`` = (lo, hi, lo_closed, hi_closed) to
+    t < root (below) or t > root, non-strict unless ``strict``.  Returns
+    ``ends`` itself when nothing is cut, None when nothing is left, and
+    else the cut fields as a plain tuple, checked to make an interval."""
+    lo, hi, lo_closed, hi_closed = ends
+    if below:
+        if hi is None or root < hi:
+            hi, hi_closed = root, not strict
+        elif root == hi and strict and hi_closed:
+            hi_closed = False
+        else:
+            return ends
+    elif lo is None or root > lo:
+        lo, lo_closed = root, not strict
+    elif root == lo and strict and lo_closed:
+        lo_closed = False
+    else:
+        return ends
+    if lo is not None and hi is not None:
+        if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
+            return None
+    return lo, hi, lo_closed, hi_closed
+
+
+def _cut_interval(iv: Interval, cut) -> Interval | None:
+    """The interval form of a ``_narrow`` result on iv: iv itself when
+    nothing was cut, None when nothing is left, else the cut fields as an
+    Interval, built without repeating the checks ``_narrow`` made."""
+    return cut if cut is None or cut is iv else tuple.__new__(Interval, cut)
+
+
 def _plain_intersect(A, B) -> tuple[Interval, ...]:
     out = []
     for a in A:

@@ -5,6 +5,13 @@ affine expression on one interval, for the points of one membership class
 (rational or irrational inputs) or of both; finitely many point overrides
 replace the value at single points.  The pieces serving a class must cover
 the domain's points of that class exactly once.
+
+A spec caches what every decider reads, each built once on first use: the
+class cells, the value pieces, and the sign table ``_signs`` of the
+displacement f(x) - x, which splits each value piece at its root into
+the parts where f(x) > x, f(x) = x and f(x) < x.  The fixed-point set is
+the table's zero parts; ``conditions.decide_b`` and
+``conditions.decide_c1`` read its other parts.
 """
 
 from __future__ import annotations
@@ -17,6 +24,8 @@ from kkmfix.intervals import (
     Interval,
     _Validated,
     _canonical_slice,
+    _cut_interval,
+    _narrow,
     _plain_complement,
     _plain_intersect,
     class_nonempty,
@@ -129,6 +138,11 @@ def _image_pairs(pieces):
         yield (tag if slope else None), iv.map_affine(slope, intercept)
 
 
+def _strict_side(iv: Interval, root, below: bool) -> Interval | None:
+    # the part of iv strictly below root (above it unless below)
+    return _cut_interval(iv, _narrow(iv, root, below, True))
+
+
 class _Spec(NamedTuple):
     domain: Interval
     pieces: tuple[Piece, ...]
@@ -235,19 +249,44 @@ class MappingSpec(_Validated, _Spec):
         return self._fixed_point_set
 
     @cached_property
-    def _fixed_point_set(self) -> ClassSet:
-        pairs = []
-        for tag, iv, slope, intercept in self.value_pieces():
+    def _signs(self) -> tuple:
+        """The sign table of the displacement phi(x) = f(x) - x: one row
+        (tag, iv, slope, intercept, pos, zero, neg) per value piece, in
+        ``value_pieces`` order, where pos, zero and neg are the parts of iv
+        where phi > 0, = 0 and < 0, each an interval or None; their
+        tag-class points make up the piece's.  Each row's root is computed
+        once.  A cell's rational coefficients put its root in the
+        rationals, so an irrational cell has no zero part; an override's
+        root is its value, inside iff value == at.
+
+        Read by ``fixed_point_set`` (zero) and, in ``conditions``, by
+        ``decide_b`` (its x pieces and the residual form's u pieces) and
+        ``decide_c1`` (pos and neg)."""
+        out = []
+        for tag, iv, slope, intercept in self._value_pieces:
             if slope == _ONE:
-                if not intercept:
-                    pairs.append((tag, iv))
-                continue
-            root = intercept / (_ONE - slope)
-            # a cell's rational coefficients put its root in the rationals;
-            # an override's root is its value, inside iff value == at
-            if tag is not ClassTag.IRRATIONAL and iv.contains(root):
-                pairs.append((None, Interval.point(root)))
-        return tagged(pairs)
+                sign = intercept.sign()
+                pos = iv if sign > 0 else None
+                zero = iv if not sign else None
+                neg = iv if sign < 0 else None
+            else:
+                # phi rises through its root when slope > 1
+                root, rising = intercept / (_ONE - slope), slope > _ONE
+                pos = _strict_side(iv, root, not rising)
+                neg = _strict_side(iv, root, rising)
+                # the root lies in iv exactly when it cuts iv on both sides
+                inside = pos is not iv and neg is not iv
+                zero = None
+                if inside and tag is not ClassTag.IRRATIONAL:
+                    zero = Interval.point(root)
+            out.append((tag, iv, slope, intercept, pos, zero, neg))
+        return tuple(out)
+
+    @cached_property
+    def _fixed_point_set(self) -> ClassSet:
+        return tagged(
+            (tag, zero) for tag, _, _, _, _, zero, _ in self._signs if zero is not None
+        )
 
     def fixed_points(self) -> tuple[QuadExt, ...]:
         pts = self.fixed_point_set().finite_points()

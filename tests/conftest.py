@@ -20,6 +20,47 @@ HULL_KINDS = {
 }
 
 
+# hand-made maps the corpus and randmaps lack, as map text
+EDGE_MAPS = {
+    # breakpoints in Q(sqrt2) other than the ends
+    "sqrt2-breaks": (
+        "label sqrt2 breakpoints\n"
+        "domain [0, 4]\n"
+        "piece [0, sqrt2) all: x + 1\n"
+        "piece [sqrt2, 2 + 1/2*sqrt2] all: -x + 4\n"
+        "piece (2 + 1/2*sqrt2, 4] all: 1/2 x + 1\n"
+    ),
+    "abs-on-line": (
+        "label f = |x| on the line\n"
+        "domain (-inf, inf)\n"
+        "piece (-inf, 0) all: -x\n"
+        "piece [0, inf) all: x\n"
+    ),
+    "point-domain": (
+        "label a point domain\n"
+        "domain [3, 3]\n"
+        "piece [3, 3] all: 3\n"
+    ),
+    # one branch per class in the middle, its rational root 5 shared
+    "class-split-middle": (
+        "label class-split middle piece\n"
+        "domain [0, 10]\n"
+        "piece [0, 3) all: 1/2 x + 4\n"
+        "piece [3, 7] rational: -x + 10\n"
+        "piece [3, 7] irrational: 5\n"
+        "piece (7, 10] all: -x + 12\n"
+    ),
+    # the override at 4 displaces the piece's only fixed point
+    "override-inside": (
+        "label override inside a piece\n"
+        "domain [0, 10]\n"
+        "piece [0, 10] all: 1/2 x + 2\n"
+        "override 4 -> 9\n"
+        "override 6 -> 0\n"
+    ),
+}
+
+
 def rand_fraction(rng: random.Random, span: int = 40, den: int = 12) -> Fraction:
     return Fraction(rng.randint(-span * den, span * den), rng.randint(1, den))
 

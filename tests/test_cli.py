@@ -322,28 +322,28 @@ def test_main_prints_rendered(maps, capsys):
     assert capsys.readouterr().out == "0, 10\n"
 
 
-@pytest.mark.parametrize(
-    "argv, flag",
-    [
-        (["check", "--theorem", "t1"], "--map"),
-        (["check", "--map", "nowhere.map", "--theorem", "t1"], "--map"),
-        (["check", "--map", "x", "--theorem", "t9"], "--theorem"),
-        (["corpus", "--only", "15"], "--only"),
-        (["kkm", "--map", "x", "--kind", "g1", "--delta", "2",
-          "--points", "1"], "--delta"),
-        (["plot", "--map", "x", "--out", "/no/such/dir/a.svg"], "--out"),
-        (["plot", "--map", "x", "--out", "a", "--samples", "0"], "--samples"),
-        (["kkm", "--map", "x", "--kind", "g1", "--points", "20,30"], "--points"),
-        (["kkm", "--map", "x", "--kind", "g3", "--delta", "abc",
-          "--points", "1"], "--delta"),
-        # entry 9 has a fixed point, so no displacement gap to default to
-        (["kkm", "--map", "x", "--kind", "g3", "--points", "1"], "--delta"),
-        (["kkm", "--map", "x", "--kind", "g1", "--points", "1,zz"], "--points"),
-        (["kkm", "--map", "x", "--kind", "g1", "--points", ","], "--points"),
-        (["check", "--map", "syntax", "--theorem", "t1"], "--map"),
-        (["parse", "--map", "syntax"], "--map"),
-    ],
-)
+_USAGE_CASES = [
+    (["check", "--theorem", "t1"], "--map"),
+    (["check", "--map", "nowhere.map", "--theorem", "t1"], "--map"),
+    (["check", "--map", "x", "--theorem", "t9"], "--theorem"),
+    (["corpus", "--only", "15"], "--only"),
+    (["kkm", "--map", "x", "--kind", "g1", "--delta", "2",
+      "--points", "1"], "--delta"),
+    (["plot", "--map", "x", "--out", "/no/such/dir/a.svg"], "--out"),
+    (["plot", "--map", "x", "--out", "a", "--samples", "0"], "--samples"),
+    (["kkm", "--map", "x", "--kind", "g1", "--points", "20,30"], "--points"),
+    (["kkm", "--map", "x", "--kind", "g3", "--delta", "abc",
+      "--points", "1"], "--delta"),
+    # entry 9 has a fixed point, so no displacement gap to default to
+    (["kkm", "--map", "x", "--kind", "g3", "--points", "1"], "--delta"),
+    (["kkm", "--map", "x", "--kind", "g1", "--points", "1,zz"], "--points"),
+    (["kkm", "--map", "x", "--kind", "g1", "--points", ","], "--points"),
+    (["check", "--map", "syntax", "--theorem", "t1"], "--map"),
+    (["parse", "--map", "syntax"], "--map"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", _USAGE_CASES)
 def test_usage_errors(maps, capsys, argv, flag):
     named = {"x": maps[9], "syntax": maps["syntax"]}
     argv = [named.get(token, token) for token in argv]
@@ -353,6 +353,137 @@ def test_usage_errors(maps, capsys, argv, flag):
     assert err.startswith("kkmfix: error:")
     assert err.count("\n") == 1
     assert flag in err
+
+
+# the exact stderr of each _USAGE_CASES entry, then of errors argparse
+# reports for the top-level parser
+_USAGE_TEXTS = [
+    "the following arguments are required: --map",
+    "--map: [Errno 2] No such file or directory: 'nowhere.map'",
+    "argument --theorem: invalid choice: 't9' (choose from 't1', 'cor3', 't3', "
+    "'cor4', 't5')",
+    "--only: corpus index out of range 1..14",
+    "--delta: only meaningful with --kind g3",
+    "--out: [Errno 2] No such file or directory: '/no/such/dir/a.svg'",
+    "argument --samples: must be >= 1",
+    "--points: 20 outside the domain [0, 10]",
+    "--delta: malformed scalar 'abc'",
+    "--delta: required for --kind g3 (the map has no displacement gap to "
+    "default to)",
+    "--points: malformed scalar 'zz'",
+    "--points: expected at least one point",
+    "--map: line 1, column 8: malformed interval '[0, 1'",
+    "--map: line 1, column 8: malformed interval '[0, 1'",
+]
+_TOP_LEVEL_ERRORS = [
+    ([], "the following arguments are required: command"),
+    (["frob"], "argument command: invalid choice: 'frob' (choose from 'check', "
+     "'fixed-points', 'kkm', 'corpus', 'parse', 'plot')"),
+    (["check", "--map", "x", "--theorem", "t1", "extra"],
+     "unrecognized arguments: extra"),
+    (["--json", "check"], "the following arguments are required: --map, --theorem"),
+    (["corpus", "--only", "x"], "argument --only: invalid int value: 'x'"),
+]
+
+
+def test_usage_error_texts_are_pinned(maps, capsys):
+    named = {"x": maps[9], "syntax": maps["syntax"]}
+    cases = [argv for argv, _ in _USAGE_CASES] + [argv for argv, _ in _TOP_LEVEL_ERRORS]
+    texts = _USAGE_TEXTS + [text for _, text in _TOP_LEVEL_ERRORS]
+    assert len(cases) == len(texts)
+    for argv, text in zip(cases, texts):
+        if argv[:1] != ["corpus"]:
+            argv = [named.get(token, token) for token in argv]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"kkmfix: error: {text}\n", argv
+
+
+_HELP_TEXTS = {
+    "": """\
+usage: kkmfix [-h] {check,fixed-points,kkm,corpus,parse,plot} ...
+
+Command-line front end: parse mapping files, run checks, emit plots.
+
+positional arguments:
+  {check,fixed-points,kkm,corpus,parse,plot}
+    check               run one theorem
+    fixed-points        exact fixed points
+    kkm                 witness-set coverage
+    corpus              run the built-in examples
+    parse               validate a mapping file
+    plot                render a mapping file
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "check": """\
+usage: kkmfix check [-h] [--json] --map MAP --theorem {t1,cor3,t3,cor4,t5}
+
+options:
+  -h, --help            show this help message and exit
+  --json                structured report on stdout
+  --map MAP
+  --theorem {t1,cor3,t3,cor4,t5}
+""",
+    "fixed-points": """\
+usage: kkmfix fixed-points [-h] [--json] --map MAP
+
+options:
+  -h, --help  show this help message and exit
+  --json      structured report on stdout
+  --map MAP
+""",
+    "kkm": """\
+usage: kkmfix kkm [-h] [--json] --map MAP --kind {g1,g2,g3} [--delta DELTA]
+                  --points POINTS
+
+options:
+  -h, --help         show this help message and exit
+  --json             structured report on stdout
+  --map MAP
+  --kind {g1,g2,g3}
+  --delta DELTA
+  --points POINTS
+""",
+    "corpus": """\
+usage: kkmfix corpus [-h] [--json] [--only ONLY]
+
+options:
+  -h, --help   show this help message and exit
+  --json       structured report on stdout
+  --only ONLY
+""",
+    "parse": """\
+usage: kkmfix parse [-h] [--json] --map MAP
+
+options:
+  -h, --help  show this help message and exit
+  --json      structured report on stdout
+  --map MAP
+""",
+    "plot": """\
+usage: kkmfix plot [-h] [--json] --map MAP --out OUT [--format {svg,csv}]
+                   [--samples SAMPLES]
+
+options:
+  -h, --help          show this help message and exit
+  --json              structured report on stdout
+  --map MAP
+  --out OUT
+  --format {svg,csv}
+  --samples SAMPLES
+""",
+}
+
+
+def test_help_texts_are_pinned(monkeypatch, capsys):
+    # argparse wraps help to the terminal width it reads from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    for command, text in _HELP_TEXTS.items():
+        with pytest.raises(SystemExit) as stop:
+            main([command, "--help"] if command else ["--help"])
+        assert stop.value.code == 0
+        assert capsys.readouterr().out == text, command
 
 
 def test_map_not_utf8_is_usage_error(tmp_path, capsys):

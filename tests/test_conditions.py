@@ -10,7 +10,7 @@ from kkmfix.conditions import (
     BKind,
     Status,
     SubsetWitness,
-    _narrow,
+    _point_where,
     _solve_affine,
     b_value,
     check_b3_strong,
@@ -24,7 +24,7 @@ from kkmfix.conditions import (
     decide_c2,
     sublevel,
 )
-from kkmfix.intervals import ClassSet, Interval
+from kkmfix.intervals import ClassSet, Interval, _narrow
 from kkmfix.kkm import GKind, verify_kkm
 from kkmfix.mapdef import parse, serialize
 from kkmfix.mapping import AffineExpr, MappingSpec, Piece, PointOverride
@@ -366,7 +366,10 @@ def test_narrow_and_solve_affine_match_their_definition():
                     d = root - t if below else t - root
                     return d > 0 or (not strict and d == 0)
 
-                _check_cut(iv, _narrow(iv, root, below, strict), samples, keep)
+                # _narrow cuts fields; a cut must make a valid Interval
+                cut = _narrow(iv, root, below, strict)
+                got = cut if cut is None or cut is iv else Interval(*cut)
+                _check_cut(iv, got, samples, keep)
         slope = QuadExt(0) if rng.random() < 0.2 else _query_end(rng)
         intercept = _query_end(rng)
         root = -intercept / slope if slope else None
@@ -767,6 +770,32 @@ def test_compact_set_deciders_by_definition():
                 else:
                     assert verdict.status is Status.FALSIFIED
                     assert not any(check(spec, x)[1] for x in xs), serialize(spec)
+
+
+def test_decide_c1_witness_is_the_first_displaced_point():
+    """Off a compact C, a Proven decide_c1 witness is the first class point
+    with f(x) > x (closed lower end), or else with f(x) < x (closed upper
+    end), of ``_point_where``'s scan over value_pieces(), which does not
+    read the sign table."""
+    rng = random.Random(29)
+    routes = []
+    for dom in _SHAPES[1:]:
+        for _ in range(30):
+            spec = _shape_spec(rng, dom)
+            verdict = decide_c1(spec)
+            if verdict.status is not Status.PROVEN:
+                continue
+            climbs = dom.lo is not None and dom.lo_closed
+            want = _point_where(spec, -1, 0, ">") if climbs else None
+            if want is None:
+                climbs = False
+                want = _point_where(spec, -1, 0, "<")
+            x = verdict.witness
+            assert x == want, serialize(spec)
+            fx = spec.evaluate(x)
+            assert fx > x if climbs else fx < x, serialize(spec)
+            routes.append(climbs)
+    assert routes.count(True) >= 20 and routes.count(False) >= 20
 
 
 def test_out_of_domain_point_is_named():

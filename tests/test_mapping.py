@@ -6,14 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from kkmfix.intervals import ClassSet, Interval
+from kkmfix.intervals import ClassSet, Interval, _intersect_iv, tagged
 from kkmfix.kkm import default_gap_delta
-from kkmfix.mapdef import parse
+from kkmfix.mapdef import parse, serialize
 from kkmfix.mapping import AffineExpr, MappingSpec, Piece, PointOverride
 from kkmfix.randmaps import random_specs
 from kkmfix.scalars import SQRT2, ClassTag, QuadExt, class_of
 
-from conftest import rand_point_in
+from conftest import EDGE_MAPS, rand_point_in
 
 
 def _fraction_text(s: Fraction, c: Fraction) -> str:
@@ -263,3 +263,44 @@ def test_value_pieces_give_evaluate():
             assert len(holding) == 1, (spec.label, x)
             slope, intercept = holding[0]
             assert slope * x + intercept == spec.evaluate(x), (spec.label, x)
+
+
+def _sign_samples(iv: Interval, slope, intercept) -> list[QuadExt]:
+    """Points at and around the finite ends of iv and the root of
+    (slope - 1)x + intercept: each mark, mark +- 1/2^n and mark +-
+    sqrt2/2^n, so rationals and q + sqrt2/2^n points on both sides."""
+    marks = [t for t in (iv.lo, iv.hi) if t is not None]
+    if slope != 1:
+        marks.append(intercept / (1 - slope))
+    if iv.lo is None or iv.hi is None:
+        marks += [m + d for m in marks or [QuadExt(0)] for d in (-5, 5)]
+    steps = [QuadExt(Fraction(1, 2**n)) for n in (1, 4, 9)]
+    steps += [SQRT2 / 2**n for n in (1, 4, 9)]
+    return [m + s for m in marks for s in (0, *steps, *(-t for t in steps))]
+
+
+def test_sign_table_matches_its_definition(corpus):
+    """Per value piece, pos, zero and neg are disjoint, their class points
+    make up the piece's, and each holds exactly the sampled class points
+    of the piece where f(x) - x is > 0, = 0 or < 0."""
+    specs = [e.spec for e in corpus.values()] + list(random_specs(300, seed=3))
+    specs += [parse(text) for text in EDGE_MAPS.values()]
+    signs = {1: 0, 0: 0, -1: 0}
+    for spec in specs:
+        table = spec._signs
+        assert [row[:4] for row in table] == list(spec.value_pieces())
+        for tag, iv, slope, intercept, *parts in table:
+            held = [p for p in parts if p is not None]
+            for i, a in enumerate(held):
+                for b in held[i + 1 :]:
+                    assert _intersect_iv(a, b) is None, (serialize(spec), iv)
+            assert tagged((tag, p) for p in held) == tagged([(tag, iv)])
+            for x in _sign_samples(iv, slope, intercept):
+                if not iv.contains(x) or tag not in (None, class_of(x)):
+                    continue
+                sign = (spec.evaluate(x) - x).sign()
+                signs[sign] += 1
+                for part, want in zip(parts, (1, 0, -1)):
+                    inside = part is not None and part.contains(x)
+                    assert inside == (sign == want), (serialize(spec), iv, x)
+    assert min(signs.values()) > 100, signs

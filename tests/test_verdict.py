@@ -1,9 +1,15 @@
 """Theorem verdict assembly and the built-in example corpus."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
+from kkmfix.cli import _theorem_payload
 from kkmfix.conditions import Status, b_value
 from kkmfix.mapdef import parse, serialize
+from kkmfix.randmaps import random_specs
 from kkmfix.scalars import QuadExt
 from kkmfix.verdict import (
     TheoremId,
@@ -12,7 +18,9 @@ from kkmfix.verdict import (
     run_theorem,
 )
 
-from conftest import HULL_KINDS
+from conftest import EDGE_MAPS, HULL_KINDS
+
+_RANDOM_VERDICTS = Path(__file__).parent / "data" / "golden" / "random_verdicts.txt"
 
 
 def test_theorem_ids():
@@ -116,3 +124,39 @@ def test_tampered_corpus_entry_mismatches():
 def test_run_corpus_subset_indices():
     results = run_corpus(indices=[9])
     assert len(results) == 1 and results[0][0].index == 9
+
+
+def _verdict_digests():
+    """(spec name, theorem, digest) per line of random_verdicts.txt: the
+    first 16 hex digits of the sha256 of the ``check --json`` payload,
+    ``{"verdict": ...}`` as ``json.dumps(..., indent=2)`` writes it, for
+    each theorem on each of random_specs(200, seed=5) and the edge maps."""
+    specs = [(f"random5-{i:03d}", s) for i, s in enumerate(random_specs(200, seed=5))]
+    specs += [(f"edge-{name}", parse(text)) for name, text in EDGE_MAPS.items()]
+    for name, spec in specs:
+        for theorem in TheoremId:
+            payload = {"verdict": _theorem_payload(run_theorem(spec, theorem))}
+            text = json.dumps(payload, indent=2)
+            yield name, theorem.value, hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_verdicts_beyond_the_corpus_match_golden():
+    """Refresh the file, with ``python tests/test_verdict.py`` and src
+    and tests on the path, only for an intended output change."""
+    golden = [
+        line.split()
+        for line in _RANDOM_VERDICTS.read_text(encoding="utf-8").splitlines()
+        if not line.startswith("#")
+    ]
+    got = [list(row) for row in _verdict_digests()]
+    assert len(got) == len(golden) == (200 + len(EDGE_MAPS)) * len(TheoremId)
+    for row, want in zip(got, golden):
+        assert row == want, f"{row[0]} under {row[1]} changed"
+
+
+if __name__ == "__main__":
+    _RANDOM_VERDICTS.write_text(
+        "# spec theorem sha256(check --json payload)[:16]; see test_verdict.py\n"
+        + "".join(" ".join(row) + "\n" for row in _verdict_digests()),
+        encoding="utf-8",
+    )
