@@ -22,7 +22,6 @@ from .intervals import (
     ClassSet,
     Interval,
     _Validated,
-    _cut_interval,
     _intersect_iv,
     _narrow,
     _plain_complement,
@@ -111,22 +110,15 @@ class ConditionVerdict:
 _ZERO, _ONE, _MINUS_ONE = QuadExt(0), QuadExt(1), QuadExt(-1)
 
 
-def _solve(ends, slope: QuadExt, intercept: QuadExt, rel: str):
-    """The part of the interval fields ``ends`` where slope*x + intercept
-    <rel> 0, as ``_narrow`` returns it: ``ends`` itself when nothing is
-    cut, None when nothing is left, else the cut fields."""
+def _solve_affine(slope, intercept, rel: str, within: Interval) -> Interval | None:
+    """The part of ``within`` where slope*x + intercept <rel> 0, for QuadExt
+    coefficients, as ``_narrow`` gives it (all or none at zero slope)."""
     strict = len(rel) == 1
     if not slope:
         sign = intercept.sign() if rel[0] == "<" else -intercept.sign()
-        return ends if sign < 0 or (not strict and not sign) else None
+        return within if sign < 0 or (not strict and not sign) else None
     below = (slope.sign() > 0) == (rel[0] == "<")
-    return _narrow(ends, -intercept / slope, below, strict)
-
-
-def _solve_affine(slope, intercept, rel: str, within: Interval) -> Interval | None:
-    """Solution set of slope*x + intercept <rel> 0 inside ``within``."""
-    cut = _solve(within, as_scalar(slope), as_scalar(intercept), rel)
-    return _cut_interval(within, cut)
+    return _narrow(within, -intercept / slope, below, strict)
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +147,8 @@ def check_onto(spec: MappingSpec) -> ConditionVerdict:
 def b_value(kind: BKind, spec: MappingSpec, points, u) -> QuadExt:
     """Signed criterion value at hull point u: nonnegative iff the
     inequality holds there for this subset."""
+    if kind.__class__ is not BKind:
+        raise ValueError(f"unknown hull form: {kind!r}")
     pts = [as_scalar(p) for p in points]
     if not pts:
         raise ValueError("empty subset")
@@ -201,6 +195,8 @@ def check_b_subset(kind: BKind, spec: MappingSpec, points) -> ConditionVerdict:
     union of intervals.  Falsified iff V has a point; the witness is the
     most violated of the images in the hull and one point per interval of
     V."""
+    if kind.__class__ is not BKind:
+        raise ValueError(f"unknown hull form: {kind!r}")
     pts = sorted({as_scalar(p) for p in points})
     if not pts:
         raise ValueError("empty subset")
@@ -327,20 +323,18 @@ def _project_u(lows, highs, on_u, within: Interval) -> Interval | None:
     (s, i, strict) is s*u + i, passed strictly or not.
 
     Fourier-Motzkin (Dantzig and Eaves, J. Comb. Theory A 14, 1973): x
-    exists iff every lower bound stays below every upper bound.  The rows
-    cut the fields of ``within`` one after another, and one interval is
-    built from what is left."""
+    exists iff every lower bound stays below every upper bound.  Each row
+    cuts what the rows before it left, through ``_solve_affine``."""
     pairs = (
         (ls - hs, li - hi, l_strict or h_strict)
         for ls, li, l_strict in lows
         for hs, hi, h_strict in highs
     )
-    ends = within
     for b, c, strict in itertools.chain(on_u, pairs):
-        ends = _solve(ends, b, c, "<" if strict else "<=")
-        if ends is None:
+        within = _solve_affine(b, c, "<" if strict else "<=", within)
+        if within is None:
             return None
-    return _cut_interval(within, ends)
+    return within
 
 
 def _gauges(kind: BKind, c, d, below: bool, k, m):
@@ -452,6 +446,8 @@ def decide_b(kind: BKind, spec: MappingSpec) -> ConditionVerdict:
     are read off the spec's sign table of f(x) - x (``MappingSpec._signs``),
     whose roots are computed once per spec.  Returns Proven, or Falsified
     with a two-point witness around the first violating u found."""
+    if kind.__class__ is not BKind:
+        raise ValueError(f"unknown hull form: {kind!r}")
     proven = ConditionVerdict(
         Status.PROVEN,
         None,
@@ -475,15 +471,14 @@ def decide_b(kind: BKind, spec: MappingSpec) -> ConditionVerdict:
         violating = _plain_intersect(_plain_intersect((iv,), below), above)
         u = class_pick(tag, violating)
         if u is not None:
-            return _b_falsified(kind, spec, spec.value_pieces(), u, k, m)
+            return _b_falsified(kind, spec, u, k, m)
     return proven
 
 
-def _near_point(kind, pieces, u: QuadExt, below: bool, k, m):
+def _near_point(kind, spec, u: QuadExt, below: bool, k, m):
     """Some x on one side of u with |f(x) - u| < g, or None."""
-    side = Interval.less_than(u) if below else Interval.greater_than(u)
-    for tag, iv, c, d in pieces:
-        region = _intersect_iv(iv, side)
+    for tag, iv, c, d in spec.value_pieces():
+        region = _narrow(iv, u, below, True)
         if region is None:
             continue
         for gx, gu, g0 in _gauges(kind, c, d, below, k, m):
@@ -497,9 +492,9 @@ def _near_point(kind, pieces, u: QuadExt, below: bool, k, m):
     return None
 
 
-def _b_falsified(kind, spec, pieces, u: QuadExt, k, m) -> ConditionVerdict:
-    lo = _near_point(kind, pieces, u, True, k, m)
-    hi = _near_point(kind, pieces, u, False, k, m)
+def _b_falsified(kind, spec, u: QuadExt, k, m) -> ConditionVerdict:
+    lo = _near_point(kind, spec, u, True, k, m)
+    hi = _near_point(kind, spec, u, False, k, m)
     w_hi = (u - lo) / (hi - lo)
     witness = SubsetWitness((lo, hi), (1 - w_hi, w_hi), u)
     value = b_value(kind, spec, (lo, hi), u)

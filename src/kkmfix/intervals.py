@@ -12,6 +12,10 @@ structural equality is set equality:
 - intervals are merged when they overlap, or touch at a point that
   either side includes or that the class cannot contain.
 
+``_narrow(iv, root, below, strict)`` is the one cut under intersection and
+the solvers: iv itself when t < root (t > root unless ``below``, non-strict
+unless ``strict``) cuts nothing, None when nothing is left, else an Interval.
+
 ``tagged`` builds a set from (tag, interval) pairs, tag None meaning
 both classes, with one canonicalisation for all of them.  The queries
 ``class_nonempty``, ``pick_in`` and ``class_pick`` answer on raw
@@ -64,8 +68,8 @@ class Interval(_Validated, _Fields):
 
     The named tuple (lo, hi, lo_closed, hi_closed): immutable, compared and
     hashed by its four fields, and checked by ``__new__`` on every
-    construction: ``_make``, ``_replace`` and unpickling at every protocol
-    go through it too."""
+    construction bar ``_narrow``'s cut, which checks it: ``_make``,
+    ``_replace`` and unpickling at every protocol go through it too."""
 
     __slots__ = ()
 
@@ -100,14 +104,6 @@ class Interval(_Validated, _Fields):
     @classmethod
     def at_least(cls, lo) -> "Interval":
         return cls(lo, None, True, False)
-
-    @classmethod
-    def greater_than(cls, lo) -> "Interval":
-        return cls(lo, None, False, False)
-
-    @classmethod
-    def less_than(cls, hi) -> "Interval":
-        return cls(None, hi, False, False)
 
     @classmethod
     def all(cls) -> "Interval":
@@ -205,61 +201,37 @@ def _plain_union(ivs) -> tuple[Interval, ...]:
     return tuple(out)
 
 
-def _intersect_iv(a: Interval, b: Interval) -> Interval | None:
-    a_lo, a_hi, a_loc, a_hic = a
-    b_lo, b_hi, b_loc, b_hic = b
-    if a_lo is None:
-        lo, loc = b_lo, b_loc
-    elif b_lo is None or a_lo > b_lo:
-        lo, loc = a_lo, a_loc
-    elif b_lo > a_lo:
-        lo, loc = b_lo, b_loc
-    else:
-        lo, loc = a_lo, a_loc and b_loc
-    if a_hi is None:
-        hi, hic = b_hi, b_hic
-    elif b_hi is None or a_hi < b_hi:
-        hi, hic = a_hi, a_hic
-    elif b_hi < a_hi:
-        hi, hic = b_hi, b_hic
-    else:
-        hi, hic = a_hi, a_hic and b_hic
-    if lo is not None and hi is not None:
-        if lo > hi or (lo == hi and not (loc and hic)):
-            return None
-    return Interval(lo, hi, loc, hic)
-
-
-def _narrow(ends, root, below: bool, strict: bool):
-    """Cut the interval fields ``ends`` = (lo, hi, lo_closed, hi_closed) to
-    t < root (below) or t > root, non-strict unless ``strict``.  Returns
-    ``ends`` itself when nothing is cut, None when nothing is left, and
-    else the cut fields as a plain tuple, checked to make an interval."""
-    lo, hi, lo_closed, hi_closed = ends
+def _narrow(iv: Interval, root, below: bool, strict: bool) -> Interval | None:
+    """The cut the module docstring states, for a QuadExt root; the cut
+    part skips the checks of ``Interval.__new__`` that its own test makes."""
+    lo, hi, lo_closed, hi_closed = iv
     if below:
         if hi is None or root < hi:
             hi, hi_closed = root, not strict
         elif root == hi and strict and hi_closed:
             hi_closed = False
         else:
-            return ends
+            return iv
     elif lo is None or root > lo:
         lo, lo_closed = root, not strict
     elif root == lo and strict and lo_closed:
         lo_closed = False
     else:
-        return ends
+        return iv
     if lo is not None and hi is not None:
         if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
             return None
-    return lo, hi, lo_closed, hi_closed
+    return tuple.__new__(Interval, (lo, hi, lo_closed, hi_closed))
 
 
-def _cut_interval(iv: Interval, cut) -> Interval | None:
-    """The interval form of a ``_narrow`` result on iv: iv itself when
-    nothing was cut, None when nothing is left, else the cut fields as an
-    Interval, built without repeating the checks ``_narrow`` made."""
-    return cut if cut is None or cut is iv else tuple.__new__(Interval, cut)
+def _intersect_iv(a: Interval, b: Interval) -> Interval | None:
+    """a & b: a cut at each finite end of b; a itself when b holds it."""
+    lo, hi, lo_closed, hi_closed = b
+    if lo is not None:
+        a = _narrow(a, lo, False, not lo_closed)
+    if a is not None and hi is not None:
+        a = _narrow(a, hi, True, not hi_closed)
+    return a
 
 
 def _plain_intersect(A, B) -> tuple[Interval, ...]:

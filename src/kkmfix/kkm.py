@@ -44,6 +44,8 @@ class GKind(_Validated, _Kind):
     __slots__ = ()
 
     def __new__(cls, form, delta=None):
+        if form.__class__ is not GForm:
+            raise TypeError(f"GForm required, got {form!r}")
         if form is GForm.GAP:
             if delta is None:
                 raise ValueError("the gap form needs a delta")

@@ -24,7 +24,6 @@ from kkmfix.intervals import (
     Interval,
     _Validated,
     _canonical_slice,
-    _cut_interval,
     _narrow,
     _plain_complement,
     _plain_intersect,
@@ -136,11 +135,6 @@ def _image_pairs(pieces):
     goes in either class: the canonical ClassSet keeps it in its own."""
     for tag, iv, slope, intercept in pieces:
         yield (tag if slope else None), iv.map_affine(slope, intercept)
-
-
-def _strict_side(iv: Interval, root, below: bool) -> Interval | None:
-    # the part of iv strictly below root (above it unless below)
-    return _cut_interval(iv, _narrow(iv, root, below, True))
 
 
 class _Spec(NamedTuple):
@@ -255,9 +249,10 @@ class MappingSpec(_Validated, _Spec):
         ``value_pieces`` order, where pos, zero and neg are the parts of iv
         where phi > 0, = 0 and < 0, each an interval or None; their
         tag-class points make up the piece's.  Each row's root is computed
-        once.  A cell's rational coefficients put its root in the
-        rationals, so an irrational cell has no zero part; an override's
-        root is its value, inside iff value == at.
+        once, and pos and neg are iv cut strictly at it by ``_narrow``.  A
+        cell's rational coefficients put its root in the rationals, so an
+        irrational cell has no zero part; an override's root is its value,
+        inside iff value == at.
 
         Read by ``fixed_point_set`` (zero) and, in ``conditions``, by
         ``decide_b`` (its x pieces and the residual form's u pieces) and
@@ -272,12 +267,11 @@ class MappingSpec(_Validated, _Spec):
             else:
                 # phi rises through its root when slope > 1
                 root, rising = intercept / (_ONE - slope), slope > _ONE
-                pos = _strict_side(iv, root, not rising)
-                neg = _strict_side(iv, root, rising)
+                pos = _narrow(iv, root, not rising, True)
+                neg = _narrow(iv, root, rising, True)
                 # the root lies in iv exactly when it cuts iv on both sides
-                inside = pos is not iv and neg is not iv
                 zero = None
-                if inside and tag is not ClassTag.IRRATIONAL:
+                if pos is not iv and neg is not iv and tag is not ClassTag.IRRATIONAL:
                     zero = Interval.point(root)
             out.append((tag, iv, slope, intercept, pos, zero, neg))
         return tuple(out)

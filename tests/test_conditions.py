@@ -1,6 +1,7 @@
 """Hypothesis checkers: combination conditions over finite subsets,
 compactness conditions, lower-semicontinuity, and sublevel sets."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from kkmfix.conditions import (
     decide_c2,
     sublevel,
 )
-from kkmfix.intervals import ClassSet, Interval, _narrow
+from kkmfix.intervals import ClassSet, Interval, _intersect_iv, _narrow
 from kkmfix.kkm import GKind, verify_kkm
 from kkmfix.mapdef import parse, serialize
 from kkmfix.mapping import AffineExpr, MappingSpec, Piece, PointOverride
@@ -323,11 +324,11 @@ def test_decide_b_pins(corpus):
     _check_witness(BKind.RESIDUAL, corpus[14].spec, verdict)
 
 
-def _samples(iv: Interval, root) -> list[QuadExt]:
-    """The ends of iv, the root, their sqrt2/64 nudges and the midpoints
-    between neighbours: a point of each stretch the root and ends cut."""
+def _samples(*ends) -> list[QuadExt]:
+    """The finite ends given, their sqrt2/64 nudges and the midpoints
+    between neighbours: a point of each stretch the ends cut."""
     nudge = SQRT2 / 64
-    marks = [t for t in (iv.lo, iv.hi, root) if t is not None] or [QuadExt(0)]
+    marks = [t for t in ends if t is not None] or [QuadExt(0)]
     pts = sorted({m + s for m in marks for s in (0, nudge, -nudge)})
     return pts + [(a + b) / 2 for a, b in zip(pts, pts[1:])]
 
@@ -358,7 +359,7 @@ def test_narrow_and_solve_affine_match_their_definition():
         iv = _query_interval(rng)
         ends = [t for t in (iv.lo, iv.hi) if t is not None]
         root = rng.choice(ends) if ends and rng.random() < 0.4 else _query_end(rng)
-        samples = _samples(iv, root)
+        samples = _samples(iv.lo, iv.hi, root)
         for below in (True, False):
             for strict in (True, False):
                 def keep(t):
@@ -366,17 +367,35 @@ def test_narrow_and_solve_affine_match_their_definition():
                     d = root - t if below else t - root
                     return d > 0 or (not strict and d == 0)
 
-                # _narrow cuts fields; a cut must make a valid Interval
+                # a cut skips Interval's checks, so it must pass them
                 cut = _narrow(iv, root, below, strict)
-                got = cut if cut is None or cut is iv else Interval(*cut)
-                _check_cut(iv, got, samples, keep)
+                if cut is not None and cut is not iv:
+                    assert cut.__class__ is Interval and cut == Interval(*cut)
+                _check_cut(iv, cut, samples, keep)
         slope = QuadExt(0) if rng.random() < 0.2 else _query_end(rng)
         intercept = _query_end(rng)
         root = -intercept / slope if slope else None
-        samples = _samples(iv, root)
+        samples = _samples(iv.lo, iv.hi, root)
         for rel, holds in rels.items():
             got = _solve_affine(slope, intercept, rel, iv)
             _check_cut(iv, got, samples, lambda t: holds(slope * t + intercept))
+        _check_intersect(iv, _query_interval(rng))
+    # intervals that touch at an end, or share both, with every mix of
+    # open and closed ends, both ways round, and a disjoint pair
+    for flags in itertools.product((True, False), repeat=4):
+        a = Interval(0, 1, *flags[:2])
+        for b in (Interval(1, 2, *flags[2:]), Interval(0, 1, *flags[2:])):
+            _check_intersect(a, b)
+            _check_intersect(b, a)
+    assert _intersect_iv(Interval.closed(0, 1), Interval.closed(2, 3)) is None
+
+
+def _check_intersect(a: Interval, b: Interval):
+    """_intersect_iv(a, b) holds the sampled points of both: a itself when
+    b holds a, None when they are disjoint."""
+    got = _intersect_iv(a, b)
+    assert got is None or got.__class__ is Interval, got
+    _check_cut(a, got, _samples(a.lo, a.hi, b.lo, b.hi), b.contains)
 
 
 def test_check_b3_strong_pins(corpus):
@@ -813,6 +832,20 @@ def test_out_of_domain_point_is_named():
         check_b3_strong(spec, (12, 14), (Fraction(1, 2), Fraction(1, 2)))
     with pytest.raises(ValueError, match=r"^5 outside the hull$"):
         b_value(BKind.ANCHOR, spec, (6, 8), 5)
+
+
+def test_unknown_hull_form_is_named():
+    # the value "anchor" is not the form BKind.ANCHOR
+    spec = corpus_entry(1).spec
+    message = r"^unknown hull form: 'anchor'$"
+    with pytest.raises(ValueError, match=message):
+        b_value("anchor", spec, (0, 8), 4)
+    with pytest.raises(ValueError, match=message):
+        check_b_subset("anchor", spec, (0, 8))
+    with pytest.raises(ValueError, match=message):
+        decide_b("anchor", spec)
+    with pytest.raises(TypeError, match=r"^GForm required, got 'anchor'$"):
+        GKind("anchor")
 
 
 def test_empty_subset_and_missing_weights_are_named():

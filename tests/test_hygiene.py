@@ -4,7 +4,8 @@ referenced somewhere in the package beyond its own definition, every
 module-level private constant is read by its module or taken from it,
 every public method of a package class is read as an attribute in the
 package, its tests or the benchmark, and so is every field of a package
-dataclass or named tuple."""
+dataclass or named tuple; and one function alone builds an ``Interval``
+without the checks of its ``__new__``."""
 
 import ast
 import importlib
@@ -350,3 +351,55 @@ def test_no_unread_record_fields():
         found = _unread_fields(path.read_text(encoding="utf-8"), loaded)
         out.extend(f"{path.name}: {name}" for name in found)
     assert out == []
+
+
+def _unchecked_builds(sources: dict[str, str], cls: str) -> list[str]:
+    """'module: function' for each call ``tuple.__new__(cls, ...)`` in
+    ``sources``, which builds a ``cls`` without the checks of its own
+    ``__new__``; ``<module>`` for a call outside any function."""
+    out = []
+
+    def visit(node, name, where):
+        for child in ast.iter_child_nodes(node):
+            if (
+                isinstance(child, ast.Call)
+                and ast.unparse(child.func) == "tuple.__new__"
+                and child.args
+                and ast.unparse(child.args[0]) == cls
+            ):
+                out.append(f"{name}: {where}")
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            visit(child, name, inner)
+
+    for name, text in sources.items():
+        visit(ast.parse(text), name, "<module>")
+    return sorted(out)
+
+
+_BUILD_SAMPLE = {
+    "a.py": """\
+class Interval(tuple):
+    def __new__(cls, lo): return tuple.__new__(cls, (lo,))
+def _cut(lo):
+    def inner(): return tuple.__new__(Interval, (lo,))
+    return tuple.__new__(Interval, (lo,)), inner
+def other(): return tuple.__new__(Other, ())
+""",
+    "b.py": "x = tuple.__new__(Interval, ())\n",
+}
+
+
+def test_unchecked_build_finder():
+    assert _unchecked_builds(_BUILD_SAMPLE, "Interval") == [
+        "a.py: _cut",
+        "a.py: inner",
+        "b.py: <module>",
+    ]
+
+
+def test_one_unchecked_interval_build():
+    # _narrow makes the checks itself before it builds the cut part
+    sources = {p.name: p.read_text(encoding="utf-8") for p in _PACKAGE}
+    assert _unchecked_builds(sources, "Interval") == ["intervals.py: _narrow"]

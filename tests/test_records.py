@@ -57,6 +57,9 @@ _MALFORMED = {
     "GKind gap without delta": (
         GKind.gap(1), {"delta": None}, ValueError, "needs a delta"
     ),
+    "GKind form not a GForm": (
+        GKind.anchor(), {"form": "anchor"}, TypeError, "^GForm required, got 'anchor'$"
+    ),
     "GKind delta on the anchor form": (
         GKind.anchor(), {"delta": 1}, ValueError,
         "^delta only applies to the gap form$",

@@ -7,10 +7,20 @@ from pathlib import Path
 import pytest
 
 from kkmfix.cli import _theorem_payload
-from kkmfix.conditions import Status, b_value
+from kkmfix.conditions import (
+    BKind,
+    Status,
+    b_value,
+    check_b_subset,
+    check_c1,
+    check_c2,
+    sublevel,
+)
+from kkmfix.kkm import GKind, em_chain, g_set, intersection_witness, verify_kkm
 from kkmfix.mapdef import parse, serialize
+from kkmfix.plotting import emit_plot
 from kkmfix.randmaps import random_specs
-from kkmfix.scalars import QuadExt
+from kkmfix.scalars import SQRT2, QuadExt
 from kkmfix.verdict import (
     TheoremId,
     corpus_entry,
@@ -20,7 +30,9 @@ from kkmfix.verdict import (
 
 from conftest import EDGE_MAPS, HULL_KINDS
 
-_RANDOM_VERDICTS = Path(__file__).parent / "data" / "golden" / "random_verdicts.txt"
+_GOLDEN = Path(__file__).parent / "data" / "golden"
+_RANDOM_VERDICTS = _GOLDEN / "random_verdicts.txt"
+_SET_OUTPUTS = _GOLDEN / "set_outputs.txt"
 
 
 def test_theorem_ids():
@@ -126,37 +138,110 @@ def test_run_corpus_subset_indices():
     assert len(results) == 1 and results[0][0].index == 9
 
 
+def _specs_beyond_the_corpus():
+    """(name, spec) for random_specs(200, seed=5) and the edge maps."""
+    specs = [(f"random5-{i:03d}", s) for i, s in enumerate(random_specs(200, seed=5))]
+    return specs + [(f"edge-{name}", parse(text)) for name, text in EDGE_MAPS.items()]
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 def _verdict_digests():
     """(spec name, theorem, digest) per line of random_verdicts.txt: the
     first 16 hex digits of the sha256 of the ``check --json`` payload,
     ``{"verdict": ...}`` as ``json.dumps(..., indent=2)`` writes it, for
     each theorem on each of random_specs(200, seed=5) and the edge maps."""
-    specs = [(f"random5-{i:03d}", s) for i, s in enumerate(random_specs(200, seed=5))]
-    specs += [(f"edge-{name}", parse(text)) for name, text in EDGE_MAPS.items()]
-    for name, spec in specs:
+    for name, spec in _specs_beyond_the_corpus():
         for theorem in TheoremId:
             payload = {"verdict": _theorem_payload(run_theorem(spec, theorem))}
-            text = json.dumps(payload, indent=2)
-            yield name, theorem.value, hashlib.sha256(text.encode()).hexdigest()[:16]
+            yield name, theorem.value, _digest(json.dumps(payload, indent=2))
+
+
+_FIXED_POINTS = (QuadExt(5), QuadExt(7) / 3, 1 + SQRT2 / 2)
+_G_KINDS = {
+    "anchor": GKind.anchor(),
+    "displacement": GKind.displacement(),
+    "gap": GKind.gap(1),
+}
+
+
+def _set_outputs(spec):
+    """(output name, thunk) per set-building output on one spec, at the
+    finite ends of its domain and those of 5, 7/3 and 1 + sqrt2/2 in it."""
+    dom = spec.domain
+    ends = [e for e in (dom.lo, dom.hi) if e is not None and dom.contains(e)]
+    pts = sorted(set(ends) | {p for p in _FIXED_POINTS if dom.contains(p)})
+    out = [
+        (f"b_subset.{kind}", lambda k=kind: check_b_subset(k, spec, pts))
+        for kind in BKind
+    ]
+    for form, kind in _G_KINDS.items():
+        out.append((f"g_set.{form}", lambda k=kind: [g_set(k, spec, x) for x in pts]))
+    out += [
+        ("c1", lambda: [check_c1(spec, x) for x in pts]),
+        ("c2", lambda: [check_c2(spec, x) for x in pts]),
+        ("sublevel", lambda: sublevel(spec, QuadExt(1) / 2)),
+        ("em_chain", lambda: em_chain(spec, 4)),
+    ]
+    for form, kind in _G_KINDS.items():
+        out.append((f"verify_kkm.{form}", lambda k=kind: verify_kkm(k, spec, pts)))
+        out.append(
+            (f"intersection.{form}", lambda k=kind: intersection_witness(k, spec, pts))
+        )
+    out += [
+        ("image", spec.image),
+        ("validate", spec.validate),
+        ("plot_csv", lambda: emit_plot(spec, "csv", 21)),
+    ]
+    return out
+
+
+def _set_digests():
+    """(spec name, output, digest) per line of set_outputs.txt: the first
+    16 hex digits of the sha256 of each output's repr, on
+    random_specs(200, seed=5) and the edge maps."""
+    for name, spec in _specs_beyond_the_corpus():
+        for output, thunk in _set_outputs(spec):
+            yield name, output, _digest(repr(thunk()))
+
+
+def _check_golden(path, rows, what):
+    golden = [
+        line.split()
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if not line.startswith("#")
+    ]
+    got = [list(row) for row in rows]
+    assert len(got) == len(golden)
+    for row, want in zip(got, golden):
+        assert row == want, f"{row[0]} {what} {row[1]} changed"
+    return got
 
 
 def test_verdicts_beyond_the_corpus_match_golden():
     """Refresh the file, with ``python tests/test_verdict.py`` and src
     and tests on the path, only for an intended output change."""
-    golden = [
-        line.split()
-        for line in _RANDOM_VERDICTS.read_text(encoding="utf-8").splitlines()
-        if not line.startswith("#")
-    ]
-    got = [list(row) for row in _verdict_digests()]
-    assert len(got) == len(golden) == (200 + len(EDGE_MAPS)) * len(TheoremId)
-    for row, want in zip(got, golden):
-        assert row == want, f"{row[0]} under {row[1]} changed"
+    got = _check_golden(_RANDOM_VERDICTS, _verdict_digests(), "under")
+    assert len(got) == (200 + len(EDGE_MAPS)) * len(TheoremId)
+
+
+def test_set_outputs_beyond_the_corpus_match_golden():
+    """The witness sets, hull checks, sublevels, coverage, image,
+    validation and csv plot of each spec, pinned as ``set_outputs.txt``;
+    refreshed as ``random_verdicts.txt`` is."""
+    got = _check_golden(_SET_OUTPUTS, _set_digests(), "output")
+    assert len(got) == (200 + len(EDGE_MAPS)) * 19
 
 
 if __name__ == "__main__":
-    _RANDOM_VERDICTS.write_text(
-        "# spec theorem sha256(check --json payload)[:16]; see test_verdict.py\n"
-        + "".join(" ".join(row) + "\n" for row in _verdict_digests()),
-        encoding="utf-8",
-    )
+    for path, rows, header in (
+        (_RANDOM_VERDICTS, _verdict_digests, "theorem sha256(check --json payload)"),
+        (_SET_OUTPUTS, _set_digests, "output sha256(repr of the output)"),
+    ):
+        path.write_text(
+            f"# spec {header}[:16]; see test_verdict.py\n"
+            + "".join(" ".join(row) + "\n" for row in rows()),
+            encoding="utf-8",
+        )
