@@ -149,18 +149,29 @@ def _condition_payload(verdict) -> dict:
     }
 
 
+def _fixed_payload(fset, points) -> dict:
+    """The fixed-point set, and its points when it is finite."""
+    return {
+        "fixed_point_set": str(fset),
+        "fixed_points": None if points is None else [format_scalar(p) for p in points],
+    }
+
+
+def _fixed_text(payload: dict, prefix: str) -> str:
+    """The line ``check`` (after ``prefix``) and ``fixed-points`` print."""
+    points = payload["fixed_points"]
+    if points is None:
+        return f"fixed-point set (infinite): {payload['fixed_point_set']}"
+    return prefix + (", ".join(points) or "(none)")
+
+
 def _theorem_payload(verdict) -> dict:
     return {
         "theorem": verdict.theorem.value,
         "conditions": {
             key: _condition_payload(c) for key, c in verdict.conditions.items()
         },
-        "fixed_point_set": str(verdict.fixed_point_set),
-        "fixed_points": (
-            None
-            if verdict.fixed_points is None
-            else [format_scalar(p) for p in verdict.fixed_points]
-        ),
+        **_fixed_payload(verdict.fixed_point_set, verdict.fixed_points),
         "consistent": verdict.consistent,
         "notes": verdict.notes,
     }
@@ -189,14 +200,6 @@ def _condition_lines(verdict) -> list[str]:
     return lines
 
 
-def _fixed_line(verdict) -> str:
-    if verdict.fixed_points is None:
-        return f"fixed-point set (infinite): {verdict.fixed_point_set}"
-    if not verdict.fixed_points:
-        return "fixed points: (none)"
-    return "fixed points: " + ", ".join(format_scalar(p) for p in verdict.fixed_points)
-
-
 def _cmd_check(args) -> Report:
     from .conditions import Status
     from .verdict import TheoremId, run_theorem
@@ -213,7 +216,7 @@ def _cmd_check(args) -> Report:
         f"check {theorem.value} on {args.map}"
         + (f" ({spec.label})" if spec.label else ""),
         *_condition_lines(verdict),
-        _fixed_line(verdict),
+        _fixed_text(payload["verdict"], "fixed points: "),
         f"consistent: {'yes' if verdict.consistent else 'NO'}",
     ]
     if verdict.notes:
@@ -224,17 +227,8 @@ def _cmd_check(args) -> Report:
 def _cmd_fixed_points(args) -> Report:
     spec = _load_spec(args.map)
     fset = spec.fixed_point_set()
-    points = fset.finite_points()
-    payload = {
-        "fixed_point_set": str(fset),
-        "fixed_points": None if points is None else [format_scalar(p) for p in points],
-    }
-    if points is None:
-        lines = [f"fixed-point set (infinite): {fset}"]
-    elif not points:
-        lines = ["(none)"]
-    else:
-        lines = [", ".join(format_scalar(p) for p in points)]
+    payload = _fixed_payload(fset, fset.finite_points())
+    lines = [_fixed_text(payload, "")]
     return _report("fixed-points", f"map={args.map}", payload, 0, args, lines)
 
 
@@ -315,22 +309,16 @@ def _cmd_corpus(args) -> Report:
     rows = []
     lines = [f"{'#':>3}  {'theorem':<8}{'fixed points':<16}result"]
     for entry, verdict, matched in results:
-        fixed = (
-            "(infinite)"
-            if verdict.fixed_points is None
-            else ", ".join(format_scalar(p) for p in verdict.fixed_points) or "-"
-        )
+        shown = _theorem_payload(verdict)
+        points = shown["fixed_points"]
+        fixed = "(infinite)" if points is None else ", ".join(points) or "-"
         rows.append(
             {
                 "index": entry.index,
                 "theorem": entry.theorem.value,
                 "match": matched,
-                "fixed_points": (
-                    None
-                    if verdict.fixed_points is None
-                    else [format_scalar(p) for p in verdict.fixed_points]
-                ),
-                "verdict": _theorem_payload(verdict),
+                "fixed_points": points,
+                "verdict": shown,
             }
         )
         lines.append(

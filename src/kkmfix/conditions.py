@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -26,6 +25,7 @@ from .intervals import (
     _narrow,
     _plain_complement,
     _plain_intersect,
+    _solve_affine,
     class_pick,
     pick_in,
     tagged,
@@ -34,13 +34,14 @@ from .mapping import MappingSpec, _image_pairs
 from .scalars import (
     ClassTag,
     QuadExt,
+    _Word,
     as_scalar,
     dist,
     format_scalar,
 )
 
 
-class Status(Enum):
+class Status(_Word):
     """A condition's outcome.  Every decider here returns Proven or
     Falsified; ``NOT_FALSIFIED``, the outcome of an inconclusive search, is
     kept for code that tests verdicts for it."""
@@ -49,11 +50,8 @@ class Status(Enum):
     FALSIFIED = "Falsified"
     NOT_FALSIFIED = "NotFalsified"
 
-    def __str__(self) -> str:
-        return self.value
 
-
-class BKind(Enum):
+class BKind(_Word):
     """The three hull-coverage inequality forms.
 
     At a hull point u with sample points x_j the required inequality is
@@ -63,9 +61,6 @@ class BKind(Enum):
     ANCHOR = "anchor"
     DISPLACEMENT = "displacement"
     RESIDUAL = "residual"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 class _Witness(NamedTuple):
@@ -108,17 +103,6 @@ class ConditionVerdict:
 
 
 _ZERO, _ONE, _MINUS_ONE = QuadExt(0), QuadExt(1), QuadExt(-1)
-
-
-def _solve_affine(slope, intercept, rel: str, within: Interval) -> Interval | None:
-    """The part of ``within`` where slope*x + intercept <rel> 0, for QuadExt
-    coefficients, as ``_narrow`` gives it (all or none at zero slope)."""
-    strict = len(rel) == 1
-    if not slope:
-        sign = intercept.sign() if rel[0] == "<" else -intercept.sign()
-        return within if sign < 0 or (not strict and not sign) else None
-    below = (slope.sign() > 0) == (rel[0] == "<")
-    return _narrow(within, -intercept / slope, below, strict)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ structural equality is set equality:
 ``_narrow(iv, root, below, strict)`` is the one cut under intersection and
 the solvers: iv itself when t < root (t > root unless ``below``, non-strict
 unless ``strict``) cuts nothing, None when nothing is left, else an Interval.
+``_solve_affine``, the affine solver of deciders and plots alike, calls it.
 
 ``tagged`` builds a set from (tag, interval) pairs, tag None meaning
 both classes, with one canonicalisation for all of them.  The queries
@@ -78,6 +79,8 @@ class Interval(_Validated, _Fields):
             lo = as_scalar(lo)
         if hi is not None and hi.__class__ is not QuadExt:
             hi = as_scalar(hi)
+        if lo_closed.__class__ is not bool or hi_closed.__class__ is not bool:
+            raise TypeError(f"bool flags required, got {lo_closed!r}, {hi_closed!r}")
         if lo is None and lo_closed:
             raise ValueError("interval closed at -inf")
         if hi is None and hi_closed:
@@ -222,6 +225,17 @@ def _narrow(iv: Interval, root, below: bool, strict: bool) -> Interval | None:
         if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
             return None
     return tuple.__new__(Interval, (lo, hi, lo_closed, hi_closed))
+
+
+def _solve_affine(slope, intercept, rel: str, within: Interval) -> Interval | None:
+    """The part of ``within`` where slope*x + intercept <rel> 0, for QuadExt
+    coefficients, as ``_narrow`` gives it (all or none at zero slope)."""
+    strict = len(rel) == 1
+    if not slope:
+        sign = intercept.sign() if rel[0] == "<" else -intercept.sign()
+        return within if sign < 0 or (not strict and not sign) else None
+    below = (slope.sign() > 0) == (rel[0] == "<")
+    return _narrow(within, -intercept / slope, below, strict)
 
 
 def _intersect_iv(a: Interval, b: Interval) -> Interval | None:

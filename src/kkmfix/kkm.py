@@ -10,17 +10,16 @@ fixed-point set.
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
 from .conditions import _witness_set, check_c1, check_c2, sublevel
 from .intervals import ClassSet, Interval, _Validated
 from .mapping import MappingSpec
-from .scalars import QuadExt, as_scalar, format_scalar
+from .scalars import QuadExt, _Word, as_scalar, format_scalar
 
 
-class GForm(Enum):
+class GForm(_Word):
     """How the witness set at x is carved out of C.
 
     anchor: points no farther from x than from f(x);
@@ -30,9 +29,6 @@ class GForm(Enum):
     ANCHOR = "anchor"
     DISPLACEMENT = "displacement"
     GAP = "gap"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 class _Kind(NamedTuple):
@@ -147,8 +143,8 @@ def default_gap_delta(spec: MappingSpec) -> QuadExt | None:
 
 def em_chain(spec: MappingSpec, m_max: int) -> EmChainReport:
     """Displacement sublevels at 1/1 >= 1/2 >= ... >= 1/m_max."""
-    if m_max < 1:
-        raise ValueError("m_max must be at least 1")
+    if m_max.__class__ is not int or m_max < 1:
+        raise ValueError(f"m_max must be an int of at least 1, got {m_max!r}")
     fixed = spec.fixed_point_set()
     levels = []
     nested = True

@@ -101,6 +101,10 @@ class Piece(_Validated, _Piece):
     __slots__ = ()
 
     def __new__(cls, over, expr, tag=None):
+        if over.__class__ is not Interval:
+            raise TypeError(f"Interval required, got {over!r}")
+        if expr.__class__ is not AffineExpr:
+            raise TypeError(f"AffineExpr required, got {expr!r}")
         if tag is not None and tag.__class__ is not ClassTag:
             raise TypeError(f"class tag or None required, got {tag!r}")
         return tuple.__new__(cls, (over, expr, tag))
@@ -129,6 +133,15 @@ class Violation(NamedTuple):
     override_index: int | None = None
 
 
+def _branch_value(pieces, x: QuadExt, tag: ClassTag) -> QuadExt | None:
+    """The value at x of the first piece that serves class tag and holds
+    x, or None when there is none; overrides are not read."""
+    for piece in pieces:
+        if piece.tag in (None, tag) and piece.over.contains(x):
+            return piece.expr.at(x)
+    return None
+
+
 def _image_pairs(pieces):
     """The image of value pieces (tag, interval, slope, intercept) as raw
     (tag, interval) pairs.  A constant piece's image is one point, which
@@ -151,10 +164,19 @@ class MappingSpec(_Validated, _Spec):
     ``__dict__``, and ``__setattr__`` keeps every other name read-only."""
 
     def __new__(cls, domain, pieces, overrides=(), label=""):
+        pieces, overrides = tuple(pieces), tuple(overrides)
+        if domain.__class__ is not Interval:
+            raise TypeError(f"Interval domain required, got {domain!r}")
+        for items, kind in ((pieces, Piece), (overrides, PointOverride)):
+            for item in items:
+                if item.__class__ is not kind:
+                    raise TypeError(f"{kind.__name__} required, got {item!r}")
+        if label.__class__ is not str:
+            raise TypeError(f"str label required, got {label!r}")
         # as mapdef's ``label`` line reads it back
         if label != label.strip() or "#" in label or len(label.splitlines()) > 1:
             raise ValueError(f"label {label!r} does not read back from map text")
-        return tuple.__new__(cls, (domain, tuple(pieces), tuple(overrides), label))
+        return tuple.__new__(cls, (domain, pieces, overrides, label))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"MappingSpec is immutable: cannot set {name!r}")
@@ -207,11 +229,10 @@ class MappingSpec(_Validated, _Spec):
         value = self._override_map.get(x)
         if value is not None:
             return value
-        tag = class_of(x)
-        for piece in self.pieces:
-            if piece.tag in (None, tag) and piece.over.contains(x):
-                return piece.expr.at(x)
-        raise ValueError(f"no branch covers {format_scalar(x)}")
+        value = _branch_value(self.pieces, x, class_of(x))
+        if value is None:
+            raise ValueError(f"no branch covers {format_scalar(x)}")
+        return value
 
     def residual(self, x) -> QuadExt:
         x = as_scalar(x)

@@ -1,9 +1,10 @@
 """Deterministic plot renderings of a mapping spec.
 
-CSV tabulates both class branches and the displacement at evenly spaced
-sample points; SVG draws one polyline per piece and class it serves, the
-identity line, and the finite fixed points.  Byte-identical output for
-identical inputs.
+CSV tabulates both class branches, as ``mapping._branch_value`` reads
+them, and the displacement at evenly spaced sample points.  SVG draws one
+polyline per piece and class it serves, cut to the frame exactly by
+``intervals._solve_affine``, the identity line, and the finite fixed
+points.  Byte-identical output for identical inputs.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ from __future__ import annotations
 import csv
 import io
 
-from .intervals import Interval, _intersect_iv
-from .mapping import MappingSpec
+from .intervals import Interval, _intersect_iv, _solve_affine
+from .mapping import MappingSpec, _branch_value
 from .scalars import ClassTag, QuadExt, as_scalar, dist, format_scalar
 
 FORMATS = ("svg", "csv")
@@ -48,13 +49,6 @@ def plot_window(spec: MappingSpec) -> tuple[QuadExt, QuadExt]:
     return lo, hi
 
 
-def _branch_value(spec: MappingSpec, x: QuadExt, tag: ClassTag) -> QuadExt | None:
-    for piece in spec.pieces:
-        if piece.tag in (None, tag) and piece.over.contains(x):
-            return piece.expr.at(x)
-    return None
-
-
 def _map_value(spec: MappingSpec, x: QuadExt) -> QuadExt | None:
     """f(x) when defined."""
     try:
@@ -88,8 +82,8 @@ def _csv_content(spec: MappingSpec, samples: int) -> str:
     writer = csv.writer(out)
     writer.writerow(_CSV_HEADER)
     for x in _samples(spec, samples):
-        rat = _branch_value(spec, x, ClassTag.RATIONAL)
-        irr = _branch_value(spec, x, ClassTag.IRRATIONAL)
+        rat = _branch_value(spec.pieces, x, ClassTag.RATIONAL)
+        irr = _branch_value(spec.pieces, x, ClassTag.IRRATIONAL)
         fx = _map_value(spec, x)
         res = dist(fx, x) if fx is not None else None
         writer.writerow(
@@ -115,28 +109,6 @@ def _py(v: float, lo: float, hi: float) -> float:
     return _SIZE - _PAD - (v - lo) / (hi - lo) * (_SIZE - 2 * _PAD)
 
 
-def _clip_y(x1, y1, x2, y2, lo, hi):
-    """Clip the segment to lo <= y <= hi; endpoints already have x in window."""
-    if y1 == y2:
-        return (x1, y1, x2, y2) if lo <= y1 <= hi else None
-    t0, t1 = 0.0, 1.0
-    dy = y2 - y1
-    for bound, keep_low in ((lo, dy > 0), (hi, dy < 0)):
-        t = (bound - y1) / dy
-        if keep_low:
-            t0 = max(t0, t)
-        else:
-            t1 = min(t1, t)
-    if t0 > t1:
-        return None
-    return (
-        x1 + t0 * (x2 - x1),
-        y1 + t0 * dy,
-        x1 + t1 * (x2 - x1),
-        y1 + t1 * dy,
-    )
-
-
 def _svg_content(spec: MappingSpec) -> str:
     wlo, whi = plot_window(spec)
     lo, hi = float(wlo), float(whi)
@@ -157,12 +129,16 @@ def _svg_content(spec: MappingSpec) -> str:
         span = _intersect_iv(piece.over, window)
         if span is None or span.lo == span.hi:
             continue
-        a, b = float(span.lo), float(span.hi)
-        expr = piece.expr
-        seg = _clip_y(a, float(expr.at(span.lo)), b, float(expr.at(span.hi)), lo, hi)
+        # the closed span's part where wlo <= f(x) <= whi: a piece that
+        # reaches the frame only at an open end still draws that end
+        slope, intercept = piece.expr
+        seg = _solve_affine(slope, intercept - whi, "<=", span.closure())
+        if seg is not None:
+            seg = _solve_affine(slope, intercept - wlo, ">=", seg)
         if seg is None:
             continue
-        x1, y1, x2, y2 = seg
+        x1, x2 = float(seg.lo), float(seg.hi)
+        y1, y2 = float(piece.expr.at(seg.lo)), float(piece.expr.at(seg.hi))
         for tag in colors if piece.tag is None else (piece.tag,):
             lines.append(
                 f'<polyline class="{tag}-branch" points="'
@@ -170,8 +146,7 @@ def _svg_content(spec: MappingSpec) -> str:
                 f'{_px(x2, lo, hi):.2f},{_py(y2, lo, hi):.2f}" '
                 f'fill="none" stroke="{colors[tag]}" stroke-width="2"/>'
             )
-    fixed = spec.fixed_point_set().finite_points()
-    for p in fixed or ():
+    for p in spec.fixed_point_set().finite_points() or ():
         v = float(p)
         if lo <= v <= hi:
             lines.append(
@@ -184,11 +159,11 @@ def _svg_content(spec: MappingSpec) -> str:
 
 def emit_plot(spec: MappingSpec, format: str = "svg", samples: int = 101) -> str:
     """Render the spec as file content; raises ValueError on a bad format
-    or a non-positive sample count."""
+    or a sample count that is not a positive int, for either format."""
     if format not in FORMATS:
         raise ValueError(f"unknown plot format: {format!r}")
-    if samples < 1:
-        raise ValueError("samples must be positive")
+    if samples.__class__ is not int or samples < 1:
+        raise ValueError(f"samples must be a positive int, got {samples!r}")
     if format == "csv":
         return _csv_content(spec, samples)
     return _svg_content(spec)

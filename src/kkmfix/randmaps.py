@@ -69,7 +69,7 @@ def _pieces_for(cell: Interval, expr: AffineExpr, irr: AffineExpr) -> list[Piece
     ]
 
 
-def _interpolated(rng: random.Random) -> MappingSpec:
+def _interpolated(rng: random.Random) -> tuple[list[Piece], list[PointOverride]]:
     cells, xs = _cells(_breaks(rng, rng.randint(1, 4)))
     continuous = rng.random() < 0.5
     values = [_value(rng) for _ in xs]
@@ -94,12 +94,10 @@ def _interpolated(rng: random.Random) -> MappingSpec:
                 continue
             seen.add(at)
             overrides.append(PointOverride(at, _value(rng)))
-    return MappingSpec(
-        Interval.closed(LOW, HIGH), tuple(pieces), tuple(overrides)
-    )
+    return pieces, overrides
 
 
-def _zigzag(rng: random.Random) -> MappingSpec:
+def _zigzag(rng: random.Random) -> tuple[list[Piece], list[PointOverride]]:
     """Continuous zigzag alternating between 0 and 10 on both classes: onto,
     and the diagonal crossing lands on a rational, so a fixed point exists."""
     cells, xs = _cells(_breaks(rng, rng.randint(1, 3)))
@@ -109,10 +107,10 @@ def _zigzag(rng: random.Random) -> MappingSpec:
     for i, cell in enumerate(cells):
         expr = _interp(xs[i], xs[i + 1], ys[i], ys[i + 1])
         pieces.append(Piece(cell, expr))
-    return MappingSpec(Interval.closed(LOW, HIGH), tuple(pieces))
+    return pieces, []
 
 
-def _swap(rng: random.Random) -> MappingSpec:
+def _swap(rng: random.Random) -> tuple[list[Piece], list[PointOverride]]:
     """Fixed-point-free: strictly below the diagonal on (0, 10), with the
     endpoints thrown across it by overrides."""
     m = Fraction(rng.randint(2, 8))
@@ -124,18 +122,18 @@ def _swap(rng: random.Random) -> MappingSpec:
     c = m * rng.choice((Fraction(1, 2), Fraction(2, 3), Fraction(3, 4)))
     d = rng.choice((HIGH, HIGH, _rat(rng, Fraction(5), HIGH)))
     high_expr = _interp(m, HIGH, c, d)
-    pieces = (
+    pieces = [
         *_pieces_for(Interval(LOW, m, False, False), low_expr, low_irr),
         Piece(Interval(m, HIGH, True, False), high_expr),
-    )
-    overrides = (
+    ]
+    overrides = [
         PointOverride(LOW, rng.choice((HIGH, _rat(rng, Fraction(1), HIGH)))),
         PointOverride(HIGH, _rat(rng, LOW, Fraction(9))),
-    )
-    return MappingSpec(Interval.closed(LOW, HIGH), pieces, overrides)
+    ]
+    return pieces, overrides
 
 
-def _steps(rng: random.Random) -> MappingSpec:
+def _steps(rng: random.Random) -> tuple[list[Piece], list[PointOverride]]:
     cells, _ = _cells(_breaks(rng, rng.randint(1, 3)))
     pieces = []
     for cell in cells:
@@ -147,9 +145,7 @@ def _steps(rng: random.Random) -> MappingSpec:
     overrides = []
     if rng.random() < 0.3:
         overrides.append(PointOverride(rng.choice((LOW, HIGH)), _value(rng)))
-    return MappingSpec(
-        Interval.closed(LOW, HIGH), tuple(pieces), tuple(overrides)
-    )
+    return pieces, overrides
 
 
 _BUILDERS = {
@@ -163,19 +159,17 @@ _WEIGHTS = (0.4, 0.25, 0.2, 0.15)
 
 
 def random_spec(seed: int | str, family: str | None = None) -> MappingSpec:
-    """One deterministic pseudo-random valid self-map of [0, 10]."""
+    """One deterministic pseudo-random valid self-map of [0, 10]: the
+    family's builder draws its pieces and overrides, and the one spec is
+    built here, labelled with the family and the seed."""
     rng = random.Random(str(seed))
     if family is None:
         family = rng.choices(FAMILIES, weights=_WEIGHTS)[0]
     if family not in _BUILDERS:
         raise ValueError(f"unknown family: {family!r}")
-    spec = _BUILDERS[family](rng)
-    spec = MappingSpec(
-        spec.domain,
-        spec.pieces,
-        spec.overrides,
-        label=f"generated {family} map ({seed})",
-    )
+    pieces, overrides = _BUILDERS[family](rng)
+    label = f"generated {family} map ({seed})"
+    spec = MappingSpec(Interval.closed(LOW, HIGH), pieces, overrides, label)
     problems = spec.validate()
     if problems:
         raise RuntimeError(f"generator produced an invalid spec: {problems[0]}")

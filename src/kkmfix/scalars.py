@@ -382,14 +382,19 @@ def _fstr(n: int, d: int) -> str:
 SQRT2 = QuadExt(0, 1)
 
 
-class ClassTag(Enum):
+class _Word(Enum):
+    """An enum printed as its value, by ``str`` and f-strings: ClassTag,
+    Status, BKind, GForm and TheoremId."""
+
+    def __str__(self) -> str:
+        return self.value
+
+
+class ClassTag(_Word):
     """Membership class of a scalar: rational or irrational."""
 
     RATIONAL = "rational"
     IRRATIONAL = "irrational"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 def as_scalar(x) -> QuadExt:

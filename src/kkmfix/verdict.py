@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -26,18 +25,15 @@ from .conditions import (
 from .intervals import ClassSet
 from .mapdef import parse
 from .mapping import MappingSpec
-from .scalars import QuadExt
+from .scalars import QuadExt, _Word
 
 
-class TheoremId(Enum):
+class TheoremId(_Word):
     T1 = "t1"
     COR3 = "cor3"
     T3 = "t3"
     COR4 = "cor4"
     T5 = "t5"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 # per theorem: domain must be compact (else closed suffices), the hull

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, JSON reports, errors."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import kkmfix
 from kkmfix import TheoremId, b_value, parse_scalar, serialize
 from kkmfix.cli import Report, UsageError, main, run_command
 
-from conftest import HULL_KINDS, fib
+from conftest import EDGE_MAPS, HULL_KINDS, fib
 
 _IDENTITY_MAP = """\
 label identity on the unit interval
@@ -171,6 +172,58 @@ def test_check_text_separates_key_and_status(monkeypatch):
             ]
             conditions = report.verdicts["verdict"]["conditions"]
             assert rows == [[key, c["status"]] for key, c in conditions.items()]
+
+
+_TEXT_OUTPUTS = _GOLDEN / "text_outputs.txt"
+_TEXT_COMMANDS = {
+    **{f"check-{t.value}": ["check", "--theorem", t.value] for t in TheoremId},
+    "fixed-points": ["fixed-points"],
+}
+
+
+def _text_digests(edge_dir: Path) -> list[tuple[str, str, str]]:
+    """(map, command, digest) per line of text_outputs.txt: the first 16
+    hex digits of the sha256 of what ``main`` prints without ``--json``,
+    for ``check`` under each theorem and ``fixed-points`` on each corpus
+    map (run in the package's data directory) and each edge map (written
+    to and run in ``edge_dir``), then for ``corpus`` and ``corpus --only 3``."""
+    edge_names = []
+    for name, text in EDGE_MAPS.items():
+        edge_names.append(f"edge-{name}.map")
+        (edge_dir / edge_names[-1]).write_text(text, encoding="utf-8")
+    rows = []
+    home = os.getcwd()
+    try:
+        for cwd, names in ((_CORPUS_DIR, _MAPS), (edge_dir, edge_names)):
+            os.chdir(cwd)
+            for name in names:
+                for command, argv in _TEXT_COMMANDS.items():
+                    text = _stdout([*argv, "--map", name])
+                    digest = hashlib.sha256(text).hexdigest()[:16]
+                    rows.append((name, command, digest))
+    finally:
+        os.chdir(home)
+    for command, argv in (
+        ("corpus", ["corpus"]),
+        ("corpus-only-3", ["corpus", "--only", "3"]),
+    ):
+        digest = hashlib.sha256(_stdout(argv)).hexdigest()[:16]
+        rows.append(("builtin", command, digest))
+    return rows
+
+
+def test_text_outputs_match_golden(tmp_path):
+    """Refresh the file, with ``python tests/test_cli.py`` and src and
+    tests on the path, only for an intended output change."""
+    golden = [
+        line.split()
+        for line in _TEXT_OUTPUTS.read_text(encoding="utf-8").splitlines()
+        if not line.startswith("#")
+    ]
+    got = [list(row) for row in _text_digests(tmp_path)]
+    assert len(got) == len(golden) == (14 + len(EDGE_MAPS)) * len(_TEXT_COMMANDS) + 2
+    for row, want in zip(got, golden):
+        assert row == want, f"{row[1]} on {row[0]} changed"
 
 
 def test_corpus_all_match():
@@ -598,3 +651,15 @@ def test_option_choices_match_the_modules_they_name():
     assert list(cli._THEOREMS) == [t.value for t in TheoremId]
     assert [GForm(v) for v in cli._KINDS.values()] == list(GForm)
     assert cli._FORMATS == plotting.FORMATS
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as edge_dir:
+        rows = _text_digests(Path(edge_dir))
+    _TEXT_OUTPUTS.write_text(
+        "# map command sha256(text output)[:16]; see test_cli.py\n"
+        + "".join(" ".join(row) + "\n" for row in rows),
+        encoding="utf-8",
+    )

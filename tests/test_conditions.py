@@ -12,7 +12,6 @@ from kkmfix.conditions import (
     Status,
     SubsetWitness,
     _point_where,
-    _solve_affine,
     b_value,
     check_b3_strong,
     check_b_subset,
@@ -25,7 +24,7 @@ from kkmfix.conditions import (
     decide_c2,
     sublevel,
 )
-from kkmfix.intervals import ClassSet, Interval, _intersect_iv, _narrow
+from kkmfix.intervals import ClassSet, Interval, _intersect_iv, _narrow, _solve_affine
 from kkmfix.kkm import GKind, verify_kkm
 from kkmfix.mapdef import parse, serialize
 from kkmfix.mapping import AffineExpr, MappingSpec, Piece, PointOverride

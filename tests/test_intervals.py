@@ -145,6 +145,14 @@ def test_interval_rejects_each_malformed_form():
     ):
         with pytest.raises(ValueError, match=re.escape(message)):
             Interval(*args)
+    # the end flags are bools, not merely truthy values
+    for args, message in (
+        ((0, 1, "x", ""), "bool flags required, got 'x', ''"),
+        ((0, 1, 1, 0), "bool flags required, got 1, 0"),
+        ((None, 1, None, False), "bool flags required, got None, False"),
+    ):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            Interval(*args)
     # the named tuple's own constructors and unpickling check too
     backwards = tuple.__new__(Interval, (QuadExt(1), QuadExt(0), True, True))
     routes = [

@@ -2,6 +2,7 @@
 intersections, and the shrinking sublevel chain."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -140,6 +141,12 @@ def test_em_chain_pins(corpus):
     assert report.tail_intersection == ClassSet.points([QuadExt(5)])
     with pytest.raises(ValueError):
         em_chain(corpus[9].spec, 0)
+
+
+def test_em_chain_rejects_a_count_that_is_not_an_int(corpus):
+    for m_max in (2.5, 3.0, "3", True, Fraction(3)):
+        with pytest.raises(ValueError, match=f"got {re.escape(repr(m_max))}$"):
+            em_chain(corpus[9].spec, m_max)
 
 
 def test_em_chain_detects_fixed_point_equality(corpus):

@@ -41,6 +41,35 @@ _MALFORMED = {
     "MappingSpec padded label": (
         _SPEC, {"label": " half"}, ValueError, "does not read back"
     ),
+    "MappingSpec label not a str": (
+        _SPEC, {"label": 5}, TypeError, "^str label required, got 5$"
+    ),
+    "MappingSpec domain not an Interval": (
+        _SPEC, {"domain": "dom"}, TypeError, "^Interval domain required, got 'dom'$"
+    ),
+    "MappingSpec piece not a Piece": (
+        _SPEC, {"pieces": ("x",)}, TypeError, "^Piece required, got 'x'$"
+    ),
+    "MappingSpec override not a PointOverride": (
+        _SPEC, {"overrides": ((1, 1),)}, TypeError,
+        r"^PointOverride required, got \(1, 1\)$",
+    ),
+    "Piece over not an Interval": (
+        Piece(_UNIT, _IDENTITY), {"over": "x"}, TypeError,
+        "^Interval required, got 'x'$",
+    ),
+    "Piece expr not an AffineExpr": (
+        Piece(_UNIT, _IDENTITY), {"expr": 3}, TypeError,
+        "^AffineExpr required, got 3$",
+    ),
+    "Interval flags not bools": (
+        _UNIT, {"lo_closed": "x", "hi_closed": ""}, TypeError,
+        "^bool flags required, got 'x', ''$",
+    ),
+    "Interval int flags": (
+        _UNIT, {"lo_closed": 1, "hi_closed": 0}, TypeError,
+        "^bool flags required, got 1, 0$",
+    ),
     "SubsetWitness u outside hull": (
         SubsetWitness((0, 2), None, 1), {"u": 3}, ValueError, "hull of the points"
     ),
