@@ -112,7 +112,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def _load_spec(path: str, validate: bool = True) -> MappingSpec:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as err:
         raise UsageError(f"--map: {err}") from err
     try:

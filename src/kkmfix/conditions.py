@@ -391,18 +391,6 @@ def _u_pieces(kind: BKind, spec: MappingSpec, signs):
             yield tag, neg, -k, -d
 
 
-def _sides(kind, lefts, rights, k, m, iv: Interval, window: Interval):
-    """L and R (see ``decide_b``) within the u of iv inside the window; R
-    is left empty when L is."""
-    within = _intersect_iv(iv, window)
-    if within is None:
-        return [], []
-    below = _near_u(kind, lefts, k, m, True, within)
-    if not below:
-        return [], []
-    return below, _near_u(kind, rights, k, m, False, within)
-
-
 _CLOSE = {
     BKind.ANCHOR: "|f(x) - u| < u - x and |f(x') - u| < x' - u",
     BKind.DISPLACEMENT: "|f(x) - u| < |f(x) - x| and |f(x') - u| < |f(x') - x'|",
@@ -448,10 +436,13 @@ def decide_b(kind: BKind, spec: MappingSpec) -> ConditionVerdict:
     sides: dict[tuple, tuple[list, list]] = {}
     for tag, iv, k, m in _u_pieces(kind, spec, signs):
         key = (iv.lo, iv.hi, k, m)
-        got = sides.get(key)
-        if got is None:
-            got = sides[key] = _sides(kind, lefts, rights, k, m, iv.closure(), window)
-        below, above = got
+        if key not in sides:
+            # L, then R only where L has points
+            within = _intersect_iv(iv.closure(), window)
+            below = [] if within is None else _near_u(kind, lefts, k, m, True, within)
+            above = _near_u(kind, rights, k, m, False, within) if below else []
+            sides[key] = below, above
+        below, above = sides[key]
         violating = _plain_intersect(_plain_intersect((iv,), below), above)
         u = class_pick(tag, violating)
         if u is not None:
@@ -554,23 +545,17 @@ def decide_c1(spec: MappingSpec) -> ConditionVerdict:
         return ConditionVerdict(
             Status.PROVEN, x, f"C is compact; any x* works, e.g. {format_scalar(x)}"
         )
-    if dom.lo is not None and dom.lo_closed:
-        x = _displaced_point(spec, True)
+    for closed, climbs, rel, segment in (
+        (dom.lo_closed, True, ">", "initial"),
+        (dom.hi_closed, False, "<", "final"),
+    ):
+        x = _displaced_point(spec, climbs) if closed else None
         if x is not None:
             return ConditionVerdict(
                 Status.PROVEN,
                 x,
-                f"f({format_scalar(x)}) > {format_scalar(x)} caps a closed "
-                "bounded initial segment of C",
-            )
-    if dom.hi is not None and dom.hi_closed:
-        x = _displaced_point(spec, False)
-        if x is not None:
-            return ConditionVerdict(
-                Status.PROVEN,
-                x,
-                f"f({format_scalar(x)}) < {format_scalar(x)} caps a closed "
-                "bounded final segment of C",
+                f"f({format_scalar(x)}) {rel} {format_scalar(x)} caps a closed "
+                f"bounded {segment} segment of C",
             )
     return ConditionVerdict(
         Status.FALSIFIED,
@@ -583,7 +568,13 @@ def decide_c1(spec: MappingSpec) -> ConditionVerdict:
 def decide_c2(spec: MappingSpec) -> ConditionVerdict:
     """Does some x* make check_c2's set compact?  Exactly: yes iff C is
     compact, or C is bounded with one open end that some x* clears
-    (2 f(x*) - x* past the open end empties the non-closed part)."""
+    (2 f(x*) - x* past the open end empties the non-closed part).
+
+    Clearing suffices: let C be bounded with lo open and hi closed, and
+    2 f(x*) - x* <= lo.  As x* > lo, f(x*) < x*, so |f(x*) - y| <
+    x* - f(x*) exactly for y in (2 f(x*) - x*, x*), and the set is C less
+    that interval, the compact [x*, hi].  A closed lower end is the
+    mirror case, with 2 f(x*) - x* >= hi."""
     dom = spec.domain
     if dom.is_bounded and dom.is_closed:
         x = dom.lo
@@ -597,20 +588,14 @@ def decide_c2(spec: MappingSpec) -> ConditionVerdict:
             "C is unbounded, so the set keeps an unbounded ray for every x*",
         )
     if dom.lo_closed != dom.hi_closed:
-        if dom.hi_closed:
-            # clear the open lower end: 2 f(x) - x <= lo
-            x = _point_where(spec, Fraction(-1, 2), -dom.lo / 2, "<=")
-        else:
-            # clear the open upper end: 2 f(x) - x >= hi
-            x = _point_where(spec, Fraction(-1, 2), -dom.hi / 2, ">=")
+        end, rel = (dom.lo, "<=") if dom.hi_closed else (dom.hi, ">=")
+        x = _point_where(spec, Fraction(-1, 2), -end / 2, rel)
         if x is not None:
-            set_, compact = check_c2(spec, x)
-            if compact:
-                return ConditionVerdict(
-                    Status.PROVEN,
-                    x,
-                    f"x* = {format_scalar(x)} empties the part at the open end",
-                )
+            return ConditionVerdict(
+                Status.PROVEN,
+                x,
+                f"x* = {format_scalar(x)} empties the part at the open end",
+            )
     return ConditionVerdict(
         Status.FALSIFIED,
         None,

@@ -17,10 +17,15 @@ the solvers: iv itself when t < root (t > root unless ``below``, non-strict
 unless ``strict``) cuts nothing, None when nothing is left, else an Interval.
 ``_solve_affine``, the affine solver of deciders and plots alike, calls it.
 
+A slice is canonical after one pass: each interval is snapped to the
+class (a point of the other class dropped, an end of it opened), then
+one union also joins runs meeting at a point the class cannot contain.
+
 ``tagged`` builds a set from (tag, interval) pairs, tag None meaning
-both classes, with one canonicalisation for all of them.  The queries
-``class_nonempty``, ``pick_in`` and ``class_pick`` answer on raw
-intervals; ``class_pick`` builds a set only when it has a point to pick.
+both classes, with one canonicalisation for all of them.  The pick rule
+of ``ClassSet.pick`` is the only one: ``pick_in`` applies it to one raw
+interval snapped to the class, and ``class_pick`` to the one slice of
+raw intervals it builds.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from kkmfix.scalars import (
     simplest_rational_between,
 )
 
-__all__ = ["ClassSet", "Interval", "class_nonempty", "class_pick", "pick_in", "tagged"]
+__all__ = ["ClassSet", "Interval", "class_pick", "pick_in", "tagged"]
 
 _ZERO = QuadExt(0)
 
@@ -178,13 +183,16 @@ def _hi_key(iv: Interval):
     return (0, iv.hi, 1 if iv.hi_closed else 0)
 
 
-def _touches(a: Interval, b: Interval) -> bool:
-    # a sorted before b by lo key; True when the union is one interval
+def _touches(a: Interval, b: Interval, tag: ClassTag | None) -> bool:
+    # a sorted before b by lo key; True when the union is one interval of
+    # the class tag (of the line when tag is None)
     if a.hi is None or b.lo is None:
         return True
     if b.lo < a.hi:
         return True
-    return b.lo == a.hi and (a.hi_closed or b.lo_closed)
+    return b.lo == a.hi and (
+        a.hi_closed or b.lo_closed or (tag is not None and class_of(b.lo) is not tag)
+    )
 
 
 def _span(a: Interval, b: Interval) -> Interval:
@@ -193,11 +201,11 @@ def _span(a: Interval, b: Interval) -> Interval:
     return Interval(a.lo, b.hi, a.lo_closed, b.hi_closed)
 
 
-def _plain_union(ivs) -> tuple[Interval, ...]:
+def _plain_union(ivs, tag: ClassTag | None = None) -> tuple[Interval, ...]:
     items = sorted(ivs, key=_lo_key)
     out: list[Interval] = []
     for iv in items:
-        if out and _touches(out[-1], iv):
+        if out and _touches(out[-1], iv, tag):
             out[-1] = _span(out[-1], iv)
         else:
             out.append(iv)
@@ -279,31 +287,25 @@ def _plain_complement(ivs) -> tuple[Interval, ...]:
 
 
 def _snap(iv: Interval, tag: ClassTag) -> Interval | None:
-    # drop wrong-class points, open wrong-class closed endpoints
-    if iv.is_degenerate:
-        return iv if class_of(iv.lo) is tag else None
-    lo_c = iv.lo_closed and class_of(iv.lo) is tag
-    hi_c = iv.hi_closed and class_of(iv.hi) is tag
-    return Interval(iv.lo, iv.hi, lo_c, hi_c)
+    # drop wrong-class points, open wrong-class closed endpoints; iv itself
+    # when no flag changes
+    lo, hi, lo_closed, hi_closed = iv
+    if lo is not None and lo == hi:
+        return iv if class_of(lo) is tag else None
+    lo_c = lo_closed and class_of(lo) is tag
+    hi_c = hi_closed and class_of(hi) is tag
+    if lo_c == lo_closed and hi_c == hi_closed:
+        return iv
+    return Interval(lo, hi, lo_c, hi_c)
 
 
-def class_nonempty(tag: ClassTag | None, ivs) -> bool:
-    """Whether the intervals hold a point of class tag (any point when tag
-    is None): a nondegenerate interval holds points of both classes."""
-    for iv in ivs:
-        if tag is None or not iv.is_degenerate or class_of(iv.lo) is tag:
-            return True
-    return False
-
-
-def _pick_one(tag: ClassTag, iv: Interval, lo_closed: bool, hi_closed: bool):
-    # the member ClassSet.pick takes from the tag-class points of iv, given
-    # which ends those points include
+def _pick_one(tag: ClassTag, iv: Interval) -> QuadExt:
+    # the pick rule ``ClassSet.pick`` states, for iv snapped to class tag
+    lo, hi, lo_closed, hi_closed = iv
     if lo_closed:
-        return iv.lo
+        return lo
     if hi_closed:
-        return iv.hi
-    lo, hi = iv.lo, iv.hi
+        return hi
     if lo is None and hi is None:
         lo, hi = QuadExt(-1), QuadExt(1)
     elif lo is None:
@@ -316,37 +318,17 @@ def _pick_one(tag: ClassTag, iv: Interval, lo_closed: bool, hi_closed: bool):
 
 
 def pick_in(tag: ClassTag | None, iv: Interval) -> QuadExt | None:
-    """The member ``ClassSet.pick`` gives for the tag-class points of iv
-    (all its points when tag is None), or None when there are none;
-    decided without building the set."""
-    if iv.is_degenerate:
-        return iv.lo if tag is None or class_of(iv.lo) is tag else None
+    """The member ``ClassSet.pick`` gives for the tag-class points of iv,
+    or None when there are none; with tag None a point is picked as its
+    own class and any other interval as the rationals it holds."""
     if tag is None:
-        tag = ClassTag.RATIONAL  # the rational slice is picked from first
-    return _pick_one(
-        tag,
-        iv,
-        iv.lo_closed and class_of(iv.lo) is tag,
-        iv.hi_closed and class_of(iv.hi) is tag,
-    )
+        tag = class_of(iv.lo) if iv.is_degenerate else ClassTag.RATIONAL
+    iv = _snap(iv, tag)
+    return None if iv is None else _pick_one(tag, iv)
 
 
 def _canonical_slice(ivs, tag: ClassTag) -> tuple[Interval, ...]:
-    cleaned = []
-    for iv in _plain_union(ivs):
-        snapped = _snap(iv, tag)
-        if snapped is not None:
-            cleaned.append(snapped)
-    out: list[Interval] = []
-    for iv in cleaned:
-        if out:
-            cur = out[-1]
-            # touch at a point the class cannot contain joins the runs
-            if cur.hi == iv.lo and class_of(cur.hi) is not tag:
-                out[-1] = Interval(cur.lo, iv.hi, cur.lo_closed, iv.hi_closed)
-                continue
-        out.append(iv)
-    return tuple(out)
+    return _plain_union([s for iv in ivs if (s := _snap(iv, tag)) is not None], tag)
 
 
 class _Slices(NamedTuple):
@@ -451,15 +433,15 @@ class ClassSet(_Validated, _Slices):
         when there is one, otherwise an interior point of matching class."""
         for tag, ivs in ((ClassTag.RATIONAL, self.rat), (ClassTag.IRRATIONAL, self.irr)):
             if ivs:
-                iv = ivs[0]
-                return _pick_one(tag, iv, iv.lo_closed, iv.hi_closed)
+                return _pick_one(tag, ivs[0])
         return None
 
     def __str__(self) -> str:
         if self.is_empty:
             return "{}"
-        # rat/irr intervals spanning the same values render once, plainly,
-        # when together they cover the whole real interval
+        # rat/irr intervals spanning the same values render once, plainly:
+        # an end of the other class is open in a canonical slice, so each
+        # joined end flag is that of the end's own class
         irr_by_span = {(iv.lo, iv.hi): iv for iv in self.irr}
         paired = set()
         entries = []
@@ -476,13 +458,9 @@ class ClassSet(_Validated, _Slices):
                     iv.lo_closed or j.lo_closed,
                     iv.hi_closed or j.hi_closed,
                 )
-                if (
-                    _snap(joined, ClassTag.RATIONAL) == iv
-                    and _snap(joined, ClassTag.IRRATIONAL) == j
-                ):
-                    paired.add(j)
-                    entries.append((_lo_key(joined), str(joined)))
-                    continue
+                paired.add(j)
+                entries.append((_lo_key(joined), str(joined)))
+                continue
             entries.append((_lo_key(iv), f"rat{iv}"))
         for iv in self.irr:
             if iv in paired:
@@ -512,9 +490,13 @@ def tagged(pairs) -> ClassSet:
 
 
 def class_pick(tag: ClassTag | None, ivs) -> QuadExt | None:
-    """``ClassSet.pick`` of the tag-class points of ivs (all their points
-    when tag is None), or None when there are none; the set is built only
-    when ``class_nonempty`` finds a point."""
-    if not class_nonempty(tag, ivs):
+    """``ClassSet.pick`` of the tag-class points of the sequence ivs (all
+    their points when tag is None), or None when there are none; only the
+    slice picked from is built."""
+    if not ivs:
         return None
-    return tagged((tag, iv) for iv in ivs).pick()
+    for t in (ClassTag.RATIONAL, ClassTag.IRRATIONAL) if tag is None else (tag,):
+        got = _canonical_slice(ivs, t)
+        if got:
+            return _pick_one(t, got[0])
+    return None

@@ -27,7 +27,6 @@ from kkmfix.intervals import (
     _narrow,
     _plain_complement,
     _plain_intersect,
-    class_nonempty,
     class_pick,
     tagged,
 )
@@ -403,12 +402,12 @@ class MappingSpec(_Validated, _Spec):
                 for tag, iv in image
                 for part in _plain_intersect((iv,), outside)
             ]
-            if any(class_nonempty(tag, (iv,)) for tag, iv in escape):
+            w = tagged(escape).pick() if escape else None
+            if w is not None:
                 out.append(
                     Violation(
                         "not-self-map",
-                        f"piece {idx} maps into "
-                        f"{format_scalar(tagged(escape).pick())} outside the domain",
+                        f"piece {idx} maps into {format_scalar(w)} outside the domain",
                         piece_index=idx,
                     )
                 )

@@ -11,10 +11,11 @@ Rational path: almost every value the deciders handle is rational
 (``bn == 0``).  When both operands are, add, sub, mul, div, inverse,
 ``sign``, ``floor`` and the order comparisons work on ``an/ad`` alone:
 one fraction operation and at most one ``gcd``, and comparisons
-cross-multiply without building a difference.  Operands with
-``bn != 0`` take the general path, which computes each component with
-the rational path's operations.  The operands select the path, and both
-give the same canonical results.
+cross-multiply without building a difference; the four order
+comparisons share one body, built once per ``operator`` function.
+Operands with ``bn != 0`` take the general path, which computes each
+component with the rational path's operations.  The operands select the
+path, and both give the same canonical results.
 
 ``_fast`` and ``_rat`` are the trusted constructors.  They write the
 slots through the cached slot descriptors and check nothing, so every
@@ -27,6 +28,7 @@ the operators apply it to their other operand.
 
 from __future__ import annotations
 
+import operator
 import re
 import sys
 from enum import Enum
@@ -82,6 +84,20 @@ def _ratpair(x) -> tuple[int, int]:
     if isinstance(x, int):  # a bool, say: stored as the int it equals
         return int(x), 1
     raise TypeError(f"rational component required, got {type(x).__name__}")
+
+
+def _order(op):
+    # the one body of QuadExt's order comparisons, for op from ``operator``
+    def compare(self, other):
+        o = other if other.__class__ is QuadExt else _coerce(other)
+        if o is None:
+            return NotImplemented
+        if self._bn or o._bn:
+            return op(_cmp(self, o), 0)
+        return op(self._an * o._ad, o._an * self._ad)
+
+    compare.__name__ = f"__{op.__name__}__"
+    return compare
 
 
 class QuadExt:
@@ -207,37 +223,10 @@ class QuadExt:
             and self._bd == o._bd
         )
 
-    def __lt__(self, other):
-        o = other if other.__class__ is QuadExt else _coerce(other)
-        if o is None:
-            return NotImplemented
-        if self._bn or o._bn:
-            return _cmp(self, o) < 0
-        return self._an * o._ad < o._an * self._ad
-
-    def __le__(self, other):
-        o = other if other.__class__ is QuadExt else _coerce(other)
-        if o is None:
-            return NotImplemented
-        if self._bn or o._bn:
-            return _cmp(self, o) <= 0
-        return self._an * o._ad <= o._an * self._ad
-
-    def __gt__(self, other):
-        o = other if other.__class__ is QuadExt else _coerce(other)
-        if o is None:
-            return NotImplemented
-        if self._bn or o._bn:
-            return _cmp(self, o) > 0
-        return self._an * o._ad > o._an * self._ad
-
-    def __ge__(self, other):
-        o = other if other.__class__ is QuadExt else _coerce(other)
-        if o is None:
-            return NotImplemented
-        if self._bn or o._bn:
-            return _cmp(self, o) >= 0
-        return self._an * o._ad >= o._an * self._ad
+    __lt__ = _order(operator.lt)
+    __le__ = _order(operator.le)
+    __gt__ = _order(operator.gt)
+    __ge__ = _order(operator.ge)
 
     def __hash__(self):
         if self._bn == 0:

@@ -11,7 +11,9 @@ st = hypothesis.strategies
 
 from kkmfix.intervals import ClassSet, Interval  # noqa: E402
 from kkmfix.scalars import (  # noqa: E402
+    ClassTag,
     QuadExt,
+    class_of,
     irrational_between,
     simplest_rational_between,
 )
@@ -71,6 +73,50 @@ def _same_members(a: ClassSet, b: ClassSet) -> bool:
     return all(a.contains(x) == b.contains(x) for x in _probes(a, b))
 
 
+def _line_union(ivs) -> list[Interval]:
+    # the union on the real line, as sorted runs that neither overlap nor touch
+    runs: list[Interval] = []
+    def lo_key(iv):
+        return (iv.lo is not None, iv.lo or 0, not iv.lo_closed)
+
+    for iv in sorted(ivs, key=lo_key):
+        cur = runs[-1] if runs else None
+        if cur is None or not (
+            cur.hi is None
+            or iv.lo is None
+            or iv.lo < cur.hi
+            or (iv.lo == cur.hi and (cur.hi_closed or iv.lo_closed))
+        ):
+            runs.append(iv)
+        elif cur.hi is not None and (
+            iv.hi is None or iv.hi > cur.hi or (iv.hi == cur.hi and iv.hi_closed)
+        ):
+            runs[-1] = Interval(cur.lo, iv.hi, cur.lo_closed, iv.hi_closed)
+    return runs
+
+
+def _two_pass_slice(ivs, tag) -> tuple[Interval, ...]:
+    """A canonical slice by the two-pass rule: union on the line, snap each
+    run to the class (a point of the other class dropped, a closed end of
+    it opened), then join runs that meet at a point of the other class."""
+    snapped = []
+    for iv in _line_union(ivs):
+        if iv.is_degenerate:
+            if class_of(iv.lo) is tag:
+                snapped.append(iv)
+            continue
+        lo_closed = iv.lo_closed and class_of(iv.lo) is tag
+        hi_closed = iv.hi_closed and class_of(iv.hi) is tag
+        snapped.append(Interval(iv.lo, iv.hi, lo_closed, hi_closed))
+    out: list[Interval] = []
+    for iv in snapped:
+        if out and out[-1].hi == iv.lo and class_of(iv.lo) is not tag:
+            out[-1] = Interval(out[-1].lo, iv.hi, out[-1].lo_closed, iv.hi_closed)
+        else:
+            out.append(iv)
+    return tuple(out)
+
+
 _settings = hypothesis.settings(max_examples=300, deadline=None)
 
 
@@ -111,6 +157,10 @@ def _flip_lo(iv: Interval) -> Interval:
 @hypothesis.given(_lists, _lists, _lists, _lists, _scalars)
 def test_structural_equality_is_set_equality(A, B, C, D, t):
     x, y = ClassSet(A, B), ClassSet(C, D)
+    assert tuple(x) == (
+        _two_pass_slice(A, ClassTag.RATIONAL),
+        _two_pass_slice(B, ClassTag.IRRATIONAL),
+    )
     assert (x == y) == _same_members(x, y)
     # the same set written another way has the same form
     assert ClassSet(_split(A, t), _split(B, t)) == x

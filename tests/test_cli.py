@@ -548,6 +548,18 @@ def test_map_not_utf8_is_usage_error(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_map_with_byte_order_mark_reads_as_without(tmp_path):
+    plain = _CORPUS_DIR / "corpus09.map"
+    bom = tmp_path / "corpus09-bom.map"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    got, want = (
+        json.loads(_stdout(["check", "--json", "--map", str(p), "--theorem", "t5"]))
+        for p in (bom, plain)
+    )
+    assert got.pop("inputs") != want.pop("inputs")
+    assert got == want
+
+
 def test_check_onto_long_continued_fraction(tmp_path, capsys):
     # f misses (a, b) for neighbouring golden-ratio convergents a < b; the
     # missed point onto reports takes ~1,500 continued-fraction terms
@@ -583,12 +595,12 @@ def test_module_entry_point(maps):
     assert "MATCH" in proc.stdout
 
 
-@pytest.mark.parametrize("extra", [[], ["--json"]])
+@pytest.mark.parametrize("extra", [["--only", "4"], ["--only", "4", "--json"], []])
 def test_closed_stdout_ends_quietly(extra):
     # `kkmfix corpus | head -3`: the reader goes away before the output
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.Popen(
-        [sys.executable, "-m", "kkmfix", "corpus", "--only", "4", *extra],
+        [sys.executable, "-m", "kkmfix", "corpus", *extra],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
@@ -599,6 +611,17 @@ def test_closed_stdout_ends_quietly(extra):
     assert proc.wait() == 0
     assert "Traceback" not in err
     assert err == ""
+
+
+def test_closed_stdout_ends_quietly_in_process(monkeypatch):
+    # main's broken-pipe branch in this process: stdout is a pipe whose
+    # read end is closed, and the branch points it at devnull
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    with open(write_fd, "w", encoding="utf-8") as out:
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["corpus", "--only", "4"]) == 0
+        out.write("after")  # the flush at close goes to devnull
 
 
 def test_rendered_determinism(maps):

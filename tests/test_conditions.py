@@ -772,10 +772,13 @@ def _shape_spec(rng, dom):
 
 def test_compact_set_deciders_by_definition():
     """A Proven x* makes the check_c1 (check_c2) set compact; after a
-    Falsified verdict no grid x*, at k/16 or k/16 + sqrt2/64, does."""
+    Falsified verdict no grid x*, at k/16 or k/16 + sqrt2/64, does.  The
+    check_c2 re-check is the only one of decide_c2's clearing lemma, so
+    its Proven route must be reached on both bounded half-open shapes."""
     rng = random.Random(61)
     grid = [Fraction(k, 16) for k in range(-32, 193)]
     grid += [g + SQRT2 / 64 for g in grid]
+    cleared = []
     for dom in _SHAPES:
         xs = [x for x in grid if dom.contains(x)]
         for _ in range(5):
@@ -785,9 +788,13 @@ def test_compact_set_deciders_by_definition():
                 if verdict.status is Status.PROVEN:
                     assert dom.contains(verdict.witness)
                     assert check(spec, verdict.witness)[1], serialize(spec)
+                    if decide is decide_c2 and dom.is_bounded and not dom.is_closed:
+                        cleared.append(dom)
                 else:
                     assert verdict.status is Status.FALSIFIED
                     assert not any(check(spec, x)[1] for x in xs), serialize(spec)
+    assert Interval(0, 10, True, False) in cleared
+    assert Interval(0, 10, False, True) in cleared
 
 
 def test_decide_c1_witness_is_the_first_displaced_point():

@@ -11,7 +11,6 @@ import pytest
 from kkmfix.intervals import (
     ClassSet,
     Interval,
-    class_nonempty,
     class_pick,
     pick_in,
     tagged,
@@ -232,13 +231,11 @@ def test_direct_queries_match_the_built_set():
         for tag in tags:
             built = _slicewise(tag, ivs)
             assert tagged((tag, x) for x in ivs) == built
-            assert class_nonempty(tag, ivs) == (not built.is_empty)
-            assert class_nonempty(tag, ivs[1:]) == (
-                not _slicewise(tag, ivs[1:]).is_empty
-            )
             got = class_pick(tag, ivs)
-            assert got == built.pick()
-            assert (got is None) == (not class_nonempty(tag, ivs))
+            assert got == built.pick() and (got is None) == built.is_empty
+            assert (class_pick(tag, ivs[1:]) is None) == (
+                _slicewise(tag, ivs[1:]).is_empty
+            )
             want = _slicewise(tag, [iv]).pick()
             got = pick_in(tag, iv)
             assert (got is None) == (want is None)
