@@ -35,23 +35,23 @@ _HOME = {
             "b_value",
             "check_b3_strong",
             "check_b_subset",
-            "check_c1",
-            "check_c2",
             "check_c3",
             "check_onto",
             "decide_b",
             "decide_c1",
             "decide_c2",
-            "sublevel",
         ),
         "kkm": (
             "EmChainReport",
             "GForm",
             "GKind",
+            "check_c1",
+            "check_c2",
             "default_gap_delta",
             "em_chain",
             "g_set",
             "intersection_witness",
+            "sublevel",
             "verify_kkm",
         ),
         "verdict": (

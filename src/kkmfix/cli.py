@@ -241,21 +241,20 @@ def _cmd_kkm(args) -> Report:
     if args.kind != "g3":
         if args.delta is not None:
             raise UsageError("--delta: only meaningful with --kind g3")
-    else:
-        if args.delta is not None:
-            try:
-                delta = parse_scalar(args.delta)
-            except ValueError as err:
-                raise UsageError(f"--delta: {err}") from err
-        else:
-            delta = default_gap_delta(spec)
-            if delta is None:
-                raise UsageError(
-                    "--delta: required for --kind g3 (the map has no "
-                    "displacement gap to default to)"
-                )
+    elif args.delta is not None:
+        try:
+            delta = parse_scalar(args.delta)
+        except ValueError as err:
+            raise UsageError(f"--delta: {err}") from err
         if delta <= 0:
             raise UsageError("--delta: must be positive")
+    else:
+        delta = default_gap_delta(spec)
+        if delta is None:
+            raise UsageError(
+                "--delta: required for --kind g3 (the map has no "
+                "displacement gap to default to)"
+            )
     try:
         points = [
             parse_scalar(tok.strip())

@@ -1,13 +1,14 @@
-"""Hypothesis checks for the fixed-point theorems.
+"""Hypothesis deciders for the fixed-point theorems.
 
 Everything here is decided exactly over Q(sqrt2): surjectivity of the
 mapping, the three hull-coverage inequalities (anchor, displacement,
-residual forms), the compact-witness-set conditions, and lower
-semicontinuity of the displacement x -> |f(x) - x|.
+residual forms), whether some x* has a compact witness set, and lower
+semicontinuity of the displacement x -> |f(x) - x|.  The witness sets
+themselves, the sublevels and their chain are built in ``kkm``.
 
 Both the inequality on one subset and lower semicontinuity come down to
 comparing two absolute values of affines, |p| < |q|, which
-``_abs_below`` solves as intervals.
+``intervals._abs_below`` solves as intervals.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .intervals import (
-    ClassSet,
     Interval,
     _Validated,
+    _abs_below,
     _intersect_iv,
     _narrow,
     _plain_complement,
@@ -152,21 +153,6 @@ def b_value(kind: BKind, spec: MappingSpec, points, u) -> QuadExt:
         if best is None or term > best:
             best = term
     return best
-
-
-def _abs_below(p, q, within: Interval) -> list[Interval]:
-    """The x in ``within`` where |p(x)| < |q(x)|, for affine p and q given
-    as (slope, intercept): exactly where (p - q)(p + q) < 0, so at most
-    one interval per sign case."""
-    (ps, pi), (qs, qi) = p, q
-    out = []
-    for first, second in (("<", ">"), (">", "<")):
-        part = _solve_affine(ps - qs, pi - qi, first, within)
-        if part is not None:
-            part = _solve_affine(ps + qs, pi + qi, second, part)
-            if part is not None:
-                out.append(part)
-    return out
 
 
 def check_b_subset(kind: BKind, spec: MappingSpec, points) -> ConditionVerdict:
@@ -486,27 +472,7 @@ def _b_falsified(kind, spec, u: QuadExt, k, m) -> ConditionVerdict:
 
 
 # ---------------------------------------------------------------------------
-# compact-witness-set conditions
-
-
-def _witness_set(spec: MappingSpec, x, gauge) -> ClassSet:
-    """G(x) = {y in C : |f(x) - y| >= |g(y)|} for the gauge g, an affine
-    (slope, intercept) in y: C less the y where |f(x) - y| < |g(y)|."""
-    near = _abs_below((_MINUS_ONE, spec.evaluate(x)), gauge, spec.domain)
-    kept = _plain_intersect((spec.domain,), _plain_complement(near))
-    return ClassSet(kept, kept)
-
-
-def check_c1(spec: MappingSpec, xstar) -> tuple[ClassSet, bool]:
-    """{y in C: |x* - y| <= |f(x*) - y|} and its exact compactness."""
-    out = _witness_set(spec, xstar, (_MINUS_ONE, xstar))
-    return out, out.is_compact
-
-
-def check_c2(spec: MappingSpec, xstar) -> tuple[ClassSet, bool]:
-    """{y in C: |f(x*) - x*| <= |f(x*) - y|} and its exact compactness."""
-    out = _witness_set(spec, xstar, (_ZERO, spec.residual(xstar)))
-    return out, out.is_compact
+# compact witness sets
 
 
 def _point_where(spec: MappingSpec, slope_shift, intercept_shift, rel: str):
@@ -534,11 +500,11 @@ def _displaced_point(spec: MappingSpec, climbs: bool):
 
 
 def decide_c1(spec: MappingSpec) -> ConditionVerdict:
-    """Does some x* make check_c1's set compact?  Decided exactly: yes iff
-    C is compact, or C has a closed finite lower end and f climbs somewhere
-    (the set is then a closed bounded initial segment), or the mirror.
-    Where f climbs and where it falls are read off the spec's sign table
-    of f(x) - x."""
+    """Does some x* make ``kkm.check_c1``'s set compact?  Decided exactly:
+    yes iff C is compact, or C has a closed finite lower end and f climbs
+    somewhere (the set is then a closed bounded initial segment), or the
+    mirror.  Where f climbs and where it falls are read off the spec's sign
+    table of f(x) - x.  Proven on every compact C, so Cor3 implies T1."""
     dom = spec.domain
     if dom.is_bounded and dom.is_closed:
         x = dom.lo
@@ -566,9 +532,11 @@ def decide_c1(spec: MappingSpec) -> ConditionVerdict:
 
 
 def decide_c2(spec: MappingSpec) -> ConditionVerdict:
-    """Does some x* make check_c2's set compact?  Exactly: yes iff C is
-    compact, or C is bounded with one open end that some x* clears
-    (2 f(x*) - x* past the open end empties the non-closed part).
+    """Does some x* make ``kkm.check_c2``'s set compact?  Exactly: yes iff
+    C is compact, or C is bounded with one open end that some x* clears
+    (2 f(x*) - x* past the open end empties the non-closed part).  So on a
+    closed C it is Proven exactly when C is compact, and T3 and Cor4 have
+    the same hypotheses.
 
     Clearing suffices: let C be bounded with lo open and hi closed, and
     2 f(x*) - x* <= lo.  As x* > lo, f(x*) < x*, so |f(x*) - y| <
@@ -604,26 +572,7 @@ def decide_c2(spec: MappingSpec) -> ConditionVerdict:
 
 
 # ---------------------------------------------------------------------------
-# displacement sublevels and lower semicontinuity
-
-
-def sublevel(spec: MappingSpec, beta) -> tuple[ClassSet, bool]:
-    """{x in C: |f(x) - x| <= beta}; the flag is closedness within C."""
-    b = as_scalar(beta)
-    if b <= 0:
-        raise ValueError("beta must be positive")
-    pairs = []
-    for tag, iv, slope, intercept in spec.value_pieces():
-        k = slope - _ONE
-        region = _solve_affine(k, intercept - b, "<=", iv)
-        if region is not None:
-            region = _solve_affine(k, intercept + b, ">=", region)
-        if region is not None:
-            pairs.append((tag, region))
-    out = tagged(pairs)
-    C = ClassSet.from_interval(spec.domain)
-    closed = out.closure().intersect(C) == out
-    return out, closed
+# lower semicontinuity
 
 
 def check_c3(spec: MappingSpec) -> ConditionVerdict:

@@ -15,7 +15,8 @@ structural equality is set equality:
 ``_narrow(iv, root, below, strict)`` is the one cut under intersection and
 the solvers: iv itself when t < root (t > root unless ``below``, non-strict
 unless ``strict``) cuts nothing, None when nothing is left, else an Interval.
-``_solve_affine``, the affine solver of deciders and plots alike, calls it.
+``_solve_affine``, the affine solver of deciders and plots alike, calls it,
+and ``_abs_below`` solves |p| < |q| for affine p and q with it.
 
 A slice is canonical after one pass: each interval is snapped to the
 class (a point of the other class dropped, an end of it opened), then
@@ -244,6 +245,21 @@ def _solve_affine(slope, intercept, rel: str, within: Interval) -> Interval | No
         return within if sign < 0 or (not strict and not sign) else None
     below = (slope.sign() > 0) == (rel[0] == "<")
     return _narrow(within, -intercept / slope, below, strict)
+
+
+def _abs_below(p, q, within: Interval) -> list[Interval]:
+    """The x in ``within`` where |p(x)| < |q(x)|, for affine p and q given
+    as (slope, intercept): exactly where (p - q)(p + q) < 0, so at most
+    one interval per sign case."""
+    (ps, pi), (qs, qi) = p, q
+    out = []
+    for first, second in (("<", ">"), (">", "<")):
+        part = _solve_affine(ps - qs, pi - qi, first, within)
+        if part is not None:
+            part = _solve_affine(ps + qs, pi + qi, second, part)
+            if part is not None:
+                out.append(part)
+    return out
 
 
 def _intersect_iv(a: Interval, b: Interval) -> Interval | None:

@@ -60,7 +60,10 @@ def _map_value(spec: MappingSpec, x: QuadExt) -> QuadExt | None:
 def _dec(value: QuadExt | None) -> str:
     if value is None:
         return ""
-    return format(float(value), ".10g")
+    try:
+        return format(float(value), ".10g")
+    except OverflowError:  # beyond the float range, as float("inf") prints
+        return "inf" if value > 0 else "-inf"
 
 
 def _exact(value: QuadExt | None) -> str:
@@ -101,17 +104,17 @@ def _csv_content(spec: MappingSpec, samples: int) -> str:
     return out.getvalue()
 
 
-def _px(v: float, lo: float, hi: float) -> float:
-    return _PAD + (v - lo) / (hi - lo) * (_SIZE - 2 * _PAD)
+def _px(v: QuadExt, lo: QuadExt, hi: QuadExt) -> float:
+    """The frame position of v: only the exact (v - lo)/(hi - lo) is a float."""
+    return _PAD + float((v - lo) / (hi - lo)) * (_SIZE - 2 * _PAD)
 
 
-def _py(v: float, lo: float, hi: float) -> float:
-    return _SIZE - _PAD - (v - lo) / (hi - lo) * (_SIZE - 2 * _PAD)
+def _py(v: QuadExt, lo: QuadExt, hi: QuadExt) -> float:
+    return _SIZE - _PAD - float((v - lo) / (hi - lo)) * (_SIZE - 2 * _PAD)
 
 
 def _svg_content(spec: MappingSpec) -> str:
-    wlo, whi = plot_window(spec)
-    lo, hi = float(wlo), float(whi)
+    lo, hi = plot_window(spec)
     lines = [
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_SIZE:g}" height="{_SIZE:g}" '
@@ -123,7 +126,7 @@ def _svg_content(spec: MappingSpec) -> str:
         f'y1="{_py(lo, lo, hi):.2f}" x2="{_px(hi, lo, hi):.2f}" '
         f'y2="{_py(hi, lo, hi):.2f}" stroke="gray" stroke-dasharray="4 4"/>',
     ]
-    window = Interval.closed(wlo, whi)
+    window = Interval.closed(lo, hi)
     colors = {ClassTag.RATIONAL: "steelblue", ClassTag.IRRATIONAL: "firebrick"}
     for piece in spec.pieces:
         span = _intersect_iv(piece.over, window)
@@ -132,13 +135,13 @@ def _svg_content(spec: MappingSpec) -> str:
         # the closed span's part where wlo <= f(x) <= whi: a piece that
         # reaches the frame only at an open end still draws that end
         slope, intercept = piece.expr
-        seg = _solve_affine(slope, intercept - whi, "<=", span.closure())
+        seg = _solve_affine(slope, intercept - hi, "<=", span.closure())
         if seg is not None:
-            seg = _solve_affine(slope, intercept - wlo, ">=", seg)
+            seg = _solve_affine(slope, intercept - lo, ">=", seg)
         if seg is None:
             continue
-        x1, x2 = float(seg.lo), float(seg.hi)
-        y1, y2 = float(piece.expr.at(seg.lo)), float(piece.expr.at(seg.hi))
+        x1, x2 = seg.lo, seg.hi
+        y1, y2 = piece.expr.at(x1), piece.expr.at(x2)
         for tag in colors if piece.tag is None else (piece.tag,):
             lines.append(
                 f'<polyline class="{tag}-branch" points="'
@@ -147,11 +150,10 @@ def _svg_content(spec: MappingSpec) -> str:
                 f'fill="none" stroke="{colors[tag]}" stroke-width="2"/>'
             )
     for p in spec.fixed_point_set().finite_points() or ():
-        v = float(p)
-        if lo <= v <= hi:
+        if lo <= p <= hi:
             lines.append(
-                f'<circle class="fixed-point" cx="{_px(v, lo, hi):.2f}" '
-                f'cy="{_py(v, lo, hi):.2f}" r="4" fill="black"/>'
+                f'<circle class="fixed-point" cx="{_px(p, lo, hi):.2f}" '
+                f'cy="{_py(p, lo, hi):.2f}" r="4" fill="black"/>'
             )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -112,19 +112,16 @@ def test_plot_is_byte_identical_to_golden(monkeypatch, tmp_path):
 
 
 def test_kkm_builds_each_witness_set_once(monkeypatch):
-    import kkmfix.conditions
     import kkmfix.kkm
 
     built = []
-    build = kkmfix.conditions._witness_set
+    build = kkmfix.kkm.g_set
 
-    def counted(spec, x, gauge):
+    def counted(kind, spec, x):
         built.append(x)
-        return build(spec, x, gauge)
+        return build(kind, spec, x)
 
-    # check_c1/check_c2 read the conditions binding, the gap form kkm's own
-    monkeypatch.setattr(kkmfix.conditions, "_witness_set", counted)
-    monkeypatch.setattr(kkmfix.kkm, "_witness_set", counted)
+    monkeypatch.setattr(kkmfix.kkm, "g_set", counted)
     monkeypatch.chdir(_CORPUS_DIR)
     for kind, extra in _KKM_KINDS.items():
         built.clear()
@@ -352,6 +349,39 @@ def test_parse_reports_violations(maps):
     report = run_command(["parse", "--map", maps["bad"]])
     assert report.exit_code == 1
     assert "not-self-map" in report.rendered
+
+
+# a window beyond the float range, and one too narrow for floats to tell
+# its ends apart
+_EXTREME_MAPS = {
+    "huge": f"domain [0, {10**400}]\npiece [0, {10**400}] all: 1/2 x\n",
+    "narrow": (
+        f"domain [{10**20}, {10**20 + 1}]\n"
+        f"piece [{10**20}, {10**20 + 1}] all: -x + {2 * 10**20 + 1}\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EXTREME_MAPS))
+def test_plot_survives_extreme_magnitudes(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.map"
+    path.write_text(_EXTREME_MAPS[name], encoding="utf-8")
+    for fmt in ("svg", "csv"):
+        out = tmp_path / f"{name}.{fmt}"
+        argv = ["plot", "--map", str(path), "--out", str(out), "--format", fmt]
+        assert main(argv) == 0, fmt
+        assert capsys.readouterr().err == ""
+        assert "nan" not in out.read_text(encoding="utf-8")
+    if name == "huge":
+        # the decimal columns overflow to inf, the exact ones keep the value
+        last = (tmp_path / "huge.csv").read_text(encoding="utf-8").splitlines()[-1]
+        row = last.split(",")
+        assert row[:4] == ["inf"] * 4
+        assert parse_scalar(row[4]) == 10**400
+    else:
+        # the fixed point 10^20 + 1/2 sits mid-frame
+        svg = (tmp_path / "narrow.svg").read_text(encoding="utf-8")
+        assert 'cx="260.00" cy="260.00"' in svg
 
 
 def test_plot_writes_file(maps, tmp_path):
@@ -662,6 +692,12 @@ def test_each_command_loads_only_its_modules(maps, tmp_path):
         assert "kkmfix.mapdef" in loaded
         assert loaded & (_DECIDERS | {"dataclasses"}) == set(), argv
     assert "json" not in _modules(_RUN_CLI, "parse", "--map", maps[9]) - bare
+    # kkm builds its witness sets itself: no hull decider, no dataclass
+    loaded = _modules(_RUN_CLI, "kkm", "--map", maps[9], "--kind", "g3", "--delta",
+                      "1/2", "--points", "3,7", "--json") - bare
+    assert "kkmfix.kkm" in loaded
+    banned = {"kkmfix.conditions", "kkmfix.verdict", "dataclasses", "inspect"}
+    assert loaded & banned == set()
     loaded = _modules(_RUN_CLI, "check", "--map", maps[9], "--theorem", "t5", "--json")
     assert "kkmfix.verdict" in loaded
     assert loaded & {"kkmfix.kkm", "kkmfix.plotting", "kkmfix.randmaps"} == set()

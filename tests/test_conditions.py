@@ -15,17 +15,14 @@ from kkmfix.conditions import (
     b_value,
     check_b3_strong,
     check_b_subset,
-    check_c1,
-    check_c2,
     check_c3,
     check_onto,
     decide_b,
     decide_c1,
     decide_c2,
-    sublevel,
 )
 from kkmfix.intervals import ClassSet, Interval, _intersect_iv, _narrow, _solve_affine
-from kkmfix.kkm import GKind, verify_kkm
+from kkmfix.kkm import GKind, check_c1, check_c2, sublevel, verify_kkm
 from kkmfix.mapdef import parse, serialize
 from kkmfix.mapping import AffineExpr, MappingSpec, Piece, PointOverride
 from kkmfix.randmaps import random_specs

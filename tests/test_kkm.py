@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from kkmfix.intervals import ClassSet, Interval
+from kkmfix.mapdef import parse
 from kkmfix.kkm import (
     GForm,
     GKind,
@@ -20,7 +21,7 @@ from kkmfix.kkm import (
 from kkmfix.randmaps import random_specs
 from kkmfix.scalars import SQRT2, QuadExt, dist
 
-from conftest import rand_point_in
+from conftest import EDGE_MAPS, rand_point_in
 
 G1 = GKind(GForm.ANCHOR)
 G2 = GKind(GForm.DISPLACEMENT)
@@ -132,10 +133,29 @@ def test_default_gap_delta(corpus):
     assert default_gap_delta(corpus[5].spec) == 2
 
 
+def check_chain_by_definition(spec, report):
+    """em_chain reports ``nested`` and its tail by lemma; check both from
+    their definitions: no level gains a point on the one before it, and
+    the last level cut down to Fix(f) is Fix(f)."""
+    assert report.nested
+    levels = [level for _, level, _, _ in report.levels]
+    for previous, level in zip(levels, levels[1:]):
+        assert level.difference(previous).is_empty
+    fixed = spec.fixed_point_set()
+    assert levels[-1].intersect(fixed) == fixed == report.tail_intersection
+
+
+def test_em_chain_lemmas_hold_by_definition(corpus):
+    specs = [e.spec for e in corpus.values()]
+    specs += [*random_specs(60, 3), *(parse(t) for t in EDGE_MAPS.values())]
+    for spec in specs:
+        check_chain_by_definition(spec, em_chain(spec, 6))
+
+
 def test_em_chain_pins(corpus):
     report = em_chain(corpus[9].spec, 10)
     assert len(report.levels) == 10
-    assert report.nested
+    check_chain_by_definition(corpus[9].spec, report)
     for m, level, nonempty, closed in report.levels:
         assert nonempty and closed
     assert report.tail_intersection == ClassSet.points([QuadExt(5)])
@@ -152,5 +172,5 @@ def test_em_chain_rejects_a_count_that_is_not_an_int(corpus):
 def test_em_chain_detects_fixed_point_equality(corpus):
     # constant maps hit their fixed point exactly; tail set collapses fast
     report = em_chain(corpus[11].spec, 100)
-    assert report.nested
+    check_chain_by_definition(corpus[11].spec, report)
     assert report.tail_intersection == ClassSet.points([QuadExt(5)])

@@ -12,11 +12,17 @@ from kkmfix.conditions import (
     Status,
     b_value,
     check_b_subset,
+)
+from kkmfix.kkm import (
+    GKind,
     check_c1,
     check_c2,
+    em_chain,
+    g_set,
+    intersection_witness,
     sublevel,
+    verify_kkm,
 )
-from kkmfix.kkm import GKind, em_chain, g_set, intersection_witness, verify_kkm
 from kkmfix.mapdef import parse, serialize
 from kkmfix.plotting import emit_plot
 from kkmfix.randmaps import random_specs
@@ -218,6 +224,30 @@ def _check_golden(path, rows, what):
     for row, want in zip(got, golden):
         assert row == want, f"{row[0]} {what} {row[1]} changed"
     return got
+
+
+def test_compact_set_deciders_tie_the_theorems():
+    """Two lemmas.  On a closed C, decide_c2 is Proven exactly when C is
+    compact, so T3 and Cor4 have the same hypotheses.  decide_c1 is Proven
+    on every compact C, so Cor3 favourable makes T1 favourable."""
+    specs = [corpus_entry(n).spec for n in range(1, 15)]
+    specs += [*random_specs(300, 0), *(parse(t) for t in EDGE_MAPS.values())]
+    favourable = dict.fromkeys(TheoremId, 0)
+    for spec in specs:
+        verdicts = {t: run_theorem(spec, t) for t in TheoremId}
+        ok = {
+            t: all(c.status is not Status.FALSIFIED for c in v.conditions.values())
+            for t, v in verdicts.items()
+        }
+        for t in TheoremId:
+            favourable[t] += ok[t]
+        assert ok[TheoremId.T3] == ok[TheoremId.COR4]
+        assert ok[TheoremId.T1] or not ok[TheoremId.COR3]
+        t3 = verdicts[TheoremId.T3].conditions
+        compact = spec.domain.is_bounded and spec.domain.is_closed
+        keys = ("domain", "compact_displacement_set")
+        assert all(t3[k].status is Status.PROVEN for k in keys) == compact
+    assert all(favourable.values()), favourable
 
 
 def test_verdicts_beyond_the_corpus_match_golden():
