@@ -13,9 +13,9 @@ comparing two absolute values of affines, |p| < |q|, which
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, product
 from typing import NamedTuple
 
 from .intervals import (
@@ -23,7 +23,6 @@ from .intervals import (
     _Validated,
     _abs_below,
     _intersect_iv,
-    _narrow,
     _plain_complement,
     _plain_intersect,
     _solve_affine,
@@ -103,7 +102,7 @@ class ConditionVerdict:
         return f"{self.status}: {self.detail}"
 
 
-_ZERO, _ONE, _MINUS_ONE = QuadExt(0), QuadExt(1), QuadExt(-1)
+_ZERO, _ONE, _MINUS_ONE, _MINUS_TWO = QuadExt(0), QuadExt(1), QuadExt(-1), QuadExt(-2)
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +240,9 @@ def check_b3_strong(
 
 
 def _x_pieces(kind: BKind, signs) -> tuple[list, list]:
-    """The rows of the sign table ``MappingSpec._signs`` as x pieces for
-    ``_near_u``, split into those usable below u and those usable above
-    it: each is (interval, slope, intercept, lower bounds, upper bounds),
-    the bounds on x as in ``_project_u``.
+    """The rows of the sign table ``MappingSpec._signs`` as x pieces
+    [half, c, d, term], split into those usable below u and those above
+    it; ``_near_u`` fills in the term on first use.
 
     The other rows of a projection are strict, so a nondegenerate piece
     projects the same whatever its class, the closedness of its ends and
@@ -264,10 +262,7 @@ def _x_pieces(kind: BKind, signs) -> tuple[list, list]:
         seen.add(key)
         for half, out in zip((iv, iv) if residual else (pos, neg), (lefts, rights)):
             if half is not None:
-                lo, hi, lo_closed, hi_closed = half
-                lows = [] if lo is None else [(_ZERO, lo, not lo_closed)]
-                highs = [] if hi is None else [(_ZERO, hi, not hi_closed)]
-                out.append((half, c, d, lows, highs))
+                out.append([half, c, d, None])
     return lefts, rights
 
 
@@ -286,75 +281,100 @@ def _window(lefts, rights) -> Interval | None:
     return Interval(lo, hi, False, False)
 
 
-def _project_u(lows, highs, on_u, within: Interval) -> Interval | None:
-    """The u in ``within`` with b*u + c < 0 (<= 0 unless strict) for each
-    (b, c, strict) in ``on_u``, and some real x above every lower bound in
-    ``lows`` and below every upper bound in ``highs``; a bound
-    (s, i, strict) is s*u + i, passed strictly or not.
+def _rows(kind: BKind, c, d, below: bool, r=None) -> tuple:
+    """The rows a*x + b*u + e < 0, as (a, b, e), under which an x of a
+    ``_x_pieces`` half on f(x) = c*x + d below u (above it unless
+    ``below``) has a negative term, for a given r = |f(u) - u|.
 
-    Fourier-Motzkin (Dantzig and Eaves, J. Comb. Theory A 14, 1973): x
+    With f(x) > x and x < u, |f(x) - u| < u - x iff x + f(x) < 2u (which
+    gives x < u), and |f(x) - u| < f(x) - x iff u < 2 f(x) - x: the sign
+    table leaves the anchor term one row and the displacement term two,
+    with x < u.  Above u, where f(x) < x, every row is reversed.  The
+    residual rows are x < u and u - r < f(x) < u + r."""
+    if kind is BKind.RESIDUAL:
+        side = (_ONE, _MINUS_ONE, _ZERO) if below else (_MINUS_ONE, _ONE, _ZERO)
+        return side, (c, _MINUS_ONE, d - r), (-c, _ONE, -d - r)
+    if kind is BKind.ANCHOR:
+        rows = ((c + _ONE, _MINUS_TWO, d),)
+    else:
+        rows = ((_ONE, _MINUS_ONE, _ZERO), (_ONE - c - c, _ONE, -d - d))
+    return rows if below else tuple((-a, -b, -e) for a, b, e in rows)
+
+
+def _term(kind: BKind, half: Interval, c, d, below: bool) -> tuple:
+    """An x piece's term as the (ends, lows, highs, on_u) of ``_project_u``:
+    for the anchor and displacement forms, x between the half's ends and
+    the bounds of ``_rows``.  The residual gauge r = |f(u) - u| does not
+    depend on x, so that form bounds y = f(x): between the images of the
+    half's ends and, on the side f moves toward u, beyond f(u) = c*u + d
+    (x < u, or x > u), against each u piece's ball u - r < y < u + r,
+    which ``_near_u`` adds.  On a constant piece f(x) = d the term stays
+    on x, with x < u, and ``_near_u`` holds d against the ball."""
+    ends, lows, highs, on_u = half, [], [], []
+    if kind is not BKind.RESIDUAL:
+        for a, b, e in _rows(kind, c, d, below):
+            if not a:
+                on_u.append((b, e, True))
+            else:
+                (highs if a.sign() > 0 else lows).append((-b / a, -e / a, True))
+    elif c:
+        ends = half.map_affine(c, d)
+        (highs if (c.sign() > 0) == below else lows).append((c, d, True))
+    else:
+        (highs if below else lows).append((_ONE, _ZERO, True))
+    lo, hi, lo_closed, hi_closed = ends
+    lo_ends = [] if lo is None else [(_ZERO, lo, not lo_closed)]
+    hi_ends = [] if hi is None else [(_ZERO, hi, not hi_closed)]
+    return (lo_ends, hi_ends), lows, highs, on_u
+
+
+def _project_u(ends, lows, highs, on_u, within: Interval) -> Interval | None:
+    """The u in ``within`` with b*u + c < 0 (<= 0 unless strict) for each
+    (b, c, strict) in ``on_u``, and some real y (x, or f(x) for the
+    residual form) above every lower bound and below every upper bound; a
+    bound (s, i, strict) is s*u + i, passed strictly or not.  ``ends``
+    lists the constant ends of a nonempty piece or of its image, which
+    alone go unpaired with each other (a constant ball end is paired).
+
+    Fourier-Motzkin (Dantzig and Eaves, J. Comb. Theory A 14, 1973): y
     exists iff every lower bound stays below every upper bound.  Each row
     cuts what the rows before it left, through ``_solve_affine``."""
-    pairs = (
+    lo_ends, hi_ends = ends
+    pairs = chain(product(lo_ends + lows, highs), product(lows, hi_ends))
+    rows = (
         (ls - hs, li - hi, l_strict or h_strict)
-        for ls, li, l_strict in lows
-        for hs, hi, h_strict in highs
+        for (ls, li, l_strict), (hs, hi, h_strict) in pairs
     )
-    for b, c, strict in itertools.chain(on_u, pairs):
+    for b, c, strict in chain(on_u, rows):
         within = _solve_affine(b, c, "<" if strict else "<=", within)
         if within is None:
             return None
     return within
 
 
-def _gauges(kind: BKind, c, d, below: bool, k, m):
-    """The bound g in a negative term |f(x) - u| < g, at the points x of a
-    value piece f(x) = c*x + d lying below u (or above it), as triples
-    (gx, gu, g0) with g = gx*x + gu*u + g0: the term is negative iff
-    |f(x) - u| < g for one of them.
-
-    Anchor: g = u - x below u and x - u above.  Displacement:
-    g = |h| for h = (c - 1)x + d, and |f(x) - u| < |h| iff
-    |f(x) - u| < s*h for s = 1 or -1; the strict inequality keeps s*h > 0,
-    so no row for the sign is needed.  Residual: g = |f(u) - u| = k*u + m
-    on one u-piece and sign of f(u) - u."""
-    if kind is BKind.ANCHOR:
-        return ((_MINUS_ONE, _ONE, _ZERO),) if below else ((_ONE, _MINUS_ONE, _ZERO),)
-    if kind is BKind.DISPLACEMENT:
-        return ((c - 1, _ZERO, d), (1 - c, _ZERO, -d))
-    return ((_ZERO, k, m),)
-
-
-_AT_U = (_ONE, _ZERO, True)  # the bound x < u, or x > u
-
-
-def _near_u(kind, x_pieces, k, m, below: bool, within: Interval) -> list:
+def _near_u(kind, pieces, ball, below: bool, within: Interval) -> list:
     """The u in ``within`` with some x on one side of u, in one of the x
-    pieces, such that |f(x) - u| < g."""
+    pieces, whose term is negative; ``ball`` holds the residual form's
+    bounds u - r and u + r on y, None for the other forms."""
     out = []
-    for (lo, hi, _, _), c, d, iv_lows, iv_highs in x_pieces:
+    for piece in pieces:
+        half, c, d, term = piece
         # x >= lo >= within.hi >= u (or the mirror) cannot hold
-        if below:
-            if lo is not None and within.hi is not None and lo >= within.hi:
-                continue
-        elif hi is not None and within.lo is not None and hi <= within.lo:
+        end, cut = (half.lo, within.hi) if below else (within.lo, half.hi)
+        if end is not None and cut is not None and end >= cut:
             continue
-        for gx, gu, g0 in _gauges(kind, c, d, below, k, m):
-            lows, highs, on_u = list(iv_lows), list(iv_highs), []
-            (highs if below else lows).append(_AT_U)
-            # f(x) - u - g < 0 and u - f(x) - g < 0, each a*x + b*u + e < 0
-            for a, b, e in (
-                (c - gx, _MINUS_ONE - gu, d - g0),
-                (-c - gx, _ONE - gu, -d - g0),
-            ):
-                if not a:
-                    on_u.append((b, e, True))
-                else:
-                    neg = -a
-                    (highs if a.sign() > 0 else lows).append((b / neg, e / neg, True))
-            proj = _project_u(lows, highs, on_u, within)
-            if proj is not None:
-                out.append(proj)
+        if term is None:
+            term = piece[3] = _term(kind, half, c, d, below)
+        ends, lows, highs, on_u = term
+        if ball is not None:
+            if c:  # pairing the ball's ends cuts r > 0
+                lows, highs = lows + [ball[0]], highs + [ball[1]]
+            else:  # f(x) = d: |d - u| < r, which implies r > 0
+                (bl, il, _), (bh, ih, _) = ball
+                on_u = [(bl, il - d, True), (-bh, d - ih, True), *on_u]
+        proj = _project_u(ends, lows, highs, on_u, within)
+        if proj is not None:
+            out.append(proj)
     return out
 
 
@@ -391,19 +411,22 @@ def decide_b(kind: BKind, spec: MappingSpec) -> ConditionVerdict:
     inequality at u iff it has points x < u < x' with both terms negative:
     the violating set is V = C & L & R, where L holds the u with some
     x < u in C and |f(x) - u| < g, and R is its mirror.  On a value piece
-    f(x) = c*x + d, g is affine in (x, u) (see ``_gauges``), so each of L
-    and R is a finite union of projections of strict affine constraints
-    onto the u axis.  A nondegenerate x piece meets every nonempty x-slice
-    in points of its class, so classes matter only for u and for
-    single-point pieces.  For the anchor and displacement forms only the
-    part of C where f(x) > x can supply x, and only where f(x) < x can
-    supply x' (see ``_x_pieces``); V lies in the open window between the
-    two, so nothing is projected outside it, and nothing at all when it is
-    empty (f <= id or f >= id on C, or a pivot with f <= id below it and
-    f >= id above).  Both the x pieces and the residual form's u pieces
-    are read off the spec's sign table of f(x) - x (``MappingSpec._signs``),
-    whose roots are computed once per spec.  Returns Proven, or Falsified
-    with a two-point witness around the first violating u found."""
+    f(x) = c*x + d, each of L and R is a finite union of projections of
+    strict affine constraints onto the u axis (``_project_u``).  A
+    nondegenerate x piece meets every nonempty x-slice in points of its
+    class, so classes matter only for u and for single-point pieces.
+    The spec's sign table of f(x) - x (``MappingSpec._signs``) settles
+    most constraints.  For the anchor and displacement forms only its
+    part where f(x) > x can supply x, and only where f(x) < x can supply
+    x' (``_x_pieces``); there the anchor term is negative iff
+    x + f(x) < 2u, the displacement term iff x < u < 2 f(x) - x
+    (``_rows``).  V lies in the open window between the two parts, so
+    nothing is projected outside it, and nothing at all when it is empty
+    (f <= id or f >= id on C, or a pivot with f <= id below it and
+    f >= id above).  On each u piece, a part of the table, the residual
+    gauge |f(u) - u| is some r = k*u + m free of x, so that form projects
+    y = f(x) in the ball (u - r, u + r) (``_term``).  Returns Proven, or
+    Falsified with a two-point witness around the first violating u."""
     if kind.__class__ is not BKind:
         raise ValueError(f"unknown hull form: {kind!r}")
     proven = ConditionVerdict(
@@ -425,8 +448,9 @@ def decide_b(kind: BKind, spec: MappingSpec) -> ConditionVerdict:
         if key not in sides:
             # L, then R only where L has points
             within = _intersect_iv(iv.closure(), window)
-            below = [] if within is None else _near_u(kind, lefts, k, m, True, within)
-            above = _near_u(kind, rights, k, m, False, within) if below else []
+            ball = None if k is None else ((_ONE - k, -m, True), (_ONE + k, m, True))
+            below = [] if within is None else _near_u(kind, lefts, ball, True, within)
+            above = _near_u(kind, rights, ball, False, within) if below else []
             sides[key] = below, above
         below, above = sides[key]
         violating = _plain_intersect(_plain_intersect((iv,), below), above)
@@ -437,19 +461,20 @@ def decide_b(kind: BKind, spec: MappingSpec) -> ConditionVerdict:
 
 
 def _near_point(kind, spec, u: QuadExt, below: bool, k, m):
-    """Some x on one side of u with |f(x) - u| < g, or None."""
-    for tag, iv, c, d in spec.value_pieces():
-        region = _narrow(iv, u, below, True)
-        if region is None:
-            continue
-        for gx, gu, g0 in _gauges(kind, c, d, below, k, m):
-            g_at_u = gu * u + g0
-            near = _solve_affine(c - gx, d - u - g_at_u, "<", region)
-            if near is not None:
-                near = _solve_affine(-c - gx, u - d - g_at_u, "<", near)
-            x = None if near is None else pick_in(tag, near)
-            if x is not None:
-                return x
+    """Some x on one side of u with a negative term, or None: the first
+    tag-class point, in sign-table order, of the halves ``_x_pieces``
+    takes, cut by the rows of ``_rows`` at this u."""
+    residual = kind is BKind.RESIDUAL
+    r = k * u + m if residual else None
+    for tag, iv, c, d, pos, _, neg in spec._signs:
+        near = iv if residual else pos if below else neg
+        for a, b, e in () if near is None else _rows(kind, c, d, below, r):
+            near = _solve_affine(a, b * u + e, "<", near)
+            if near is None:
+                break
+        x = None if near is None else pick_in(tag, near)
+        if x is not None:
+            return x
     return None
 
 

@@ -51,7 +51,6 @@ __all__ = [
     "simplest_rational_between",
 ]
 
-_SQRT2_FLOAT = 2.0 ** 0.5
 _HASH_MODULUS = sys.hash_info.modulus
 _HASH_INF = sys.hash_info.inf
 
@@ -247,7 +246,30 @@ class QuadExt:
         return self._an != 0 or self._bn != 0
 
     def __float__(self):
-        return self._an / self._ad + _SQRT2_FLOAT * (self._bn / self._bd)
+        """The nearest float, or OverflowError past the float range, as for
+        a Fraction, whatever the size of the two parts.
+
+        An irrational v lies strictly between n and n + 1 for
+        n = floor(|v| * 2^s).  Once n has 55 bits, every rounding boundary
+        at that scale is an integer, so |v| rounds as (2n + 1) / 2^(s + 1),
+        one correctly rounded integer division.  The first s comes from
+        the conjugate p - q*sqrt2, which does not cancel where p + q*sqrt2
+        does: their product is p^2 - 2q^2, for |v| = (p + q*sqrt2)/r."""
+        if not self._bn:
+            return self._an / self._ad
+        sign = self.sign()
+        v = self if sign > 0 else -self
+        p, q, r = v._an * v._bd, v._bn * v._ad, v._ad * v._bd
+        big = max(abs(p), abs(q)).bit_length()
+        bits = big if p >= 0 and q >= 0 else (p * p - 2 * q * q).bit_length() - big
+        s = 56 + r.bit_length() - bits
+        n = (v * Fraction(2) ** s).floor()
+        while not n >> 54:
+            s += 55 - n.bit_length()
+            n = (v * Fraction(2) ** s).floor()
+        if s >= 0:
+            return sign * ((2 * n + 1) / (1 << s + 1))
+        return sign * float((2 * n + 1) << -s - 1)
 
     def __reduce__(self):
         return (QuadExt, (self.a, self.b))

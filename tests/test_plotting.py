@@ -310,3 +310,18 @@ def test_one_point_domain_renders():
     assert [row[4] for row in rows[1:]] == ["-1", "0", "1"]
     # the map is defined only at 0
     assert [row[7] for row in rows[1:]] == ["", "0", ""]
+
+
+def test_decimal_column_of_values_with_huge_parts():
+    """A value inside the float range whose parts are not prints as its
+    nearest float, and one past the range as inf."""
+    from kkmfix.plotting import _dec
+    from kkmfix.scalars import SQRT2
+
+    tiny = QuadExt(1)
+    for _ in range(1100):
+        tiny = tiny * (SQRT2 - 1)  # about 10^-421, parts of 421 digits
+    assert _dec(tiny) == "0"
+    assert _dec(tiny * 10**400) == "8.845983569e-22"
+    assert _dec(1 / tiny) == "inf"
+    assert _dec(-1 / tiny) == "-inf"

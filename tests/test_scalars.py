@@ -330,3 +330,55 @@ def test_floor_of_irrationals_by_definition():
         f = x.floor()
         assert QuadExt(f) <= x < QuadExt(f + 1), x
         assert math.ceil(x) == f + 1
+
+
+def _power(x: QuadExt, n: int) -> QuadExt:
+    out = QuadExt(1)
+    for _ in range(n):
+        out = out * x
+    return out
+
+
+def test_float_is_correctly_rounded():
+    """float(x) is the float nearest x, read off a 3000-digit decimal, or
+    OverflowError where that decimal lies past the float range: on values
+    whose parts overflow a float while x does not ((sqrt2 - 1)^1100 rounds
+    to 0, times 10^400 to about 8.8e-22), on Pell numbers p - q*sqrt2 near
+    each scale from subnormal to the top of the range, and on 2000 values
+    with up to 30-digit coefficients."""
+    decimal = pytest.importorskip("decimal")
+    context = decimal.Context(prec=3000)
+    root2 = context.sqrt(decimal.Decimal(2))
+
+    def nearest(x: QuadExt) -> float:
+        a, b = (context.divide(f.numerator, f.denominator) for f in (x.a, x.b))
+        return float(context.add(a, context.multiply(b, root2)))
+
+    rng = random.Random(47)
+
+    def big():
+        return Fraction(
+            rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** rng.randint(0, 30))
+        )
+
+    tiny = _power(SQRT2 - 1, 1100)
+    values = [tiny, -tiny, tiny * 10 ** 400]
+    values += [_power(SQRT2 + 1, 805), -_power(1 - SQRT2, 803)]
+    p, q = 1, 1
+    while p < 10 ** 40:
+        pell = QuadExt(p, -q) if p * p - 2 * q * q > 0 else QuadExt(-p, q)
+        for e in range(-1200, 1100, 37):
+            values += [pell * Fraction(2) ** e, QuadExt(Fraction(2) ** e) + pell]
+        p, q = p + 2 * q, p + q
+    values += [QuadExt(big(), big() or 1) for _ in range(2000)]
+    assert float(tiny) == 0.0
+    for x in values:
+        want = nearest(x)
+        if math.isinf(want):
+            with pytest.raises(OverflowError):
+                float(x)
+        else:
+            assert float(x) == want, x
+    for x in (_power(SQRT2 + 1, 1100), -_power(SQRT2 + 1, 1100), QuadExt(10 ** 400, 1)):
+        with pytest.raises(OverflowError):
+            float(x)
