@@ -122,31 +122,20 @@ def _load_spec(path: str, validate: bool = True) -> MappingSpec:
 
 
 def _witness_payload(witness):
-    from .conditions import SubsetWitness
-
+    """A witness as JSON: a subset witness (the named tuple that is not a
+    ClassSet) as a dict, a ClassSet or a scalar as its text."""
     if witness is None:
         return None
-    if isinstance(witness, SubsetWitness):
-        return {
-            "points": [format_scalar(p) for p in witness.points],
-            "weights": (
-                None
-                if witness.weights is None
-                else [format_scalar(w) for w in witness.weights]
-            ),
-            "u": format_scalar(witness.u),
-        }
     if isinstance(witness, ClassSet):
         return str(witness)
+    if isinstance(witness, tuple):
+        points, weights, u = witness
+        return {
+            "points": [format_scalar(p) for p in points],
+            "weights": None if weights is None else [format_scalar(w) for w in weights],
+            "u": format_scalar(u),
+        }
     return format_scalar(witness)
-
-
-def _condition_payload(verdict) -> dict:
-    return {
-        "status": verdict.status.value,
-        "detail": verdict.detail,
-        "witness": _witness_payload(verdict.witness),
-    }
 
 
 def _fixed_payload(fset, points) -> dict:
@@ -169,7 +158,12 @@ def _theorem_payload(verdict) -> dict:
     return {
         "theorem": verdict.theorem.value,
         "conditions": {
-            key: _condition_payload(c) for key, c in verdict.conditions.items()
+            key: {
+                "status": c.status.value,
+                "detail": c.detail,
+                "witness": _witness_payload(c.witness),
+            }
+            for key, c in verdict.conditions.items()
         },
         **_fixed_payload(verdict.fixed_point_set, verdict.fixed_points),
         "consistent": verdict.consistent,
@@ -179,49 +173,46 @@ def _theorem_payload(verdict) -> dict:
 
 # wider than the longest condition key, compact_displacement_set (24)
 _KEY_COLUMN = 26
+# Status.FALSIFIED's text, which the payload carries
+_FALSIFIED = "Falsified"
 
 
-def _condition_lines(verdict) -> list[str]:
-    from .conditions import Status
-
+def _condition_lines(conditions: dict) -> list[str]:
     lines = []
     pad = " " * (_KEY_COLUMN + 14)
-    for key, cond in verdict.conditions.items():
-        lines.append(f"  {key:<{_KEY_COLUMN}}{cond.status.value:<14}{cond.detail}")
-        witness = _witness_payload(cond.witness)
+    for key, cond in conditions.items():
+        status, witness = cond["status"], cond["witness"]
+        lines.append(f"  {key:<{_KEY_COLUMN}}{status:<14}{cond['detail']}")
         if isinstance(witness, dict):
             weights = witness["weights"]
             parts = [f"u = {witness['u']}", f"points = {', '.join(witness['points'])}"]
             if weights is not None:
                 parts.append(f"weights = {', '.join(weights)}")
             lines.append(f"  {pad}{'; '.join(parts)}")
-        elif witness is not None and cond.status is Status.FALSIFIED:
+        elif witness is not None and status == _FALSIFIED:
             lines.append(f"  {pad}witness: {witness}")
     return lines
 
 
 def _cmd_check(args) -> Report:
-    from .conditions import Status
     from .verdict import TheoremId, run_theorem
 
     spec = _load_spec(args.map)
     theorem = TheoremId(args.theorem)
-    verdict = run_theorem(spec, theorem)
-    exit_code = int(
-        any(c.status is Status.FALSIFIED for c in verdict.conditions.values())
-    )
+    shown = _theorem_payload(run_theorem(spec, theorem))
+    conditions = shown["conditions"]
+    exit_code = int(any(c["status"] == _FALSIFIED for c in conditions.values()))
     inputs = f"map={args.map} theorem={theorem.value}"
-    payload = {"verdict": _theorem_payload(verdict)}
     lines = [
         f"check {theorem.value} on {args.map}"
         + (f" ({spec.label})" if spec.label else ""),
-        *_condition_lines(verdict),
-        _fixed_text(payload["verdict"], "fixed points: "),
-        f"consistent: {'yes' if verdict.consistent else 'NO'}",
+        *_condition_lines(conditions),
+        _fixed_text(shown, "fixed points: "),
+        f"consistent: {'yes' if shown['consistent'] else 'NO'}",
     ]
-    if verdict.notes:
-        lines.append(f"notes: {verdict.notes}")
-    return _report("check", inputs, payload, exit_code, args, lines)
+    if shown["notes"]:
+        lines.append(f"notes: {shown['notes']}")
+    return _report("check", inputs, {"verdict": shown}, exit_code, args, lines)
 
 
 def _cmd_fixed_points(args) -> Report:
@@ -273,25 +264,22 @@ def _cmd_kkm(args) -> Report:
     kind = GKind(form, delta)
     sets = [g_set(kind, spec, p) for p in points]
     holds, uncovered = _covers(points, sets)
-    witness = _common(sets)
     payload = {
         "kind": args.kind,
         "delta": None if delta is None else format_scalar(delta),
         "points": [format_scalar(p) for p in points],
         "holds": holds,
         "uncovered": None if uncovered is None else format_scalar(uncovered),
-        "intersection": str(witness),
+        "intersection": str(_common(sets)),
     }
-    head = f"kkm {args.kind} on {args.map}: " + (
-        "covers the hull" if holds else f"FAILS, uncovered {format_scalar(uncovered)}"
-    )
     lines = [
-        head,
-        f"points: {', '.join(format_scalar(p) for p in points)}",
-        f"intersection of witness sets: {witness}",
+        f"kkm {args.kind} on {args.map}: "
+        + ("covers the hull" if holds else f"FAILS, uncovered {payload['uncovered']}"),
+        f"points: {', '.join(payload['points'])}",
+        f"intersection of witness sets: {payload['intersection']}",
     ]
-    if delta is not None:
-        lines.insert(1, f"delta: {format_scalar(delta)}")
+    if payload["delta"] is not None:
+        lines.insert(1, f"delta: {payload['delta']}")
     inputs = f"map={args.map} kind={args.kind} points={args.points}"
     return _report("kkm", inputs, payload, 0 if holds else 1, args, lines)
 
@@ -304,25 +292,25 @@ def _cmd_corpus(args) -> Report:
         if not 1 <= args.only <= 14:
             raise UsageError("--only: corpus index out of range 1..14")
         indices = [args.only]
-    results = run_corpus(indices)
     rows = []
-    lines = [f"{'#':>3}  {'theorem':<8}{'fixed points':<16}result"]
-    for entry, verdict, matched in results:
+    for entry, verdict, matched in run_corpus(indices):
         shown = _theorem_payload(verdict)
-        points = shown["fixed_points"]
-        fixed = "(infinite)" if points is None else ", ".join(points) or "-"
         rows.append(
             {
                 "index": entry.index,
                 "theorem": entry.theorem.value,
                 "match": matched,
-                "fixed_points": points,
+                "fixed_points": shown["fixed_points"],
                 "verdict": shown,
             }
         )
+    lines = [f"{'#':>3}  {'theorem':<8}{'fixed points':<16}result"]
+    for row in rows:
+        points = row["fixed_points"]
+        fixed = "(infinite)" if points is None else ", ".join(points) or "-"
         lines.append(
-            f"{entry.index:>3}  {entry.theorem.value:<8}{fixed:<16}"
-            + ("MATCH" if matched else "MISMATCH")
+            f"{row['index']:>3}  {row['theorem']:<8}{fixed:<16}"
+            + ("MATCH" if row["match"] else "MISMATCH")
         )
     all_match = all(row["match"] for row in rows)
     lines.append(
@@ -335,27 +323,24 @@ def _cmd_corpus(args) -> Report:
 
 def _cmd_parse(args) -> Report:
     spec = _load_spec(args.map, validate=False)
-    problems = spec.validate()
     payload = {
         "label": spec.label,
         "domain": str(spec.domain),
         "pieces": len(spec.pieces),
         "overrides": len(spec.overrides),
         "violations": [
-            {"kind": v.kind, "message": v.message} for v in problems
+            {"kind": v.kind, "message": v.message} for v in spec.validate()
         ],
     }
+    violations = payload["violations"]
     lines = [
-        f"label: {spec.label or '(none)'}",
-        f"domain: {spec.domain}",
-        f"pieces: {len(spec.pieces)}, overrides: {len(spec.overrides)}",
+        f"label: {payload['label'] or '(none)'}",
+        f"domain: {payload['domain']}",
+        f"pieces: {payload['pieces']}, overrides: {payload['overrides']}",
+        "violations:" if violations else "violations: none",
+        *(f"  {v['kind']}: {v['message']}" for v in violations),
     ]
-    if problems:
-        lines.append("violations:")
-        lines.extend(f"  {v.kind}: {v.message}" for v in problems)
-    else:
-        lines.append("violations: none")
-    exit_code = 1 if problems else 0
+    exit_code = int(bool(violations))
     return _report("parse", f"map={args.map}", payload, exit_code, args, lines)
 
 
@@ -375,7 +360,7 @@ def _cmd_plot(args) -> Report:
         "bytes": len(content.encode()),
     }
     inputs = f"map={args.map} out={args.out} format={args.format} samples={args.samples}"
-    lines = [f"wrote {args.out} ({args.format}, {payload['bytes']} bytes)"]
+    lines = [f"wrote {payload['out']} ({payload['format']}, {payload['bytes']} bytes)"]
     return _report("plot", inputs, payload, 0, args, lines)
 
 

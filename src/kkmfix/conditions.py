@@ -9,6 +9,15 @@ themselves, the sublevels and their chain are built in ``kkm``.
 Both the inequality on one subset and lower semicontinuity come down to
 comparing two absolute values of affines, |p| < |q|, which
 ``intervals._abs_below`` solves as intervals.
+
+The distance is |x - y|, but most results hold under any metric
+d(x, y) = phi(|x - y|) with phi continuous, strictly increasing and
+subadditive, phi(0) = 0, such as |x - y|/(1 + |x - y|): onto, the three
+hull inequalities, the anchor and displacement witness sets, compactness
+and lower semicontinuity, since each compares two distances or is
+topological.  Two depend on the metric: the gap form of ``kkm``, which
+compares a distance with a fixed delta/2, and ``check_b3_strong``, which
+sums weighted distances.
 """
 
 from __future__ import annotations

@@ -152,7 +152,7 @@ class Interval(_Validated, _Fields):
             return Interval.point(intercept)
         lo_v = None if self.lo is None else slope * self.lo + intercept
         hi_v = None if self.hi is None else slope * self.hi + intercept
-        if slope > 0:
+        if slope > _ZERO:
             return Interval(lo_v, hi_v, self.lo_closed, self.hi_closed)
         return Interval(hi_v, lo_v, self.hi_closed, self.lo_closed)
 
@@ -458,33 +458,22 @@ class ClassSet(_Validated, _Slices):
         # rat/irr intervals spanning the same values render once, plainly:
         # an end of the other class is open in a canonical slice, so each
         # joined end flag is that of the end's own class
-        irr_by_span = {(iv.lo, iv.hi): iv for iv in self.irr}
-        paired = set()
-        entries = []
-        pts = []
-        for iv in self.rat:
-            if iv.is_degenerate:
-                pts.append(iv.lo)
-                continue
-            j = irr_by_span.get((iv.lo, iv.hi))
-            if j is not None:
-                joined = Interval(
-                    iv.lo,
-                    iv.hi,
-                    iv.lo_closed or j.lo_closed,
-                    iv.hi_closed or j.hi_closed,
-                )
-                paired.add(j)
-                entries.append((_lo_key(joined), str(joined)))
-                continue
-            entries.append((_lo_key(iv), f"rat{iv}"))
+        irr, pts, entries = {}, [], []
         for iv in self.irr:
-            if iv in paired:
-                continue
             if iv.is_degenerate:
                 pts.append(iv.lo)
             else:
-                entries.append((_lo_key(iv), f"irr{iv}"))
+                irr[iv.lo, iv.hi] = iv
+        for iv in self.rat:
+            if iv.is_degenerate:
+                pts.append(iv.lo)
+            elif (j := irr.pop((iv.lo, iv.hi), None)) is None:
+                entries.append((_lo_key(iv), f"rat{iv}"))
+            else:
+                flags = iv.lo_closed or j.lo_closed, iv.hi_closed or j.hi_closed
+                joined = Interval(iv.lo, iv.hi, *flags)
+                entries.append((_lo_key(joined), str(joined)))
+        entries.extend((_lo_key(iv), f"irr{iv}") for iv in irr.values())
         if pts:
             pts.sort()
             body = ", ".join(format_scalar(p) for p in pts)

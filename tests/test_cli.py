@@ -481,6 +481,15 @@ def test_usage_error_texts_are_pinned(maps, capsys):
         assert capsys.readouterr().err == f"kkmfix: error: {text}\n", argv
 
 
+def test_points_outside_a_point_domain(tmp_path, capsys):
+    # a one-point domain prints as a set, {5}, not as [5, 5]
+    path = tmp_path / "point.map"
+    path.write_text("domain [5, 5]\npiece [5, 5] all: 5\n", encoding="utf-8")
+    assert main(["kkm", "--map", str(path), "--kind", "g1", "--points", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err == "kkmfix: error: --points: 0 outside the domain {5}\n"
+
+
 _HELP_TEXTS = {
     "": """\
 usage: kkmfix [-h] {check,fixed-points,kkm,corpus,parse,plot} ...
@@ -705,11 +714,13 @@ def test_each_command_loads_only_its_modules(maps, tmp_path):
 
 def test_option_choices_match_the_modules_they_name():
     from kkmfix import cli, plotting
+    from kkmfix.conditions import Status
     from kkmfix.kkm import GForm
 
     assert list(cli._THEOREMS) == [t.value for t in TheoremId]
     assert [GForm(v) for v in cli._KINDS.values()] == list(GForm)
     assert cli._FORMATS == plotting.FORMATS
+    assert cli._FALSIFIED == Status.FALSIFIED.value
 
 
 if __name__ == "__main__":

@@ -144,6 +144,14 @@ def test_validate_reports_escape_and_gaps():
     assert any(v.kind == "override-duplicate" for v in dupes.validate())
 
 
+def test_evaluate_off_every_branch_raises():
+    # an unvalidated map may leave part of its domain without a piece
+    spec = parse("domain [0, 10]\npiece [0, 5) all: x + 1\n", validate=False)
+    with pytest.raises(ValueError) as err:
+        spec.evaluate(7)
+    assert str(err.value) == "no branch covers 7"
+
+
 def test_residual_is_displacement(corpus):
     ex13 = corpus[13].spec
     assert ex13.residual(0) == 10

@@ -168,6 +168,8 @@ def test_gkind_converts_delta():
     kind = GKind(GForm.GAP, Fraction(1, 4))
     assert kind.delta.__class__ is QuadExt and kind.delta == Fraction(1, 4)
     assert str(kind) == "gap(1/4)" and GKind(GForm.ANCHOR).delta is None
+    assert str(GKind.anchor()) == "anchor"
+    assert str(GKind.displacement()) == "displacement"
 
 
 def test_mapping_spec_is_immutable_and_caches():

@@ -2,6 +2,7 @@
 tolerance, class bookkeeping, and the kernel name."""
 
 import math
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -180,6 +181,15 @@ def test_as_scalar_coercions():
     for bad, name in ((0.5, "float"), ("1/2", "str")):
         with pytest.raises(TypeError, match=f"rational component required, got {name}"):
             as_scalar(bad)
+
+
+def test_operators_refuse_a_non_scalar():
+    q = QuadExt(1)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv, operator.lt):
+        for left, right in ((q, "a"), ("a", q)):
+            with pytest.raises(TypeError):
+                op(left, right)
+    assert +q is q
 
 
 def test_kernel_is_pure():

@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from kkmfix.cli import _theorem_payload
+from kkmfix.cli import _theorem_payload, run_command
 from kkmfix.conditions import (
     BKind,
+    ConditionVerdict,
     Status,
     b_value,
     check_b_subset,
@@ -89,6 +90,23 @@ def test_t5_notes_conclusion_closedness(corpus):
     decided = run_theorem(corpus[4].spec, TheoremId.T1)
     assert decided.conditions["kkm_anchor"].status is Status.FALSIFIED
     assert "searched" not in decided.notes and "seed" not in decided.notes
+
+
+def test_favorable_bundle_without_fixed_points_is_flagged(corpus, monkeypatch):
+    """Were the anchor form, which entry 4 breaks, Proven, T1 would be
+    favorable on a map with no fixed point: the runner and ``check``'s
+    text both report the contradiction."""
+    import kkmfix.verdict
+
+    proven = ConditionVerdict(Status.PROVEN, None, "assumed")
+    monkeypatch.setattr(kkmfix.verdict, "decide_b", lambda kind, spec: proven)
+    note = "CONTRADICTION: every hypothesis favorable, no fixed point"
+    verdict = run_theorem(corpus[4].spec, TheoremId.T1)
+    assert verdict.consistent is False
+    assert verdict.notes == note
+    corpus04 = Path(kkmfix.verdict.__file__).parent / "data" / "corpus04.map"
+    text = run_command(["check", "--map", str(corpus04), "--theorem", "t1"]).rendered
+    assert text.splitlines()[-2:] == ["consistent: NO", f"notes: {note}"]
 
 
 def test_corpus_entries_expose_expectations(corpus):
