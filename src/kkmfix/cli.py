@@ -200,19 +200,20 @@ def _cmd_check(args) -> Report:
     spec = _load_spec(args.map)
     theorem = TheoremId(args.theorem)
     shown = _theorem_payload(run_theorem(spec, theorem))
+    payload = {"label": spec.label, "verdict": shown}
     conditions = shown["conditions"]
     exit_code = int(any(c["status"] == _FALSIFIED for c in conditions.values()))
     inputs = f"map={args.map} theorem={theorem.value}"
     lines = [
         f"check {theorem.value} on {args.map}"
-        + (f" ({spec.label})" if spec.label else ""),
+        + (f" ({payload['label']})" if payload["label"] else ""),
         *_condition_lines(conditions),
         _fixed_text(shown, "fixed points: "),
         f"consistent: {'yes' if shown['consistent'] else 'NO'}",
     ]
     if shown["notes"]:
         lines.append(f"notes: {shown['notes']}")
-    return _report("check", inputs, {"verdict": shown}, exit_code, args, lines)
+    return _report("check", inputs, payload, exit_code, args, lines)
 
 
 def _cmd_fixed_points(args) -> Report:

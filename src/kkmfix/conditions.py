@@ -23,7 +23,6 @@ sums weighted distances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, product
 from typing import NamedTuple
 
@@ -53,7 +52,8 @@ from .scalars import (
 class Status(_Word):
     """A condition's outcome.  Every decider here returns Proven or
     Falsified; ``NOT_FALSIFIED``, the outcome of an inconclusive search, is
-    kept for code that tests verdicts for it."""
+    kept for the ``Tally`` in ``perfbench/checks.py``, whose ``decided``
+    count tests hull verdicts for it."""
 
     PROVEN = "Proven"
     FALSIFIED = "Falsified"
@@ -509,27 +509,13 @@ def _b_falsified(kind, spec, u: QuadExt, k, m) -> ConditionVerdict:
 # compact witness sets
 
 
-def _point_where(spec: MappingSpec, slope_shift, intercept_shift, rel: str):
-    """Some x in C with f(x)+shifts <rel> 0, cells first, overrides last."""
-    for tag, iv, slope, intercept in spec.value_pieces():
-        region = _solve_affine(
-            slope + slope_shift, intercept + intercept_shift, rel, iv
-        )
-        spot = None if region is None else pick_in(tag, region)
-        if spot is not None:
-            return spot
-    return None
-
-
-def _displaced_point(spec: MappingSpec, climbs: bool):
-    """The first tag-class point of a part of the sign table
-    ``MappingSpec._signs`` where f(x) > x (f(x) < x unless ``climbs``),
-    cells first, overrides last; None when f <= id (f >= id) on C."""
-    for tag, _, _, _, pos, _, neg in spec._signs:
-        part = pos if climbs else neg
-        spot = None if part is None else pick_in(tag, part)
-        if spot is not None:
-            return spot
+def _first_point(pairs):
+    """The first tag-class point of the (tag, region) pairs, in their
+    order, skipping a region that is None; None when no region has one."""
+    for tag, region in pairs:
+        x = None if region is None else pick_in(tag, region)
+        if x is not None:
+            return x
     return None
 
 
@@ -538,7 +524,8 @@ def decide_c1(spec: MappingSpec) -> ConditionVerdict:
     yes iff C is compact, or C has a closed finite lower end and f climbs
     somewhere (the set is then a closed bounded initial segment), or the
     mirror.  Where f climbs and where it falls are read off the spec's sign
-    table of f(x) - x.  Proven on every compact C, so Cor3 implies T1."""
+    table of f(x) - x; ``_first_point`` picks x* from its pos (neg) parts,
+    in row order.  Proven on every compact C, so Cor3 implies T1."""
     dom = spec.domain
     if dom.is_bounded and dom.is_closed:
         x = dom.lo
@@ -549,7 +536,8 @@ def decide_c1(spec: MappingSpec) -> ConditionVerdict:
         (dom.lo_closed, True, ">", "initial"),
         (dom.hi_closed, False, "<", "final"),
     ):
-        x = _displaced_point(spec, climbs) if closed else None
+        parts = ((tag, pos if climbs else neg) for tag, *_, pos, _, neg in spec._signs)
+        x = _first_point(parts) if closed else None
         if x is not None:
             return ConditionVerdict(
                 Status.PROVEN,
@@ -576,7 +564,8 @@ def decide_c2(spec: MappingSpec) -> ConditionVerdict:
     2 f(x*) - x* <= lo.  As x* > lo, f(x*) < x*, so |f(x*) - y| <
     x* - f(x*) exactly for y in (2 f(x*) - x*, x*), and the set is C less
     that interval, the compact [x*, hi].  A closed lower end is the
-    mirror case, with 2 f(x*) - x* >= hi."""
+    mirror case, with 2 f(x*) - x* >= hi.  ``_first_point`` picks x* where
+    2 f(x) - x clears the open end, value pieces in order."""
     dom = spec.domain
     if dom.is_bounded and dom.is_closed:
         x = dom.lo
@@ -591,7 +580,10 @@ def decide_c2(spec: MappingSpec) -> ConditionVerdict:
         )
     if dom.lo_closed != dom.hi_closed:
         end, rel = (dom.lo, "<=") if dom.hi_closed else (dom.hi, ">=")
-        x = _point_where(spec, Fraction(-1, 2), -end / 2, rel)
+        x = _first_point(
+            (tag, _solve_affine(c + c - _ONE, d + d - end, rel, iv))
+            for tag, iv, c, d in spec.value_pieces()
+        )
         if x is not None:
             return ConditionVerdict(
                 Status.PROVEN,

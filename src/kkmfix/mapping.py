@@ -276,7 +276,8 @@ class MappingSpec(_Validated, _Spec):
 
         Read by ``fixed_point_set`` (zero) and, in ``conditions``, by
         ``decide_b`` (its x pieces and the residual form's u pieces) and
-        ``decide_c1`` (pos and neg)."""
+        ``decide_c1`` (its x* is the first class point of pos or neg, in
+        row order, picked by the loop ``decide_c2`` shares)."""
         out = []
         for tag, iv, slope, intercept in self._value_pieces:
             if slope == _ONE:

@@ -303,6 +303,22 @@ def test_check_json_round_trip(maps):
     assert run_command(argv).rendered == report.rendered
 
 
+def test_check_header_is_read_from_the_payload(maps, tmp_path):
+    # the text header names the label that --json carries, or none
+    unlabelled = tmp_path / "unlabelled.map"
+    unlabelled.write_text(_IDENTITY_MAP.split("\n", 1)[1], encoding="utf-8")
+    for path, label in (
+        (maps["identity"], "identity on the unit interval"),
+        (str(unlabelled), ""),
+    ):
+        argv = ["check", "--map", path, "--theorem", "t1"]
+        body = json.loads(run_command([*argv, "--json"]).rendered)
+        assert body["verdicts"]["label"] == label
+        shown = f" ({label})" if label else ""
+        header = run_command(argv).rendered.splitlines()[0]
+        assert header == f"check t1 on {path}{shown}"
+
+
 def test_fixed_points(maps):
     assert run_command(["fixed-points", "--map", maps[8]]).rendered == "0, 10"
     assert run_command(["fixed-points", "--map", maps[4]]).rendered == "(none)"

@@ -11,7 +11,6 @@ from kkmfix.conditions import (
     BKind,
     Status,
     SubsetWitness,
-    _point_where,
     b_value,
     check_b3_strong,
     check_b_subset,
@@ -21,7 +20,14 @@ from kkmfix.conditions import (
     decide_c1,
     decide_c2,
 )
-from kkmfix.intervals import ClassSet, Interval, _intersect_iv, _narrow, _solve_affine
+from kkmfix.intervals import (
+    ClassSet,
+    Interval,
+    _intersect_iv,
+    _narrow,
+    _solve_affine,
+    pick_in,
+)
 from kkmfix.kkm import GKind, check_c1, check_c2, sublevel, verify_kkm
 from kkmfix.mapdef import parse, serialize
 from kkmfix.mapping import AffineExpr, MappingSpec, Piece, PointOverride
@@ -794,11 +800,27 @@ def test_compact_set_deciders_by_definition():
     assert Interval(0, 10, False, True) in cleared
 
 
+def _first_where(spec, affine, rel):
+    """The first class point, in value_pieces() order, where a x + b <rel> 0
+    with (a, b) = affine(c, d) on a piece f(x) = c x + d; solved on each
+    piece by ``_solve_affine``, without the sign table."""
+    for tag, iv, c, d in spec.value_pieces():
+        region = _solve_affine(*affine(c, d), rel, iv)
+        x = None if region is None else pick_in(tag, region)
+        if x is not None:
+            return x
+    return None
+
+
+def _displacement(c, d):
+    # f(x) - x on a piece f(x) = c x + d
+    return c - 1, d
+
+
 def test_decide_c1_witness_is_the_first_displaced_point():
-    """Off a compact C, a Proven decide_c1 witness is the first class point
-    with f(x) > x (closed lower end), or else with f(x) < x (closed upper
-    end), of ``_point_where``'s scan over value_pieces(), which does not
-    read the sign table."""
+    """Off a compact C, a Proven decide_c1 witness is the first class point,
+    in value_pieces() order, with f(x) > x (closed lower end), or else with
+    f(x) < x (closed upper end)."""
     rng = random.Random(29)
     routes = []
     for dom in _SHAPES[1:]:
@@ -808,15 +830,40 @@ def test_decide_c1_witness_is_the_first_displaced_point():
             if verdict.status is not Status.PROVEN:
                 continue
             climbs = dom.lo is not None and dom.lo_closed
-            want = _point_where(spec, -1, 0, ">") if climbs else None
+            want = _first_where(spec, _displacement, ">") if climbs else None
             if want is None:
                 climbs = False
-                want = _point_where(spec, -1, 0, "<")
+                want = _first_where(spec, _displacement, "<")
             x = verdict.witness
             assert x == want, serialize(spec)
             fx = spec.evaluate(x)
             assert fx > x if climbs else fx < x, serialize(spec)
             routes.append(climbs)
+    assert routes.count(True) >= 20 and routes.count(False) >= 20
+
+
+def test_decide_c2_witness_is_the_first_clearing_point():
+    """On a bounded C with one open end, decide_c2 is Proven exactly when
+    some class point has 2 f(x) - x <= lo (lo open) or >= hi (hi open), and
+    its witness is the first one in value_pieces() order."""
+    rng = random.Random(30)
+    routes = []
+    for dom in _SHAPES[1:3]:
+        lo_open = not dom.lo_closed
+        end, rel = (dom.lo, "<=") if lo_open else (dom.hi, ">=")
+        for _ in range(60):
+            spec = _shape_spec(rng, dom)
+            verdict = decide_c2(spec)
+            want = _first_where(spec, lambda c, d: (2 * c - 1, 2 * d - end), rel)
+            if want is None:
+                assert verdict.status is Status.FALSIFIED, serialize(spec)
+                continue
+            assert verdict.status is Status.PROVEN, serialize(spec)
+            x = verdict.witness
+            assert x == want, serialize(spec)
+            cleared = 2 * spec.evaluate(x) - x
+            assert cleared <= end if lo_open else cleared >= end, serialize(spec)
+            routes.append(lo_open)
     assert routes.count(True) >= 20 and routes.count(False) >= 20
 
 

@@ -175,11 +175,13 @@ def _digest(text: str) -> str:
 def _verdict_digests():
     """(spec name, theorem, digest) per line of random_verdicts.txt: the
     first 16 hex digits of the sha256 of the ``check --json`` payload,
-    ``{"verdict": ...}`` as ``json.dumps(..., indent=2)`` writes it, for
-    each theorem on each of random_specs(200, seed=5) and the edge maps."""
+    ``{"label": ..., "verdict": ...}`` as ``json.dumps(..., indent=2)``
+    writes it, for each theorem on each of random_specs(200, seed=5) and
+    the edge maps."""
     for name, spec in _specs_beyond_the_corpus():
         for theorem in TheoremId:
-            payload = {"verdict": _theorem_payload(run_theorem(spec, theorem))}
+            verdict = _theorem_payload(run_theorem(spec, theorem))
+            payload = {"label": spec.label, "verdict": verdict}
             yield name, theorem.value, _digest(json.dumps(payload, indent=2))
 
 
