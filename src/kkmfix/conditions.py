@@ -33,6 +33,7 @@ from .intervals import (
     _intersect_iv,
     _plain_complement,
     _plain_intersect,
+    _plain_union,
     _solve_affine,
     class_pick,
     pick_in,
@@ -361,10 +362,11 @@ def _project_u(ends, lows, highs, on_u, within: Interval) -> Interval | None:
     return within
 
 
-def _near_u(kind, pieces, ball, below: bool, within: Interval) -> list:
+def _near_u(kind, pieces, ball, below: bool, within: Interval) -> tuple:
     """The u in ``within`` with some x on one side of u, in one of the x
-    pieces, whose term is negative; ``ball`` holds the residual form's
-    bounds u - r and u + r on y, None for the other forms."""
+    pieces, whose term is negative, as a sorted disjoint union, so that
+    L & R pairs joined pieces, not raw projections; ``ball`` holds the
+    residual form's bounds u - r and u + r on y, None for the other forms."""
     out = []
     for piece in pieces:
         half, c, d, term = piece
@@ -384,7 +386,7 @@ def _near_u(kind, pieces, ball, below: bool, within: Interval) -> list:
         proj = _project_u(ends, lows, highs, on_u, within)
         if proj is not None:
             out.append(proj)
-    return out
+    return _plain_union(out)
 
 
 def _u_pieces(kind: BKind, spec: MappingSpec, signs):

@@ -43,8 +43,6 @@ from kkmfix.scalars import (
     simplest_rational_between,
 )
 
-__all__ = ["ClassSet", "Interval", "class_pick", "pick_in", "tagged"]
-
 _ZERO = QuadExt(0)
 
 
@@ -103,16 +101,8 @@ class Interval(_Validated, _Fields):
         return cls(lo, hi, True, True)
 
     @classmethod
-    def open(cls, lo, hi) -> "Interval":
-        return cls(lo, hi, False, False)
-
-    @classmethod
     def point(cls, x) -> "Interval":
         return cls(x, x, True, True)
-
-    @classmethod
-    def at_least(cls, lo) -> "Interval":
-        return cls(lo, None, True, False)
 
     @classmethod
     def all(cls) -> "Interval":
@@ -367,28 +357,8 @@ class ClassSet(_Validated, _Slices):
         )
 
     @classmethod
-    def empty(cls) -> "ClassSet":
-        return cls((), ())
-
-    @classmethod
     def from_interval(cls, iv: Interval) -> "ClassSet":
         return cls((iv,), (iv,))
-
-    @classmethod
-    def rationals(cls, iv: Interval) -> "ClassSet":
-        return cls((iv,), ())
-
-    @classmethod
-    def irrationals(cls, iv: Interval) -> "ClassSet":
-        return cls((), (iv,))
-
-    @classmethod
-    def points(cls, xs) -> "ClassSet":
-        ivs = tuple(Interval.point(x) for x in xs)
-        return cls(ivs, ivs)
-
-    def slice_of(self, tag: ClassTag) -> tuple[Interval, ...]:
-        return self.rat if tag is ClassTag.RATIONAL else self.irr
 
     @property
     def is_empty(self) -> bool:

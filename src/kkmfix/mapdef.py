@@ -28,8 +28,6 @@ from kkmfix.intervals import Interval, _bracket
 from kkmfix.mapping import AffineExpr, MappingSpec, Piece, PointOverride
 from kkmfix.scalars import _RAT, _URAT, ClassTag, _read_rat, format_scalar, parse_scalar
 
-__all__ = ["ParseError", "parse", "serialize"]
-
 
 class ParseError(ValueError):
     """A mapdef text rejection, located by 1-based line and column."""

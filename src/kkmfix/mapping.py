@@ -40,14 +40,6 @@ from kkmfix.scalars import (
     format_scalar,
 )
 
-__all__ = [
-    "AffineExpr",
-    "MappingSpec",
-    "Piece",
-    "PointOverride",
-    "Violation",
-]
-
 _TAGS = (ClassTag.RATIONAL, ClassTag.IRRATIONAL)
 _ZERO, _ONE = QuadExt(0), QuadExt(1)
 

@@ -37,20 +37,6 @@ from math import gcd, isqrt
 
 KERNEL = "pure"
 
-__all__ = [
-    "KERNEL",
-    "QuadExt",
-    "SQRT2",
-    "ClassTag",
-    "as_scalar",
-    "class_of",
-    "dist",
-    "format_scalar",
-    "irrational_between",
-    "parse_scalar",
-    "simplest_rational_between",
-]
-
 _HASH_MODULUS = sys.hash_info.modulus
 _HASH_INF = sys.hash_info.inf
 

@@ -81,7 +81,8 @@ def test_criterion_2_anchor_sets(corpus):
     for _ in range(20):
         x = Fraction(rng.randint(-400, 400), rng.choice((1, 2, 4, 8)))
         result, compact = check_c1(ex5, x)
-        assert result == ClassSet.from_interval(Interval.at_least(x - Fraction(1, 2)))
+        ray = Interval(x - Fraction(1, 2), None, True, False)
+        assert result == ClassSet.from_interval(ray)
         assert not compact
 
     ex1 = corpus[1].spec
@@ -172,7 +173,7 @@ def test_criterion_7_chains(corpus):
         report = em_chain(corpus[n].spec, 100)
         check_chain_by_definition(corpus[n].spec, report)
         assert all(nonempty for _, _, nonempty, _ in report.levels)
-        assert report.tail_intersection == ClassSet.points([QuadExt(5)])
+        assert report.tail_intersection == ClassSet.from_interval(Interval.point(5))
 
     rng = random.Random(7)
     ex2 = corpus[2].spec

@@ -125,11 +125,11 @@ _settings = hypothesis.settings(max_examples=300, deadline=None)
 def test_one_construction_equals_the_fold_of_unions(A, B, C, D):
     built = ClassSet(A + B, C + D)
     assert built == ClassSet(A, C).union(ClassSet(B, D))
-    folded = ClassSet.empty()
+    folded = ClassSet()
     for iv in A + B:
-        folded = folded.union(ClassSet.rationals(iv))
+        folded = folded.union(ClassSet((iv,), ()))
     for iv in C + D:
-        folded = folded.union(ClassSet.irrationals(iv))
+        folded = folded.union(ClassSet((), (iv,)))
     assert built == folded
     for x in _probes(built, ClassSet(A + B + C + D, A + B + C + D)):
         members = A + B if x.is_rational else C + D
@@ -167,7 +167,8 @@ def test_structural_equality_is_set_equality(A, B, C, D, t):
     assert ClassSet(A + list(x.rat), list(reversed(B)) + list(x.irr)) == x
     assert x.difference(y).union(x.intersect(y)) == x
     # and the forms differ wherever the members do
-    moved = ClassSet(A, _split(B, t)).difference(ClassSet.points([t]))
+    point = ClassSet.from_interval(Interval.point(t))
+    moved = ClassSet(A, _split(B, t)).difference(point)
     assert (moved == x) == (not x.contains(t))
     # reopening lower ends changes the set only at ends of the right class
     flipped = ClassSet([_flip_lo(iv) for iv in A], B)

@@ -438,7 +438,7 @@ def test_check_c1_pins(corpus):
     assert compact
     ex5 = corpus[5].spec
     result, compact = check_c1(ex5, 3)
-    assert result == ClassSet.from_interval(Interval.at_least(Fraction(5, 2)))
+    assert result == ClassSet.from_interval(Interval(Fraction(5, 2), None, True, False))
     assert not compact
     result, compact = check_c1(corpus[9].spec, 5)  # fixed point: whole domain
     assert result == ClassSet.from_interval(corpus[9].spec.domain)
@@ -479,7 +479,7 @@ def test_check_c3_class_split_pin():
     verdict = check_c3(spec)
     assert verdict.status is Status.FALSIFIED
     assert verdict.witness == ClassSet(
-        (Interval.point(4),), (Interval.open(0, 4),)
+        (Interval.point(4),), (Interval(0, 4, False, False),)
     )
     for k in range(0, 41):
         for x in (QuadExt(Fraction(k, 4)), QuadExt(Fraction(k, 4), Fraction(1, 64))):

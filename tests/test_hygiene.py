@@ -3,9 +3,10 @@ imports is used in it, every module-level private function or class is
 referenced somewhere in the package beyond its own definition, every
 module-level private constant is read by its module or taken from it,
 every public method of a package class is read as an attribute in the
-package, its tests or the benchmark, and so is every field of a package
-dataclass or named tuple; and one function alone builds an ``Interval``
-without the checks of its ``__new__``."""
+package or the benchmark (a wrapper only tests call is flagged), every
+field of a package dataclass or named tuple is read there or in the
+tests; and one function alone builds an ``Interval`` without the checks
+of its ``__new__``."""
 
 import ast
 import importlib
@@ -19,10 +20,10 @@ import kkmfix
 _PACKAGE = sorted(Path(kkmfix.__file__).parent.glob("*.py"))
 _SOURCES = [p for p in _PACKAGE if p.name != "__init__.py"]
 _ROOT = Path(__file__).resolve().parent.parent
-# where a method may be used: the package, its tests and the benchmark
-_READERS = _PACKAGE + sorted((_ROOT / "tests").glob("*.py")) + sorted(
-    (_ROOT / "perfbench").glob("*.py")
-)
+# where a method counts as used: the package and the benchmark
+_USERS = _PACKAGE + sorted((_ROOT / "perfbench").glob("*.py"))
+# where a record field may be read: those and the tests
+_READERS = _USERS + sorted((_ROOT / "tests").glob("*.py"))
 
 
 def _annotations(tree):
@@ -56,12 +57,6 @@ def _unused_imports(source: str) -> list[str]:
         for n in ast.walk(note) if note is not None else ():
             if isinstance(n, ast.Constant) and isinstance(n.value, str):
                 used |= _names(ast.parse(n.value, mode="eval"))
-    # names re-exported through __all__
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used.update(ast.literal_eval(node.value))
     return sorted(
         f"{name} (line {line})" for name, line in imported.items() if name not in used
     )
@@ -69,9 +64,8 @@ def _unused_imports(source: str) -> list[str]:
 
 _SAMPLE = '''\
 import os, re
-from x import a, b as c, Kept, Noted
+from x import a, b as c, Noted
 from y import d
-__all__ = ["Kept"]
 def f(z: "Noted") -> None:
     """re"""
     print(a, d.e)
@@ -262,7 +256,7 @@ def test_unused_method_finder():
 def test_no_unused_public_methods():
     attributes = {
         node.attr
-        for path in _READERS
+        for path in _USERS
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Attribute)
     }

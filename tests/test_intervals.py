@@ -28,16 +28,16 @@ def _rand_interval(rng) -> Interval:
 
 
 def _rand_set(rng) -> ClassSet:
-    out = ClassSet.empty()
+    out = ClassSet()
     for _ in range(rng.randint(1, 3)):
         iv = _rand_interval(rng)
         pick = rng.random()
         if pick < 0.4:
             piece = ClassSet.from_interval(iv)
         elif pick < 0.7:
-            piece = ClassSet.rationals(iv)
+            piece = ClassSet((iv,), ())
         else:
-            piece = ClassSet.irrationals(iv)
+            piece = ClassSet((), (iv,))
         out = out.union(piece) if rng.random() < 0.7 else out.difference(piece)
     return out
 
@@ -49,7 +49,7 @@ def _probes(rng, count=24):
 def test_interval_membership_pins():
     iv = Interval(QuadExt(0), QuadExt(10), True, False)
     assert iv.contains(0) and iv.contains(QuadExt(5, 1)) and not iv.contains(10)
-    ray = Interval.at_least(3)
+    ray = Interval(3, None, True, False)
     assert ray.contains(10 ** 9) and not ray.contains(2)
     assert Interval.all().contains(SQRT2)
     assert str(Interval(QuadExt(0), None, False, False)) == "(0, inf)"
@@ -86,13 +86,13 @@ def test_class_slices_are_disjoint():
     rng = random.Random(47)
     for _ in range(300):
         s = _rand_set(rng)
-        for iv in s.slice_of(ClassTag.RATIONAL):
-            assert not ClassSet.rationals(iv).is_empty
+        for iv in s.rat:
+            assert not ClassSet((iv,), ()).is_empty
         x = s.pick()
         if x is not None:
             assert s.contains(x)
-            tag = class_of(x)
-            assert any(iv.contains(x) for iv in s.slice_of(tag))
+            ivs = s.rat if class_of(x) is ClassTag.RATIONAL else s.irr
+            assert any(iv.contains(x) for iv in ivs)
 
 
 def test_closure_and_compactness():
@@ -106,25 +106,26 @@ def test_closure_and_compactness():
         if s.is_compact:
             assert s.is_closed and s.is_bounded
     assert ClassSet.from_interval(Interval.closed(0, 1)).is_compact
-    assert not ClassSet.from_interval(Interval.open(0, 1)).is_compact
-    assert not ClassSet.from_interval(Interval.at_least(0)).is_compact
-    assert not ClassSet.rationals(Interval.closed(0, 1)).is_closed
+    assert not ClassSet.from_interval(Interval(0, 1, False, False)).is_compact
+    assert not ClassSet.from_interval(Interval(0, None, True, False)).is_compact
+    assert not ClassSet((Interval.closed(0, 1),), ()).is_closed
 
 
 def test_rationals_need_irrational_closure():
-    rats = ClassSet.rationals(Interval.closed(0, 2))
+    rats = ClassSet((Interval.closed(0, 2),), ())
     closed = rats.closure()
     assert closed.contains(SQRT2) and not rats.contains(SQRT2)
 
 
 def test_finite_points_and_points():
-    s = ClassSet.points([QuadExt(1), QuadExt(0, 1), QuadExt(3)])
+    pts = tuple(Interval.point(x) for x in (QuadExt(1), QuadExt(0, 1), QuadExt(3)))
+    s = ClassSet(pts, pts)
     assert s.finite_points() == (QuadExt(0, 1), QuadExt(1), QuadExt(3)) or set(
         s.finite_points()
     ) == {QuadExt(1), QuadExt(0, 1), QuadExt(3)}
-    assert ClassSet.from_interval(Interval.open(0, 1)).finite_points() is None
-    assert ClassSet.empty().finite_points() == ()
-    assert ClassSet.empty().pick() is None
+    assert ClassSet.from_interval(Interval(0, 1, False, False)).finite_points() is None
+    assert ClassSet().finite_points() == ()
+    assert ClassSet().pick() is None
 
 
 def test_pick_prefers_closed_finite_lo():
@@ -243,7 +244,7 @@ def test_direct_queries_match_the_built_set():
                 assert got == want and got.__class__ is QuadExt
         # mixed tags: the union of the per-pair sets
         pairs = [(rng.choice(tags), x) for x in ivs]
-        want = ClassSet.empty()
+        want = ClassSet()
         for tag, x in pairs:
             want = want.union(_slicewise(tag, [x]))
         assert tagged(pairs) == want

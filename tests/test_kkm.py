@@ -41,7 +41,7 @@ def test_g_set_pins(corpus):
     ex9 = corpus[9].spec
     gap = g_set(GKind(GForm.GAP, 2), ex9, 3)  # f(3) = 1: remove (0, 2)
     assert gap == ClassSet.from_interval(Interval.closed(0, 10)).difference(
-        ClassSet.from_interval(Interval.open(0, 2))
+        ClassSet.from_interval(Interval(0, 2, False, False))
     )
 
 
@@ -158,7 +158,7 @@ def test_em_chain_pins(corpus):
     check_chain_by_definition(corpus[9].spec, report)
     for m, level, nonempty, closed in report.levels:
         assert nonempty and closed
-    assert report.tail_intersection == ClassSet.points([QuadExt(5)])
+    assert report.tail_intersection == ClassSet.from_interval(Interval.point(5))
     with pytest.raises(ValueError):
         em_chain(corpus[9].spec, 0)
 
@@ -173,4 +173,4 @@ def test_em_chain_detects_fixed_point_equality(corpus):
     # constant maps hit their fixed point exactly; tail set collapses fast
     report = em_chain(corpus[11].spec, 100)
     check_chain_by_definition(corpus[11].spec, report)
-    assert report.tail_intersection == ClassSet.points([QuadExt(5)])
+    assert report.tail_intersection == ClassSet.from_interval(Interval.point(5))

@@ -1,4 +1,5 @@
-"""The package root resolves each public name on first use (PEP 562)."""
+"""The package root resolves each public name on first use (PEP 562), and
+its ``__all__`` is the one export list: no submodule defines its own."""
 
 import importlib
 
@@ -13,6 +14,7 @@ def test_every_public_name_is_its_module_object():
         home = importlib.import_module(f"kkmfix.{module}")
         assert name in vars(home), name
         assert getattr(kkmfix, name) is vars(home)[name], name
+        assert "__all__" not in vars(home), module
 
 
 def test_star_and_from_imports_resolve():

@@ -124,11 +124,11 @@ _WELL_FORMED = [
     PointOverride(SQRT2, 1),
     Violation("coverage-gap", "gap at 1", piece_index=0),
     _SPEC,
-    ClassSet.from_interval(_UNIT).union(ClassSet.irrationals(Interval.open(3, 4))),
+    ClassSet.from_interval(_UNIT).union(ClassSet((), (Interval(3, 4, False, False),))),
     SubsetWitness((0, SQRT2), (Fraction(1, 3), Fraction(2, 3)), 1),
     GKind.gap(Fraction(1, 2)),
     GKind.displacement(),
-    EmChainReport(((1, ClassSet.empty(), True, False),), True, ClassSet.empty()),
+    EmChainReport(((1, ClassSet(), True, False),), True, ClassSet()),
     CorpusEntry(1, _SPEC, TheoremId.T1, {"onto": True}, (QuadExt(2),), ""),
     Report("parse", {"pieces": 1}, 0, "pieces: 1"),
 ]
@@ -155,10 +155,10 @@ def test_affine_coefficients_are_held_rational():
 
 def test_class_set_is_canonical_by_every_route():
     raw = ((Interval.closed(0, 1), Interval.closed(1, 2), Interval.point(SQRT2)), ())
-    canonical = ClassSet.rationals(Interval.closed(0, 2))
+    canonical = ClassSet((Interval.closed(0, 2),), ())
     assert canonical.rat == (Interval.closed(0, 2),) and canonical.irr == ()
     bypass = tuple.__new__(ClassSet, raw)
-    built = [ClassSet(*raw), ClassSet._make(raw), ClassSet.empty()._replace(rat=raw[0])]
+    built = [ClassSet(*raw), ClassSet._make(raw), ClassSet()._replace(rat=raw[0])]
     built += [pickle.loads(pickle.dumps(bypass, protocol=p)) for p in _PROTOCOLS]
     for back in built:
         assert back == canonical and back.__class__ is ClassSet
