@@ -45,8 +45,6 @@ _HOME = {
             "EmChainReport",
             "GForm",
             "GKind",
-            "check_c1",
-            "check_c2",
             "default_gap_delta",
             "em_chain",
             "g_set",

@@ -36,7 +36,6 @@ from .intervals import (
     _plain_union,
     _solve_affine,
     class_pick,
-    pick_in,
     tagged,
 )
 from .mapping import MappingSpec, _image_pairs
@@ -169,11 +168,11 @@ def check_b_subset(kind: BKind, spec: MappingSpec, points) -> ConditionVerdict:
 
     It fails at u exactly when every term |f(x_j) - u| - g_j is negative,
     so the violating set is V = hull & {u : |f(x_j) - u| < g_j(u) for all
-    j}.  Each g_j is the absolute value of an affine in u (for the residual
-    form, on each value piece of u), so ``_abs_below`` solves V as a finite
-    union of intervals.  Falsified iff V has a point; the witness is the
-    most violated of the images in the hull and one point per interval of
-    V."""
+    j}.  Each g_j is the absolute value of an affine in u: for the residual
+    form, |f(u) - u| = k*u + m on each u piece of ``_u_pieces`` that
+    ``decide_b`` projects on, so ``_abs_below`` solves V as a finite union
+    of intervals.  Falsified iff V has a point; the witness is the most
+    violated of the images in the hull and one point per interval of V."""
     if kind.__class__ is not BKind:
         raise ValueError(f"unknown hull form: {kind!r}")
     pts = sorted({as_scalar(p) for p in points})
@@ -183,20 +182,17 @@ def check_b_subset(kind: BKind, spec: MappingSpec, points) -> ConditionVerdict:
     images = [spec.evaluate(p) for p in pts]
     hull = Interval.closed(lo, hi)
 
-    if kind is BKind.RESIDUAL:
-        # g = |f(u) - u| = |(a - 1)u + b| on the tag-class points of a piece
-        parts = []
-        for tag, iv, a, b in spec.value_pieces():
-            part = _intersect_iv(iv, hull)
-            if part is not None:
-                parts.append((tag, part, [(a - _ONE, b)] * len(pts)))
-    elif kind is BKind.ANCHOR:
-        parts = [(None, hull, [(_MINUS_ONE, p) for p in pts])]
-    else:
-        parts = [(None, hull, [(_ZERO, fp - p) for p, fp in zip(pts, images)])]
-
     spots = []
-    for tag, part, gauges in parts:
+    for tag, piece, k, m in _u_pieces(kind, spec, spec._signs):
+        part = _intersect_iv(piece, hull)
+        if part is None:
+            continue
+        if kind is BKind.ANCHOR:
+            gauges = [(_MINUS_ONE, p) for p in pts]
+        elif kind is BKind.DISPLACEMENT:
+            gauges = [(_ZERO, fp - p) for p, fp in zip(pts, images)]
+        else:
+            gauges = [(k, m)] * len(pts)
         region = [part]
         for fp, gauge in zip(images, gauges):
             near = (_MINUS_ONE, fp)  # f(x_j) - u
@@ -204,7 +200,7 @@ def check_b_subset(kind: BKind, spec: MappingSpec, points) -> ConditionVerdict:
             if not region:
                 break
         for iv in region:
-            spot = pick_in(tag, iv)
+            spot = class_pick(tag, (iv,))
             if spot is not None:
                 spots.append(spot)
     if not spots:
@@ -390,13 +386,13 @@ def _near_u(kind, pieces, ball, below: bool, within: Interval) -> tuple:
 
 
 def _u_pieces(kind: BKind, spec: MappingSpec, signs):
-    """The u pieces (tag, interval, k, m) that ``decide_b`` projects on.
-    The residual form reads them off the sign table ``MappingSpec._signs``:
-    on the part of a value piece where f(u) - u = (c - 1)u + d is positive,
-    |f(u) - u| is k*u + m for (k, m) = (c - 1, d), and on the negative part
-    for (k, m) = -(c - 1, d); a zero part, where the bound is 0, cannot be
-    violated and is skipped.  The other forms take all of C at once, with
-    k and m None."""
+    """The u pieces (tag, interval, k, m) that ``decide_b`` projects on and
+    ``check_b_subset`` solves on.  The residual form reads them off the
+    sign table ``MappingSpec._signs``: on the part of a value piece where
+    f(u) - u = (c - 1)u + d is positive, |f(u) - u| is k*u + m for
+    (k, m) = (c - 1, d), and on the negative part for (k, m) = -(c - 1, d);
+    a zero part, where the bound is 0, cannot be violated and is skipped.
+    The other forms take all of C at once, with k and m None."""
     if kind is not BKind.RESIDUAL:
         yield None, spec.domain, None, None
         return
@@ -437,7 +433,24 @@ def decide_b(kind: BKind, spec: MappingSpec) -> ConditionVerdict:
     f >= id above).  On each u piece, a part of the table, the residual
     gauge |f(u) - u| is some r = k*u + m free of x, so that form projects
     y = f(x) in the ball (u - r, u + r) (``_term``).  Returns Proven, or
-    Falsified with a two-point witness around the first violating u."""
+    Falsified with a two-point witness around the first violating u.
+
+    With A = {x : f(x) > x}, B = {x : f(x) < x}, m(x) = (x + f(x))/2 and
+    D(x) = 2 f(x) - x, the rows give three lemmas on an interval C:
+
+    P1. The anchor form fails iff inf_A m < sup_B m.  A violation at u
+    needs x in A with m(x) < u and x' in B with u < m(x'); any u strictly
+    between two such values violates, as x < m(x) and m(x') < x'.
+
+    P2. The displacement form fails iff some x1 < x2 have x1 in A, x2 in
+    B and D(x1) > D(x2): x1 makes the u of (x1, D(x1)) fail on its side,
+    x2 those of (D(x2), x2), and the two open intervals meet.
+
+    C1. If the displacement form holds, the anchor form holds iff no point
+    of A lies left of a point of B.  By P2, x1 < x2 with x1 in A and x2 in
+    B give f(x2) - f(x1) >= (x2 - x1)/2 > 0, so m(x1) < m(x2) and P1
+    fails; with every point of B left of A, sup_B m <= sup B <= inf A <=
+    inf_A m."""
     if kind.__class__ is not BKind:
         raise ValueError(f"unknown hull form: {kind!r}")
     proven = ConditionVerdict(
@@ -483,7 +496,7 @@ def _near_point(kind, spec, u: QuadExt, below: bool, k, m):
             near = _solve_affine(a, b * u + e, "<", near)
             if near is None:
                 break
-        x = None if near is None else pick_in(tag, near)
+        x = None if near is None else class_pick(tag, (near,))
         if x is not None:
             return x
     return None
@@ -515,14 +528,15 @@ def _first_point(pairs):
     """The first tag-class point of the (tag, region) pairs, in their
     order, skipping a region that is None; None when no region has one."""
     for tag, region in pairs:
-        x = None if region is None else pick_in(tag, region)
+        x = None if region is None else class_pick(tag, (region,))
         if x is not None:
             return x
     return None
 
 
 def decide_c1(spec: MappingSpec) -> ConditionVerdict:
-    """Does some x* make ``kkm.check_c1``'s set compact?  Decided exactly:
+    """Does some x* make the anchor set ``g_set(GKind.anchor(), spec, x*)``
+    = {y in C : |x* - y| <= |f(x*) - y|} compact?  Decided exactly:
     yes iff C is compact, or C has a closed finite lower end and f climbs
     somewhere (the set is then a closed bounded initial segment), or the
     mirror.  Where f climbs and where it falls are read off the spec's sign
@@ -556,18 +570,29 @@ def decide_c1(spec: MappingSpec) -> ConditionVerdict:
 
 
 def decide_c2(spec: MappingSpec) -> ConditionVerdict:
-    """Does some x* make ``kkm.check_c2``'s set compact?  Exactly: yes iff
-    C is compact, or C is bounded with one open end that some x* clears
-    (2 f(x*) - x* past the open end empties the non-closed part).  So on a
-    closed C it is Proven exactly when C is compact, and T3 and Cor4 have
-    the same hypotheses.
+    """Does some x* make the displacement set ``g_set(GKind.displacement(),
+    spec, x*)`` = {y in C : |f(x*) - x*| <= |f(x*) - y|} compact?  Exactly:
+    yes iff C is compact, or C is bounded with one open end that some x*
+    clears (2 f(x*) - x* past the open end empties the non-closed part).
+    So on a closed C it is Proven exactly when C is compact, and T3 and
+    Cor4 have the same hypotheses.
 
     Clearing suffices: let C be bounded with lo open and hi closed, and
     2 f(x*) - x* <= lo.  As x* > lo, f(x*) < x*, so |f(x*) - y| <
     x* - f(x*) exactly for y in (2 f(x*) - x*, x*), and the set is C less
     that interval, the compact [x*, hi].  A closed lower end is the
     mirror case, with 2 f(x*) - x* >= hi.  ``_first_point`` picks x* where
-    2 f(x) - x clears the open end, value pieces in order."""
+    2 f(x) - x clears the open end, value pieces in order.
+
+    C2. On a compact C the displacement form alone gives a fixed point;
+    onto is not needed.  With A, B and D as in ``decide_b``, suppose no
+    fixed point: then min C is in A, max C in B, and t = inf B is in one
+    of them.  If t is in B, points x of A approach t from the left, and by
+    P2 D(t) >= D(x) > x, so D(t) >= t, yet t in B means D(t) < t.  If t is
+    in A, points x of B approach t from the right, so D(t) <= D(x) < x
+    gives D(t) <= t, yet D(t) > t.  So on a closed C, where this decider
+    is Proven only when C is compact, T3's and Cor4's hypotheses without
+    onto already force a fixed point."""
     dom = spec.domain
     if dom.is_bounded and dom.is_closed:
         x = dom.lo

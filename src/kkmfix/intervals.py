@@ -24,9 +24,8 @@ one union also joins runs meeting at a point the class cannot contain.
 
 ``tagged`` builds a set from (tag, interval) pairs, tag None meaning
 both classes, with one canonicalisation for all of them.  The pick rule
-of ``ClassSet.pick`` is the only one: ``pick_in`` applies it to one raw
-interval snapped to the class, and ``class_pick`` to the one slice of
-raw intervals it builds.
+of ``ClassSet.pick`` is the only one: ``class_pick`` applies it to the
+one slice of raw intervals it builds, a single interval included.
 """
 
 from __future__ import annotations
@@ -323,16 +322,6 @@ def _pick_one(tag: ClassTag, iv: Interval) -> QuadExt:
     return irrational_between(lo, hi)
 
 
-def pick_in(tag: ClassTag | None, iv: Interval) -> QuadExt | None:
-    """The member ``ClassSet.pick`` gives for the tag-class points of iv,
-    or None when there are none; with tag None a point is picked as its
-    own class and any other interval as the rationals it holds."""
-    if tag is None:
-        tag = class_of(iv.lo) if iv.is_degenerate else ClassTag.RATIONAL
-    iv = _snap(iv, tag)
-    return None if iv is None else _pick_one(tag, iv)
-
-
 def _canonical_slice(ivs, tag: ClassTag) -> tuple[Interval, ...]:
     return _plain_union([s for iv in ivs if (s := _snap(iv, tag)) is not None], tag)
 
@@ -398,10 +387,6 @@ class ClassSet(_Validated, _Slices):
     @property
     def is_closed(self) -> bool:
         return self == self.closure()
-
-    @property
-    def is_compact(self) -> bool:
-        return self.is_bounded and self.is_closed
 
     def finite_points(self) -> tuple[QuadExt, ...] | None:
         """The members when the set is finite, else None."""

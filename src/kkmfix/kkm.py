@@ -105,18 +105,6 @@ def g_set(kind: GKind, spec: MappingSpec, x) -> ClassSet:
     return ClassSet(kept, kept)
 
 
-def check_c1(spec: MappingSpec, xstar) -> tuple[ClassSet, bool]:
-    """{y in C: |x* - y| <= |f(x*) - y|} and its exact compactness."""
-    out = g_set(GKind.anchor(), spec, xstar)
-    return out, out.is_compact
-
-
-def check_c2(spec: MappingSpec, xstar) -> tuple[ClassSet, bool]:
-    """{y in C: |f(x*) - x*| <= |f(x*) - y|} and its exact compactness."""
-    out = g_set(GKind.displacement(), spec, xstar)
-    return out, out.is_compact
-
-
 def verify_kkm(kind: GKind, spec: MappingSpec, points) -> tuple[bool, QuadExt | None]:
     """Exact coverage of the hull [min, max] by the union of witness sets;
     on failure, a concrete hull point left uncovered."""

@@ -209,8 +209,11 @@ class MappingSpec(_Validated, _Spec):
         return cells, cuts
 
     def class_cells(self, tag: ClassTag) -> tuple[tuple[Interval, AffineExpr], ...]:
-        """Maximal class-restricted intervals on which one affine branch
-        gives f, override points excluded."""
+        """The tag-class cells (interval, branch) of f, in map-line order:
+        each map line that serves the class gives one cell per part of its
+        interval that the override points leave, none when that part holds
+        no point of the class.  Adjacent lines with one branch stay
+        separate cells."""
         return self._cut_table[0][tag]
 
     def evaluate(self, x) -> QuadExt:

@@ -17,12 +17,13 @@ Operands with ``bn != 0`` take the general path, which computes each
 component with the rational path's operations.  The operands select the
 path, and both give the same canonical results.
 
-``_fast`` and ``_rat`` are the trusted constructors.  They write the
-slots through the cached slot descriptors and check nothing, so every
-caller must pass reduced pairs with positive denominators.
-``QuadExt(a, b)`` is the validating constructor: it takes only ``int``
-and ``Fraction`` components, which are reduced already, and stores a
-``bool`` as the int it equals.  ``as_scalar`` is the one coercion, and
+``_fast`` and ``_rat`` are the trusted constructors and the only code
+that writes the slots.  They write them through the cached slot
+descriptors and check nothing, so every caller must pass reduced pairs
+with positive denominators.  ``QuadExt(a, b)`` is the validating
+constructor: it takes only ``int`` and ``Fraction`` components, which
+are reduced already, stores a ``bool`` as the int it equals, and hands
+the pairs to ``_fast``.  ``as_scalar`` is the one coercion, and
 the operators apply it to their other operand.
 """
 
@@ -90,13 +91,10 @@ class QuadExt:
 
     __slots__ = ("_an", "_ad", "_bn", "_bd")
 
-    def __init__(self, a=0, b=0):
+    def __new__(cls, a=0, b=0):
         an, ad = _ratpair(a)
         bn, bd = _ratpair(b)
-        _set_an(self, an)
-        _set_ad(self, ad)
-        _set_bn(self, bn)
-        _set_bd(self, bd)
+        return _fast(an, ad, bn, bd)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadExt is immutable")

@@ -77,7 +77,23 @@ def _check_domain(spec: MappingSpec, need_compact: bool) -> ConditionVerdict:
 
 def run_theorem(spec: MappingSpec, theorem: TheoremId) -> TheoremVerdict:
     """Check every hypothesis of one theorem against the spec; each one
-    ends Proven or Falsified."""
+    ends Proven or Falsified.
+
+    C3. If f is onto and the anchor or the displacement form holds, f has
+    a fixed point unless f - id keeps one strict sign on all of C, and
+    onto allows that only when C is open at both ends.  With A, B and m
+    as in ``decide_b``, let A and B both be nonempty and Fix empty.  Under
+    the anchor form, P1 gives nu = sup_B m <= mu = inf_A m; f maps A above
+    mu and B below nu, and for x1 in A and x2 in B, [nu, mu] lies in
+    (f(x2), f(x1)), inside C, so nu has no preimage.  Under the
+    displacement form, a point of A left of one of B repeats C2's argument
+    on the interval between them, and otherwise the anchor form holds by
+    C1.  If f > id on C, onto leaves no min C (its preimage x would have
+    f(x) <= x) and f(max C) > max C leaves no max C; f < id is the mirror.
+    A one-signed f makes every anchor and displacement witness set keep
+    an open end of C, so no such set is compact: T1 and T3 cannot fail on
+    their domain alone with Fix empty, and by C2 neither can T3 or Cor4
+    on onto alone."""
     if not isinstance(theorem, TheoremId):
         raise ValueError(f"unknown theorem: {theorem!r}")
     need_compact, kind, b_key, extra = _SHAPE[theorem]

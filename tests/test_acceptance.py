@@ -20,11 +20,11 @@ from kkmfix import (
     Status,
     TheoremId,
     check_b_subset,
-    check_c1,
     check_c3,
     decide_b,
     dist,
     em_chain,
+    g_set,
     intersection_witness,
     parse,
     random_specs,
@@ -72,26 +72,26 @@ def test_criterion_1_corpus():
 
 @_criterion(2, "anchor sets: exact intervals, compact exactly when bounded")
 def test_criterion_2_anchor_sets(corpus):
-    result, compact = check_c1(corpus[2].spec, 6)
+    result = g_set(GKind.anchor(), corpus[2].spec, 6)
     assert result == ClassSet.from_interval(Interval.closed(0, 7))
-    assert compact
+    assert result.is_bounded and result.is_closed
 
     ex5 = corpus[5].spec
     rng = random.Random(2)
     for _ in range(20):
         x = Fraction(rng.randint(-400, 400), rng.choice((1, 2, 4, 8)))
-        result, compact = check_c1(ex5, x)
+        result = g_set(GKind.anchor(), ex5, x)
         ray = Interval(x - Fraction(1, 2), None, True, False)
         assert result == ClassSet.from_interval(ray)
-        assert not compact
+        assert not (result.is_bounded and result.is_closed)
 
     ex1 = corpus[1].spec
     for _ in range(10):
         x = QuadExt(6) + Fraction(rng.randint(1, 160), 8)
-        result, compact = check_c1(ex1, x)
+        result = g_set(GKind.anchor(), ex1, x)
         top = (x + ex1.evaluate(x)) / 2
         assert result == ClassSet.from_interval(Interval.closed(0, top))
-        assert compact
+        assert result.is_bounded and result.is_closed
 
 
 @_criterion(3, "subset falsifiers: exact two-point witnesses with margins")

@@ -26,9 +26,9 @@ from kkmfix.intervals import (
     _intersect_iv,
     _narrow,
     _solve_affine,
-    pick_in,
+    class_pick,
 )
-from kkmfix.kkm import GKind, check_c1, check_c2, sublevel, verify_kkm
+from kkmfix.kkm import GKind, g_set, sublevel, verify_kkm
 from kkmfix.mapdef import parse, serialize
 from kkmfix.mapping import AffineExpr, MappingSpec, Piece, PointOverride
 from kkmfix.randmaps import random_specs
@@ -433,16 +433,16 @@ def test_strong_b3_implies_b3_on_random_draws(corpus):
 
 def test_check_c1_pins(corpus):
     ex2 = corpus[2].spec
-    result, compact = check_c1(ex2, 6)
+    result = g_set(GKind.anchor(), ex2, 6)
     assert result == ClassSet.from_interval(Interval.closed(0, 7))
-    assert compact
+    assert result.is_bounded and result.is_closed
     ex5 = corpus[5].spec
-    result, compact = check_c1(ex5, 3)
+    result = g_set(GKind.anchor(), ex5, 3)
     assert result == ClassSet.from_interval(Interval(Fraction(5, 2), None, True, False))
-    assert not compact
-    result, compact = check_c1(corpus[9].spec, 5)  # fixed point: whole domain
+    assert not (result.is_bounded and result.is_closed)
+    result = g_set(GKind.anchor(), corpus[9].spec, 5)  # fixed point: whole domain
     assert result == ClassSet.from_interval(corpus[9].spec.domain)
-    assert compact
+    assert result.is_bounded and result.is_closed
 
 
 def test_decide_c1_pins(corpus):
@@ -453,8 +453,9 @@ def test_decide_c1_pins(corpus):
 
 def test_check_c2_and_decide_pins(corpus):
     ex9 = corpus[9].spec
-    result, compact = check_c2(ex9, 5)
-    assert result == ClassSet.from_interval(ex9.domain) and compact
+    result = g_set(GKind.displacement(), ex9, 5)
+    assert result == ClassSet.from_interval(ex9.domain)
+    assert result.is_bounded and result.is_closed
     assert decide_c2(ex9).status is Status.PROVEN
     assert decide_c2(corpus[5].spec).status is Status.FALSIFIED
 
@@ -774,10 +775,11 @@ def _shape_spec(rng, dom):
 
 
 def test_compact_set_deciders_by_definition():
-    """A Proven x* makes the check_c1 (check_c2) set compact; after a
-    Falsified verdict no grid x*, at k/16 or k/16 + sqrt2/64, does.  The
-    check_c2 re-check is the only one of decide_c2's clearing lemma, so
-    its Proven route must be reached on both bounded half-open shapes."""
+    """A Proven x* makes the anchor (displacement) ``g_set`` compact;
+    after a Falsified verdict no grid x*, at k/16 or k/16 + sqrt2/64, does.
+    The displacement re-check is the only one of decide_c2's clearing
+    lemma, so its Proven route must be reached on both bounded half-open
+    shapes."""
     rng = random.Random(61)
     grid = [Fraction(k, 16) for k in range(-32, 193)]
     grid += [g + SQRT2 / 64 for g in grid]
@@ -786,16 +788,23 @@ def test_compact_set_deciders_by_definition():
         xs = [x for x in grid if dom.contains(x)]
         for _ in range(5):
             spec = _shape_spec(rng, dom)
-            for decide, check in ((decide_c1, check_c1), (decide_c2, check_c2)):
+            for decide, kind in (
+                (decide_c1, GKind.anchor()),
+                (decide_c2, GKind.displacement()),
+            ):
                 verdict = decide(spec)
                 if verdict.status is Status.PROVEN:
                     assert dom.contains(verdict.witness)
-                    assert check(spec, verdict.witness)[1], serialize(spec)
+                    g = g_set(kind, spec, verdict.witness)
+                    assert g.is_bounded and g.is_closed, serialize(spec)
                     if decide is decide_c2 and dom.is_bounded and not dom.is_closed:
                         cleared.append(dom)
                 else:
                     assert verdict.status is Status.FALSIFIED
-                    assert not any(check(spec, x)[1] for x in xs), serialize(spec)
+                    sets = (g_set(kind, spec, x) for x in xs)
+                    assert not any(g.is_bounded and g.is_closed for g in sets), (
+                        serialize(spec)
+                    )
     assert Interval(0, 10, True, False) in cleared
     assert Interval(0, 10, False, True) in cleared
 
@@ -806,7 +815,7 @@ def _first_where(spec, affine, rel):
     piece by ``_solve_affine``, without the sign table."""
     for tag, iv, c, d in spec.value_pieces():
         region = _solve_affine(*affine(c, d), rel, iv)
-        x = None if region is None else pick_in(tag, region)
+        x = None if region is None else class_pick(tag, (region,))
         if x is not None:
             return x
     return None

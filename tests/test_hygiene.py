@@ -1,12 +1,13 @@
-"""Source hygiene that no installed linter checks: every name a module
-imports is used in it, every module-level private function or class is
-referenced somewhere in the package beyond its own definition, every
-module-level private constant is read by its module or taken from it,
-every public method of a package class is read as an attribute in the
-package or the benchmark (a wrapper only tests call is flagged), every
-field of a package dataclass or named tuple is read there or in the
-tests; and one function alone builds an ``Interval`` without the checks
-of its ``__new__``."""
+"""Source hygiene that no installed linter checks: every name a module of
+the package or the tests imports is used in it, every module-level
+private function or class is referenced beyond its own definition (a
+package one in the package, a test one in the package or the tests),
+every module-level private constant is read by its module or taken from
+it, every public method of a package class is read as an attribute in
+the package or the benchmark (a wrapper only tests call is flagged),
+every field of a package dataclass or named tuple is read there or in
+the tests; and one function alone builds an ``Interval`` without the
+checks of its ``__new__``."""
 
 import ast
 import importlib
@@ -20,10 +21,11 @@ import kkmfix
 _PACKAGE = sorted(Path(kkmfix.__file__).parent.glob("*.py"))
 _SOURCES = [p for p in _PACKAGE if p.name != "__init__.py"]
 _ROOT = Path(__file__).resolve().parent.parent
+_TESTS = sorted((_ROOT / "tests").glob("*.py"))
 # where a method counts as used: the package and the benchmark
 _USERS = _PACKAGE + sorted((_ROOT / "perfbench").glob("*.py"))
 # where a record field may be read: those and the tests
-_READERS = _USERS + sorted((_ROOT / "tests").glob("*.py"))
+_READERS = _USERS + _TESTS
 
 
 def _annotations(tree):
@@ -76,7 +78,7 @@ def test_unused_import_finder():
     assert _unused_imports(_SAMPLE) == ["c (line 2)", "os (line 1)", "re (line 1)"]
 
 
-@pytest.mark.parametrize("path", _SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", _SOURCES + _TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -131,9 +133,14 @@ def test_orphan_finder():
     assert _orphans(_ORPHAN_SAMPLE) == ["a.py: _Orphan", "a.py: _recursive"]
 
 
+def _texts(paths) -> dict[str, str]:
+    return {p.name: p.read_text(encoding="utf-8") for p in paths}
+
+
 def test_no_orphan_private_helpers():
-    sources = {p.name: p.read_text(encoding="utf-8") for p in _PACKAGE}
-    assert _orphans(sources) == []
+    # a package helper must be used in the package, a test helper anywhere
+    assert _orphans(_texts(_PACKAGE)) == []
+    assert _orphans(_texts(_PACKAGE + _TESTS)) == []
 
 
 def _bound_names(node):
@@ -206,8 +213,8 @@ def test_constant_orphan_finder():
 
 
 def test_no_orphan_private_constants():
-    sources = {p.name: p.read_text(encoding="utf-8") for p in _PACKAGE}
-    assert _constant_orphans(sources) == []
+    assert _constant_orphans(_texts(_PACKAGE)) == []
+    assert _constant_orphans(_texts(_PACKAGE + _TESTS)) == []
 
 
 def _unused_methods(source: str, namespace: dict, attributes: set[str]) -> list[str]:
@@ -395,5 +402,4 @@ def test_unchecked_build_finder():
 
 def test_one_unchecked_interval_build():
     # _narrow makes the checks itself before it builds the cut part
-    sources = {p.name: p.read_text(encoding="utf-8") for p in _PACKAGE}
-    assert _unchecked_builds(sources, "Interval") == ["intervals.py: _narrow"]
+    assert _unchecked_builds(_texts(_PACKAGE), "Interval") == ["intervals.py: _narrow"]

@@ -12,7 +12,6 @@ from kkmfix.intervals import (
     ClassSet,
     Interval,
     class_pick,
-    pick_in,
     tagged,
 )
 from kkmfix.scalars import SQRT2, ClassTag, QuadExt, class_of
@@ -103,11 +102,10 @@ def test_closure_and_compactness():
         assert closed.closure() == closed
         assert s.difference(closed).is_empty  # s subset of closure
         assert closed.is_closed
-        if s.is_compact:
-            assert s.is_closed and s.is_bounded
-    assert ClassSet.from_interval(Interval.closed(0, 1)).is_compact
-    assert not ClassSet.from_interval(Interval(0, 1, False, False)).is_compact
-    assert not ClassSet.from_interval(Interval(0, None, True, False)).is_compact
+    unit = ClassSet.from_interval(Interval.closed(0, 1))
+    assert unit.is_bounded and unit.is_closed
+    assert not ClassSet.from_interval(Interval(0, 1, False, False)).is_closed
+    assert not ClassSet.from_interval(Interval(0, None, True, False)).is_bounded
     assert not ClassSet((Interval.closed(0, 1),), ()).is_closed
 
 
@@ -237,11 +235,6 @@ def test_direct_queries_match_the_built_set():
             assert (class_pick(tag, ivs[1:]) is None) == (
                 _slicewise(tag, ivs[1:]).is_empty
             )
-            want = _slicewise(tag, [iv]).pick()
-            got = pick_in(tag, iv)
-            assert (got is None) == (want is None)
-            if want is not None:
-                assert got == want and got.__class__ is QuadExt
         # mixed tags: the union of the per-pair sets
         pairs = [(rng.choice(tags), x) for x in ivs]
         want = ClassSet()
@@ -251,4 +244,3 @@ def test_direct_queries_match_the_built_set():
         whole = ClassSet.from_interval(iv)
         assert iv.is_closed == whole.is_closed
         assert iv.is_bounded == whole.is_bounded
-        assert (iv.is_bounded and iv.is_closed) == whole.is_compact

@@ -175,6 +175,16 @@ def test_class_cells_open_wrong_class_ends():
     assert _cells(spec, ClassTag.IRRATIONAL) == [("(0, 10)", "-x + 10")]
 
 
+def test_class_cells_keep_one_cell_per_map_line():
+    # two adjacent lines with one branch are not joined
+    spec = parse(
+        "domain [0, 2]\n"
+        "piece [0, 1) all: 1/2 x\n"
+        "piece [1, 2] all: 1/2 x\n"
+    )
+    assert _cells(spec, ClassTag.RATIONAL) == [("[0, 1)", "1/2 x"), ("[1, 2]", "1/2 x")]
+
+
 def test_class_cells_split_at_sqrt2():
     spec = parse(
         "domain [0, 4]\n"

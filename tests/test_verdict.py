@@ -16,8 +16,6 @@ from kkmfix.conditions import (
 )
 from kkmfix.kkm import (
     GKind,
-    check_c1,
-    check_c2,
     em_chain,
     g_set,
     intersection_witness,
@@ -205,9 +203,17 @@ def _set_outputs(spec):
     ]
     for form, kind in _G_KINDS.items():
         out.append((f"g_set.{form}", lambda k=kind: [g_set(k, spec, x) for x in pts]))
+    for output, form in (("c1", "anchor"), ("c2", "displacement")):
+        out.append(
+            (
+                output,
+                lambda k=_G_KINDS[form]: [
+                    (g, g.is_bounded and g.is_closed)
+                    for g in [g_set(k, spec, x) for x in pts]
+                ],
+            )
+        )
     out += [
-        ("c1", lambda: [check_c1(spec, x) for x in pts]),
-        ("c2", lambda: [check_c2(spec, x) for x in pts]),
         ("sublevel", lambda: sublevel(spec, QuadExt(1) / 2)),
         ("em_chain", lambda: em_chain(spec, 4)),
     ]
