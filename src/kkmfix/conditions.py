@@ -183,7 +183,7 @@ def check_b_subset(kind: BKind, spec: MappingSpec, points) -> ConditionVerdict:
     hull = Interval.closed(lo, hi)
 
     spots = []
-    for tag, piece, k, m in _u_pieces(kind, spec, spec._signs):
+    for tag, piece, k, m in _u_pieces(kind, spec):
         part = _intersect_iv(piece, hull)
         if part is None:
             continue
@@ -385,7 +385,7 @@ def _near_u(kind, pieces, ball, below: bool, within: Interval) -> tuple:
     return _plain_union(out)
 
 
-def _u_pieces(kind: BKind, spec: MappingSpec, signs):
+def _u_pieces(kind: BKind, spec: MappingSpec):
     """The u pieces (tag, interval, k, m) that ``decide_b`` projects on and
     ``check_b_subset`` solves on.  The residual form reads them off the
     sign table ``MappingSpec._signs``: on the part of a value piece where
@@ -396,7 +396,7 @@ def _u_pieces(kind: BKind, spec: MappingSpec, signs):
     if kind is not BKind.RESIDUAL:
         yield None, spec.domain, None, None
         return
-    for tag, _, c, d, pos, _, neg in signs:
+    for tag, _, c, d, pos, _, neg in spec._signs:
         k = c - _ONE
         if pos is not None:
             yield tag, pos, k, d
@@ -467,7 +467,7 @@ def decide_b(kind: BKind, spec: MappingSpec) -> ConditionVerdict:
     # L and R depend on a u piece only through its ends and k, m: project
     # once on the closed hull, then cut to each class's own piece
     sides: dict[tuple, tuple[list, list]] = {}
-    for tag, iv, k, m in _u_pieces(kind, spec, signs):
+    for tag, iv, k, m in _u_pieces(kind, spec):
         key = (iv.lo, iv.hi, k, m)
         if key not in sides:
             # L, then R only where L has points

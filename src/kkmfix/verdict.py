@@ -1,13 +1,13 @@
 """Per-theorem verdict assembly and the built-in worked-example corpus.
 
-Five theorem shapes are supported; each one combines surjectivity, one
-hull-coverage inequality, and either a compact-witness-set condition, a
-lower-semicontinuity condition, or plain domain compactness.
+Each theorem is one list of (condition key, decider) rows in
+``_HYPOTHESES``: the domain, onto and one hull inequality, then T1 and T3
+need a closed C plus a compact witness set, while Cor3, Cor4 and T5 need
+a compact C, T5 with lower semicontinuity besides.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -36,21 +36,6 @@ class TheoremId(_Word):
     T5 = "t5"
 
 
-# per theorem: domain must be compact (else closed suffices), the hull
-# inequality kind and its condition key, and the extra side condition as
-# (key, decider)
-_SHAPE: dict[TheoremId, tuple[bool, BKind, str, tuple[str, Callable] | None]] = {
-    TheoremId.T1: (False, BKind.ANCHOR, "kkm_anchor",
-                   ("compact_anchor_set", decide_c1)),
-    TheoremId.COR3: (True, BKind.ANCHOR, "kkm_anchor", None),
-    TheoremId.T3: (False, BKind.DISPLACEMENT, "kkm_displacement",
-                   ("compact_displacement_set", decide_c2)),
-    TheoremId.COR4: (True, BKind.DISPLACEMENT, "kkm_displacement", None),
-    TheoremId.T5: (True, BKind.RESIDUAL, "kkm_residual",
-                   ("residual_lsc", check_c3)),
-}
-
-
 @dataclass(frozen=True)
 class TheoremVerdict:
     theorem: TheoremId
@@ -61,18 +46,41 @@ class TheoremVerdict:
     notes: str
 
 
-def _check_domain(spec: MappingSpec, need_compact: bool) -> ConditionVerdict:
+def _compact_domain(spec: MappingSpec) -> ConditionVerdict:
     C = spec.domain
-    if need_compact:
-        if C.is_bounded and C.is_closed:
-            return ConditionVerdict(
-                Status.PROVEN, None, "C is a compact convex interval"
-            )
-        why = "unbounded" if not C.is_bounded else "not closed"
-        return ConditionVerdict(Status.FALSIFIED, None, f"C is {why}")
-    if C.is_closed:
+    if C.is_bounded and C.is_closed:
+        return ConditionVerdict(Status.PROVEN, None, "C is a compact convex interval")
+    why = "unbounded" if not C.is_bounded else "not closed"
+    return ConditionVerdict(Status.FALSIFIED, None, f"C is {why}")
+
+
+def _closed_domain(spec: MappingSpec) -> ConditionVerdict:
+    if spec.domain.is_closed:
         return ConditionVerdict(Status.PROVEN, None, "C is a closed convex interval")
     return ConditionVerdict(Status.FALSIFIED, None, "C is not closed")
+
+
+def _hull(kind: BKind):
+    # decide_b is looked up per call, so a patched one takes effect
+    return lambda spec: decide_b(kind, spec)
+
+
+# per theorem: its hypotheses as (condition key, decider), in report order
+_HYPOTHESES = {
+    TheoremId.T1: (("domain", _closed_domain), ("onto", check_onto),
+                   ("kkm_anchor", _hull(BKind.ANCHOR)),
+                   ("compact_anchor_set", decide_c1)),
+    TheoremId.COR3: (("domain", _compact_domain), ("onto", check_onto),
+                     ("kkm_anchor", _hull(BKind.ANCHOR))),
+    TheoremId.T3: (("domain", _closed_domain), ("onto", check_onto),
+                   ("kkm_displacement", _hull(BKind.DISPLACEMENT)),
+                   ("compact_displacement_set", decide_c2)),
+    TheoremId.COR4: (("domain", _compact_domain), ("onto", check_onto),
+                     ("kkm_displacement", _hull(BKind.DISPLACEMENT))),
+    TheoremId.T5: (("domain", _compact_domain), ("onto", check_onto),
+                   ("kkm_residual", _hull(BKind.RESIDUAL)),
+                   ("residual_lsc", check_c3)),
+}
 
 
 def run_theorem(spec: MappingSpec, theorem: TheoremId) -> TheoremVerdict:
@@ -96,16 +104,7 @@ def run_theorem(spec: MappingSpec, theorem: TheoremId) -> TheoremVerdict:
     on onto alone."""
     if not isinstance(theorem, TheoremId):
         raise ValueError(f"unknown theorem: {theorem!r}")
-    need_compact, kind, b_key, extra = _SHAPE[theorem]
-
-    conditions: dict[str, ConditionVerdict] = {}
-    conditions["domain"] = _check_domain(spec, need_compact)
-    conditions["onto"] = check_onto(spec)
-    conditions[b_key] = decide_b(kind, spec)
-    if extra is not None:
-        extra_key, decide = extra
-        conditions[extra_key] = decide(spec)
-
+    conditions = {key: decide(spec) for key, decide in _HYPOTHESES[theorem]}
     fset = spec.fixed_point_set()
     fpts = fset.finite_points()
     favorable = all(
@@ -176,19 +175,17 @@ def corpus_entry(n: int) -> CorpusEntry:
     """The built-in worked example n (1..14) with its expected verdicts."""
     import importlib.resources
 
-    if not 1 <= n <= 14:
+    if n not in _EXPECTED:
         raise IndexError(f"corpus index out of range: {n}")
     text = (
         importlib.resources.files("kkmfix") / "data" / f"corpus{n:02d}.map"
     ).read_text(encoding="utf-8")
     theorem, broken, fixed, deviations = _EXPECTED[n]
-    _, _, b_key, extra = _SHAPE[theorem]
-    keys = ("domain", "onto", b_key) + (() if extra is None else (extra[0],))
     return CorpusEntry(
         index=n,
         spec=parse(text),
         theorem=theorem,
-        expected={key: key != broken for key in keys},
+        expected={key: key != broken for key, _ in _HYPOTHESES[theorem]},
         expected_fixed_points=tuple(QuadExt(p) for p in fixed),
         deviations=deviations,
     )
@@ -206,7 +203,7 @@ def run_corpus(indices=None) -> list[tuple[CorpusEntry, TheoremVerdict, bool]]:
     """Run every corpus entry (or those in ``indices``) under its
     designated theorem."""
     out = []
-    for n in indices if indices is not None else range(1, 15):
+    for n in indices if indices is not None else _EXPECTED:
         entry = corpus_entry(n)
         verdict = run_theorem(entry.spec, entry.theorem)
         out.append((entry, verdict, _matches(entry, verdict)))

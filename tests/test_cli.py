@@ -729,7 +729,7 @@ def test_each_command_loads_only_its_modules(maps, tmp_path):
 
 
 def test_option_choices_match_the_modules_they_name():
-    from kkmfix import cli, plotting
+    from kkmfix import cli, plotting, verdict
     from kkmfix.conditions import Status
     from kkmfix.kkm import GForm
 
@@ -737,6 +737,9 @@ def test_option_choices_match_the_modules_they_name():
     assert [GForm(v) for v in cli._KINDS.values()] == list(GForm)
     assert cli._FORMATS == plotting.FORMATS
     assert cli._FALSIFIED == Status.FALSIFIED.value
+    # check's text pads each condition key to two past the longest
+    tables = verdict._HYPOTHESES.values()
+    assert cli._KEY_COLUMN == 2 + max(len(key) for rows in tables for key, _ in rows)
 
 
 if __name__ == "__main__":

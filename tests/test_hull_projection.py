@@ -49,7 +49,7 @@ def test_projection_matches_the_x_space_oracle():
                 continue
             old_lefts, old_rights = oracle.x_pieces(kind, signs)
             seen = set()
-            for _, iv, k, m in _u_pieces(kind, spec, signs):
+            for _, iv, k, m in _u_pieces(kind, spec):
                 key = (iv.lo, iv.hi, k, m)
                 within = _intersect_iv(iv.closure(), window)
                 if key in seen or within is None:

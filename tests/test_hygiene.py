@@ -6,8 +6,9 @@ every module-level private constant is read by its module or taken from
 it, every public method of a package class is read as an attribute in
 the package or the benchmark (a wrapper only tests call is flagged),
 every field of a package dataclass or named tuple is read there or in
-the tests; and one function alone builds an ``Interval`` without the
-checks of its ``__new__``."""
+the tests; one function alone builds an ``Interval`` without the
+checks of its ``__new__``; and every source parses with the grammar of
+the oldest Python the package supports."""
 
 import ast
 import importlib
@@ -22,10 +23,24 @@ _PACKAGE = sorted(Path(kkmfix.__file__).parent.glob("*.py"))
 _SOURCES = [p for p in _PACKAGE if p.name != "__init__.py"]
 _ROOT = Path(__file__).resolve().parent.parent
 _TESTS = sorted((_ROOT / "tests").glob("*.py"))
+_BENCH = sorted((_ROOT / "perfbench").glob("*.py"))
 # where a method counts as used: the package and the benchmark
-_USERS = _PACKAGE + sorted((_ROOT / "perfbench").glob("*.py"))
+_USERS = _PACKAGE + _BENCH
 # where a record field may be read: those and the tests
 _READERS = _USERS + _TESTS
+
+
+def _require_bench():
+    """The checks that count the benchmark's reads, or parse its sources,
+    say so when they are missing rather than judge without them."""
+    if not _BENCH:
+        pytest.fail(f"benchmark sources missing: no {_ROOT / 'perfbench'}/*.py")
+
+
+def test_missing_bench_is_named(monkeypatch):
+    monkeypatch.setitem(globals(), "_BENCH", [])
+    with pytest.raises(pytest.fail.Exception, match=r"perfbench/\*\.py"):
+        _require_bench()
 
 
 def _annotations(tree):
@@ -261,6 +276,7 @@ def test_unused_method_finder():
 
 
 def test_no_unused_public_methods():
+    _require_bench()
     attributes = {
         node.attr
         for path in _USERS
@@ -346,6 +362,7 @@ def test_unread_field_finder():
 
 
 def test_no_unread_record_fields():
+    _require_bench()
     loaded = _loaded_attributes(p.read_text(encoding="utf-8") for p in _READERS)
     out = []
     for path in _SOURCES:
@@ -403,3 +420,36 @@ def test_unchecked_build_finder():
 def test_one_unchecked_interval_build():
     # _narrow makes the checks itself before it builds the cut part
     assert _unchecked_builds(_texts(_PACKAGE), "Interval") == ["intervals.py: _narrow"]
+
+
+def _grammar_errors(sources: dict[str, str]) -> list[str]:
+    """The sources that do not parse with the grammar of Python 3.10.
+    ``feature_version`` is best effort: it rejects some newer forms, such
+    as ``except*``, but not every one."""
+    out = []
+    for name, text in sources.items():
+        try:
+            ast.parse(text, feature_version=(3, 10))
+        except SyntaxError as err:
+            out.append(f"{name}: {err.msg}")
+    return out
+
+
+def test_grammar_error_finder():
+    newer = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    sources = {"a.py": "match x:\n    case 1:\n        pass\n", "b.py": newer}
+    # the message differs between Python versions
+    assert [e.split(":")[0] for e in _grammar_errors(sources)] == ["b.py"]
+
+
+def test_sources_parse_as_python_3_10():
+    """Every module of the package, the tests and the benchmark parses
+    with the grammar of Python 3.10, the oldest ``requires-python``
+    allows.  This checks the grammar only, not the standard-library APIs
+    a module calls, so it does not stand in for a run on 3.10."""
+    _require_bench()
+    sources = {
+        f"{p.parent.name}/{p.name}": p.read_text(encoding="utf-8")
+        for p in _PACKAGE + _TESTS + _BENCH
+    }
+    assert _grammar_errors(sources) == []

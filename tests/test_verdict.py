@@ -1,7 +1,9 @@
 """Theorem verdict assembly and the built-in example corpus."""
 
 import hashlib
+import itertools
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ from kkmfix.conditions import (
     Status,
     b_value,
     check_b_subset,
+    check_onto,
 )
 from kkmfix.kkm import (
     GKind,
@@ -274,6 +277,44 @@ def test_compact_set_deciders_tie_the_theorems():
         keys = ("domain", "compact_displacement_set")
         assert all(t3[k].status is Status.PROVEN for k in keys) == compact
     assert all(favourable.values()), favourable
+
+
+def _through(x0, y0, x1, y1) -> str:
+    """Mapdef text of the line through (x0, y0) and (x1, y1)."""
+    c = Fraction(y1 - y0, x1 - x0)
+    d = y0 - c * x0
+    return f"{c} x {'-' if d < 0 else '+'} {abs(d)}"
+
+
+def _two_piece_maps():
+    """The 3,750 maps on [0, 4] with a breakpoint b in {1, 2, 3}, owned by
+    either piece, and two ``all`` pieces, each through integer values in
+    0..4 at its ends (0 and b, b and 4)."""
+    for b, left_owns in itertools.product((1, 2, 3), (True, False)):
+        left = f"[0, {b}]" if left_owns else f"[0, {b})"
+        right = f"({b}, 4]" if left_owns else f"[{b}, 4]"
+        for y0, yb, zb, y4 in itertools.product(range(5), repeat=4):
+            yield parse(
+                "domain [0, 4]\n"
+                f"piece {left} all: {_through(0, y0, b, yb)}\n"
+                f"piece {right} all: {_through(b, zb, 4, y4)}\n"
+            )
+
+
+def test_favourable_bundles_on_a_grammar_slice_are_consistent():
+    """Criterion 6 on favourable bundles, which no random map has given:
+    every theorem's verdict is consistent on each onto map of the slice.
+    A map that is not onto is favourable for no theorem."""
+    onto = [s for s in _two_piece_maps() if check_onto(s).status is Status.PROVEN]
+    assert len(onto) == 528
+    favourable = dict.fromkeys(TheoremId, 0)
+    for spec in onto:
+        for t in TheoremId:
+            verdict = run_theorem(spec, t)
+            assert verdict.consistent, (t.value, serialize(spec))
+            conditions = verdict.conditions.values()
+            favourable[t] += all(c.status is not Status.FALSIFIED for c in conditions)
+    assert list(favourable.values()) == [114, 114, 70, 70, 82]
 
 
 def test_verdicts_beyond_the_corpus_match_golden():
