@@ -1,5 +1,4 @@
-import sys
+if __name__ == "__main__":
+    from .cli import entry
 
-from .cli import main
-
-sys.exit(main())
+    entry()

@@ -5,17 +5,29 @@ mismatch, 2 usage or parse error.  Identical argv produce byte-identical
 output; every scalar prints exactly (JSON mode round-trips through
 parse_scalar).
 
-Each command imports the modules only it uses, so that a process loads
-no decider it does not run: ``check`` and ``corpus`` load ``verdict``,
-``kkm`` loads ``kkm``, and ``plot`` loads ``plotting``.
+A process loads only what its command uses:
+- each command imports the modules only it uses, so that a process
+  loads no decider it does not run: ``check`` and ``corpus`` load
+  ``verdict``, ``kkm`` loads ``kkm``, and ``plot`` loads ``plotting``;
+- ``run_command`` reads a well-formed argv straight from ``_OPTIONS``,
+  and only help, a usage error or a form it declines (``--flag=value``,
+  an abbreviation, a repeat, a dash-led value) builds the argparse
+  parser, which pulls in ``gettext`` and ``locale``;
+- no command builds a ``Fraction``, so none imports ``fractions``.
+
+``entry``, the process entry of ``python -m kkmfix`` and of the
+``kkmfix`` script, freezes the collector before it exits: interpreter
+teardown then skips the collection that would traverse every loaded
+module's objects only to free memory the OS reclaims anyway.
 """
 
 from __future__ import annotations
 
-import argparse
+import gc
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from .intervals import ClassSet
@@ -35,15 +47,12 @@ class Report(NamedTuple):
     rendered: str
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
-
-
 def _positive(text: str) -> int:
     value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
+        from argparse import ArgumentTypeError
+
+        raise ArgumentTypeError("must be >= 1")
     return value
 
 
@@ -57,7 +66,8 @@ _FORMATS = ("svg", "csv")
 
 _MAP = ("--map", {"required": True})
 
-# each command's help line and options after --json, in help order
+# each command's help line and options after --json, in help order: what
+# build_parser gives argparse and what _read_argv reads alone
 _OPTIONS = {
     "check": (
         "run one theorem",
@@ -90,12 +100,18 @@ _OPTIONS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The kkmfix parser.  When ``command`` names a command, only its
-    subparser is built: a subparser parses, helps and fails alike whatever
-    others exist, and argparse spends milliseconds per process building
-    the rest.  Otherwise, as for ``kkmfix --help`` or an unknown command,
-    every subparser is built."""
+def build_parser(command: str | None = None):
+    """The kkmfix ``argparse`` parser.  When ``command`` names a command,
+    only its subparser is built: a subparser parses, helps and fails alike
+    whatever others exist, and argparse spends milliseconds per process
+    building the rest.  Otherwise, as for ``kkmfix --help`` or an unknown
+    command, every subparser is built."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise UsageError(message)
+
     parser = _Parser(prog="kkmfix", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, (summary, options) in _OPTIONS.items():
@@ -108,6 +124,44 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         for flag, kwargs in options:
             cmd.add_argument(flag, **kwargs)
     return parser
+
+
+def _read_argv(argv) -> SimpleNamespace | None:
+    """The arguments argparse would give for a well-formed argv, read from
+    ``_OPTIONS`` alone; None for any argv it declines.  It accepts the
+    command first, then each of its options spelled exactly and at most
+    once, each value a separate token that does not start with ``-``.
+    Declined are help, ``--flag=value``, abbreviations, repeats, dash-led
+    or missing values, and every argv argparse would refuse: a value
+    outside the choices or its ``type``, or a required option left out."""
+    if not argv or argv[0] not in _OPTIONS:
+        return None
+    options = dict(_OPTIONS[argv[0]][1])
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        if flag in given:
+            return None
+        if flag == "--json":
+            given[flag] = True
+            continue
+        kwargs = options.get(flag)
+        value = next(tokens, None)
+        if kwargs is None or value is None or value.startswith("-"):
+            return None
+        try:
+            value = kwargs.get("type", str)(value)
+        except Exception:  # argparse calls it again and reports it
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        given[flag] = value
+    args = SimpleNamespace(command=argv[0], json=given.get("--json", False))
+    for flag, kwargs in options.items():
+        if flag not in given and kwargs.get("required"):
+            return None
+        setattr(args, flag[2:], given.get(flag, kwargs.get("default")))
+    return args
 
 
 def _load_spec(path: str, validate: bool = True) -> MappingSpec:
@@ -393,7 +447,9 @@ _COMMANDS = {
 
 def run_command(argv) -> Report:
     """Parse argv and execute; raises UsageError on bad invocations."""
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _read_argv(argv)
+    if args is None:
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     return _COMMANDS[args.command](args)
 
 
@@ -410,3 +466,15 @@ def main(argv=None) -> int:
         # quietly, and point stdout at devnull so the exit flush cannot fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return report.exit_code
+
+
+def entry() -> None:
+    """Run ``main`` on the process's argv and exit with its code.
+
+    ``main`` has flushed stdout by then.  Freezing the collector moves
+    every object alive into its permanent generation, so interpreter
+    teardown does not traverse them; atexit handlers and the final
+    flushes still run."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)

@@ -35,11 +35,11 @@ from typing import NamedTuple
 from kkmfix.scalars import (
     ClassTag,
     QuadExt,
+    _simplest_between,
     as_scalar,
     class_of,
     format_scalar,
     irrational_between,
-    simplest_rational_between,
 )
 
 _ZERO = QuadExt(0)
@@ -318,7 +318,7 @@ def _pick_one(tag: ClassTag, iv: Interval) -> QuadExt:
     elif hi is None:
         hi = lo + 1
     if tag is ClassTag.RATIONAL:
-        return QuadExt(simplest_rational_between(lo, hi))
+        return _simplest_between(lo, hi)
     return irrational_between(lo, hi)
 
 

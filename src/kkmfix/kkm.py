@@ -11,7 +11,6 @@ their shrinking chain, whose tail is the fixed-point set.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 from typing import NamedTuple
 
 from .intervals import (
@@ -174,6 +173,6 @@ def em_chain(spec: MappingSpec, m_max: int) -> EmChainReport:
         raise ValueError(f"m_max must be an int of at least 1, got {m_max!r}")
     levels = []
     for m in range(1, m_max + 1):
-        level, closed = sublevel(spec, Fraction(1, m))
+        level, closed = sublevel(spec, 1 / as_scalar(m))
         levels.append((m, level, not level.is_empty, closed))
     return EmChainReport(tuple(levels), True, spec.fixed_point_set())

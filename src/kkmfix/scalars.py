@@ -33,7 +33,6 @@ import operator
 import re
 import sys
 from enum import Enum
-from fractions import Fraction
 from math import gcd, isqrt
 
 KERNEL = "pure"
@@ -62,10 +61,13 @@ def _sign_pq(p: int, q: int) -> int:
 
 
 def _ratpair(x) -> tuple[int, int]:
-    # an int or a Fraction as its pair, already reduced with d > 0
+    # an int or a Fraction as its pair, already reduced with d > 0; no
+    # Fraction exists before ``fractions`` is imported, so the check looks
+    # the module up rather than importing it
     if x.__class__ is int:
         return x, 1
-    if isinstance(x, Fraction):
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(x, fractions.Fraction):
         return x.numerator, x.denominator
     if isinstance(x, int):  # a bool, say: stored as the int it equals
         return int(x), 1
@@ -103,10 +105,14 @@ class QuadExt:
 
     @property
     def a(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self._an, self._ad)
 
     @property
     def b(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self._bn, self._bd)
 
     @property
@@ -247,10 +253,10 @@ class QuadExt:
         big = max(abs(p), abs(q)).bit_length()
         bits = big if p >= 0 and q >= 0 else (p * p - 2 * q * q).bit_length() - big
         s = 56 + r.bit_length() - bits
-        n = (v * Fraction(2) ** s).floor()
+        n = (v * _pow2(s)).floor()
         while not n >> 54:
             s += 55 - n.bit_length()
-            n = (v * Fraction(2) ** s).floor()
+            n = (v * _pow2(s)).floor()
         if s >= 0:
             return sign * ((2 * n + 1) / (1 << s + 1))
         return sign * float((2 * n + 1) << -s - 1)
@@ -299,6 +305,11 @@ def _rat(n: int, d: int) -> QuadExt:
     _set_bn(self, 0)
     _set_bd(self, 1)
     return self
+
+
+def _pow2(s: int) -> QuadExt:
+    # 2**s, exactly, for any integer s
+    return _rat(1 << s, 1) if s >= 0 else _rat(1, 1 << -s)
 
 
 # rational path: operands n1/d1, n2/d2 with positive denominators.  _q_add
@@ -427,11 +438,27 @@ _SCALAR_RE = re.compile(
 )
 
 
-def _read_rat(text: str) -> Fraction:
+def _read_int(digits: str) -> int:
     try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+        return int(digits)
+    except ValueError:
+        # digits matches -?\d+, which int reads unless it is longer than
+        # CPython's limit on integer text
+        raise ValueError(
+            f"numeral of {len(digits.lstrip('-'))} digits exceeds the limit of "
+            f"{sys.get_int_max_str_digits()} (PYTHONINTMAXSTRDIGITS sets it)"
+        ) from None
+
+
+def _read_rat(text: str) -> QuadExt:
+    # a numeral _RAT matches, ``p`` or ``p/q``, as a rational scalar
+    num, _, den = text.partition("/")
+    n = _read_int(num)
+    d = _read_int(den) if den else 1
+    if not d:
+        raise ValueError(f"zero denominator in {text!r}")
+    g = gcd(n, d)
+    return _rat(n // g, d // g)
 
 
 def parse_scalar(text: str) -> QuadExt:
@@ -443,18 +470,14 @@ def parse_scalar(text: str) -> QuadExt:
     m = _SCALAR_RE.match(text.strip())
     if m is None:
         raise ValueError(f"malformed scalar {text!r}")
-    if m.group("a") is not None:
-        a = _read_rat(m.group("a"))
-        b = _read_rat(m.group("bu")) if m.group("bu") else Fraction(1)
-        if m.group("op") == "-":
-            b = -b
-        return QuadExt(a, b)
     if m.group("ra") is not None:
-        return QuadExt(_read_rat(m.group("ra")))
-    b = _read_rat(m.group("bs")) if m.group("bs") else Fraction(1)
-    if m.group("neg"):
+        return _read_rat(m.group("ra"))
+    a = _read_rat(m.group("a")) if m.group("a") is not None else _rat(0, 1)
+    coef = m.group("bu") or m.group("bs")
+    b = _read_rat(coef) if coef else _rat(1, 1)
+    if "-" in (m.group("op"), m.group("neg")):
         b = -b
-    return QuadExt(0, b)
+    return _fast(a._an, a._ad, b._an, b._ad)
 
 
 def format_scalar(x) -> str:
@@ -468,18 +491,27 @@ def simplest_rational_between(lo, hi) -> Fraction:
     Simplest: least denominator, ties broken toward 0 then toward the
     negative (Stern-Brocot order).  Endpoints may be irrational.
     """
+    from fractions import Fraction
+
+    q = _simplest_between(lo, hi)
+    return Fraction(q._an, q._ad)
+
+
+def _simplest_between(lo, hi) -> QuadExt:
+    # simplest_rational_between as a rational scalar, which the pickers
+    # use, so that picking a point builds no Fraction
     lo = as_scalar(lo)
     hi = as_scalar(hi)
     if not lo < hi:
         raise ValueError("empty interval")
     if lo.sign() < 0 and hi.sign() > 0:
-        return Fraction(0)
+        return _rat(0, 1)
     if lo.sign() >= 0:
         return _simplest_nonneg(lo, hi)
     return -_simplest_nonneg(-hi, -lo)
 
 
-def _simplest_nonneg(lo: QuadExt, hi: QuadExt) -> Fraction:
+def _simplest_nonneg(lo: QuadExt, hi: QuadExt) -> QuadExt:
     # 0 <= lo < hi, open interval.  The answer is f0 + 1/(f1 + 1/(... + 1/x))
     # with f0 = floor(lo) and f1, ... the floors of the reciprocal intervals;
     # a loop, since the expansion can outgrow Python's recursion limit.
@@ -487,12 +519,12 @@ def _simplest_nonneg(lo: QuadExt, hi: QuadExt) -> Fraction:
     while True:
         f = lo.floor()
         if f + 1 < hi:
-            x = Fraction(f + 1)
+            x = _rat(f + 1, 1)
             break
         floors.append(f)
         lo, hi = lo - f, hi - f
         if not lo:
-            x = Fraction((1 / hi).floor() + 1)
+            x = _rat((1 / hi).floor() + 1, 1)
             break
         lo, hi = 1 / hi, 1 / lo
     for f in reversed(floors):
@@ -503,9 +535,8 @@ def _simplest_nonneg(lo: QuadExt, hi: QuadExt) -> Fraction:
 def irrational_between(lo, hi) -> QuadExt:
     """An irrational point of (lo, hi): simplest rational plus a small
     dyadic multiple of sqrt 2."""
-    lo = as_scalar(lo)
     hi = as_scalar(hi)
-    q = simplest_rational_between(lo, hi)
+    q = _simplest_between(lo, hi)
     step = SQRT2 / 2
     while not q + step < hi:
         step = step / 2

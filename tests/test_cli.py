@@ -1,8 +1,10 @@
 """Command-line interface: subcommands, exit codes, JSON reports, errors."""
 
 import hashlib
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,7 @@ import pytest
 
 import kkmfix
 from kkmfix import TheoremId, b_value, parse_scalar, serialize
+from kkmfix import cli
 from kkmfix.cli import Report, UsageError, main, run_command
 
 from conftest import EDGE_MAPS, HULL_KINDS, fib
@@ -632,6 +635,34 @@ def test_check_onto_long_continued_fraction(tmp_path, capsys):
     assert (onto["status"], onto["witness"]) == ("Falsified", mediant)
 
 
+def test_numeral_over_the_int_digit_limit_names_its_length(maps, tmp_path, capsys):
+    # CPython refuses int text longer than its limit; the error says how
+    # long the numeral is, not which Python call raises the limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python reads int text of any length")
+    big = "1" * (limit + 1)
+    reason = (
+        f"numeral of {limit + 1} digits exceeds the limit of {limit} "
+        "(PYTHONINTMAXSTRDIGITS sets it)"
+    )
+    path = tmp_path / "big.map"
+    for text, where in (
+        (f"domain [0, {big}]\npiece [0, {big}] all: x\n", "line 1, column 12"),
+        (f"domain [0, 1]\npiece [0, 1] all: 1/{big} x\n", "line 2, column 19"),
+        (f"domain [0, 1]\npiece [0, 1] all: x - {big}\n", "line 2, column 19"),
+    ):
+        path.write_text(text, encoding="utf-8")
+        assert main(["parse", "--map", str(path)]) == 2
+        assert capsys.readouterr().err == f"kkmfix: error: --map: {where}: {reason}\n"
+    for flag, delta, points in (("--delta", big, "1"), ("--points", "1/2", f"1,-{big}/3")):
+        argv = ["kkm", "--map", maps[9], "--kind", "g3", "--delta", delta,
+                "--points", points]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"kkmfix: error: {flag}: {reason}\n"
+    assert parse_scalar(f"{'1' * limit}/3 - sqrt2").a.denominator == 3
+
+
 def test_usage_error_is_exception(maps):
     with pytest.raises(UsageError):
         run_command(["kkm", "--map", maps[9], "--kind", "g3", "--delta", "-1",
@@ -684,20 +715,29 @@ def test_rendered_determinism(maps):
     assert run_command(argv).rendered == run_command(argv).rendered
 
 
-def _modules(code: str, *argv) -> set[str]:
-    """The modules a fresh interpreter holds when it exits after running
-    code with argv."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+def _process(code: str, *argv, env=None):
+    """Run code with argv in a fresh interpreter: the finished process,
+    its stderr as the code left it, and the modules it held at exit,
+    which an atexit hook lists on stderr after a NUL."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), **(env or {}))
     probe = (
         "import atexit, sys\n"
-        "atexit.register(lambda: print(*sorted(sys.modules), file=sys.stderr))\n"
+        "atexit.register(lambda: print('\\0', *sys.modules, file=sys.stderr))\n"
         + code
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env
     )
+    proc.stderr, _, listing = proc.stderr.partition("\0")
+    return proc, set(listing.split())
+
+
+def _modules(code: str, *argv) -> set[str]:
+    """The modules a fresh interpreter holds when it exits after running
+    code with argv."""
+    proc, loaded = _process(code, *argv)
     assert proc.returncode in (0, 1), proc.stderr
-    return set(proc.stderr.split())
+    return loaded
 
 
 _RUN_CLI = "import runpy\nrunpy.run_module('kkmfix', run_name='__main__', alter_sys=True)\n"
@@ -728,8 +768,195 @@ def test_each_command_loads_only_its_modules(maps, tmp_path):
     assert loaded & {"kkmfix.kkm", "kkmfix.plotting", "kkmfix.randmaps"} == set()
 
 
+
+# the modules argparse (gettext, locale) and fractions (decimal, numbers)
+# bring, which a well-formed command loads none of
+_HEAVY = {"argparse", "gettext", "locale", "fractions", "decimal", "numbers"}
+_PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+
+
+def _script_entry() -> str:
+    """What the installed ``kkmfix`` script runs: the function that
+    pyproject.toml names for it, called as the script calls it."""
+    text = _PYPROJECT.read_text(encoding="utf-8")
+    module, func = re.search(r'^kkmfix = "([\w.]+):(\w+)"$', text, re.M).groups()
+    return f"from {module} import {func}\n{func}()\n"
+
+
+def _workload_argvs(maps, out):
+    # one argv per command the benchmark's cli workload runs
+    return [
+        *(["check", "--map", maps[9], "--theorem", t.value] for t in TheoremId),
+        ["fixed-points", "--map", maps[9]],
+        ["parse", "--map", maps[9]],
+        ["plot", "--map", maps[9], "--out", str(out), "--format", "csv"],
+        ["kkm", "--map", maps[9], "--kind", "g3", "--delta", "1/2", "--points", "3,7"],
+    ]
+
+
+@pytest.mark.parametrize("entry", ["module", "script"])
+def test_command_processes_load_no_argparse_or_fractions(entry, maps, tmp_path):
+    code = _RUN_CLI if entry == "module" else _script_entry()
+    bare = _modules("")
+    out = tmp_path / "plot.csv"
+    for argv in _workload_argvs(maps, out):
+        argv = [*argv, "--json"]
+        proc, loaded = _process(code, *argv)
+        assert (loaded - bare) & _HEAVY == set(), argv
+        written = out.read_bytes() if argv[0] == "plot" else None
+        # the same exit code, stdout and plot file as in this process
+        report = run_command(argv)
+        assert (proc.returncode, proc.stderr) == (report.exit_code, ""), argv
+        assert proc.stdout == report.rendered + "\n"
+        assert json.loads(proc.stdout)["exit_code"] == report.exit_code
+        if written is not None:
+            assert written == out.read_bytes()
+            assert len(written) == report.verdicts["bytes"]
+
+
+@pytest.mark.parametrize("entry", ["module", "script"])
+def test_help_and_usage_errors_still_load_argparse(entry, maps):
+    code = _RUN_CLI if entry == "module" else _script_entry()
+    proc, loaded = _process(code, "--help", env={"COLUMNS": "80"})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, _HELP_TEXTS[""], "")
+    assert "argparse" in loaded
+    argv = ["check", "--map", maps[9], "--theorem", "t9"]
+    proc, loaded = _process(code, *argv)
+    want = f"kkmfix: error: {_USAGE_TEXTS[2]}\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", want)
+    assert "argparse" in loaded
+
+
+def test_entry_freezes_the_collector_after_the_output(maps, monkeypatch, capsys):
+    # in this process, with the freeze recorded instead of made
+    import gc
+
+    seen = []
+    monkeypatch.setattr(gc, "freeze", lambda: seen.append(capsys.readouterr().out))
+    monkeypatch.setattr(sys, "argv", ["kkmfix", "fixed-points", "--map", maps[8]])
+    with pytest.raises(SystemExit) as stop:
+        cli.entry()
+    assert (stop.value.code, seen) == (0, ["0, 10\n"])
+
+
+def test_importing_the_module_entry_runs_nothing():
+    proc, loaded = _process("import kkmfix.__main__\nprint('imported')")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "imported\n", "")
+    assert "kkmfix.cli" not in loaded
+
+
+# each command's options, as argv pieces: every value of every choice and
+# type, and the plain texts a value may be
+_WELL_FORMED = {
+    "--map": ["a.map", "", "check", "x=y", "dir/b c.map"],
+    "--theorem": list(cli._THEOREMS),
+    "--kind": sorted(cli._KINDS),
+    "--delta": ["1/2", "sqrt2"],
+    "--points": ["1,2", "3"],
+    "--only": ["3", "14", " 5", "+2", "0"],
+    "--out": ["o.svg"],
+    "--format": list(cli._FORMATS),
+    "--samples": ["7", "101"],
+}
+
+
+def _well_formed_argvs():
+    """Every command with each subset of its options that keeps the
+    required ones, in every order, each value in turn, and ``--json``
+    absent or at each place after the command."""
+    rounds = max(len(values) for values in _WELL_FORMED.values())
+    for command, (_, options) in cli._OPTIONS.items():
+        flags = [flag for flag, _ in options]
+        required = {flag for flag, kwargs in options if kwargs.get("required")}
+        for mask in range(1 << len(flags)):
+            chosen = [f for i, f in enumerate(flags) if mask >> i & 1]
+            if not required <= set(chosen):
+                continue
+            for order in itertools.permutations(chosen):
+                for k in range(rounds):
+                    tokens = []
+                    for f in order:
+                        tokens += [f, _WELL_FORMED[f][k % len(_WELL_FORMED[f])]]
+                    for at in [None, *range(len(order) + 1)]:
+                        argv = [command, *tokens]
+                        if at is not None:
+                            argv.insert(1 + 2 * at, "--json")
+                        yield argv
+
+
+# forms the table reader leaves to argparse: help, joined values,
+# abbreviations, repeats, dash-led or missing values, and the invalid
+_DECLINED = [
+    [],
+    ["--help"],
+    ["-h"],
+    ["--json", "check"],
+    ["frob"],
+    ["check", "-h"],
+    ["check", "--help", "--map", "a"],
+    ["check", "--map=a.map", "--theorem", "t1"],
+    ["check", "--map", "a.map", "--the", "t5"],
+    ["check", "--ma", "a.map", "--theorem", "t5"],
+    ["check", "--map", "a", "--map", "b", "--theorem", "t1"],
+    ["check", "--map", "a", "--theorem", "t1", "--json", "--json"],
+    ["check", "--map", "a", "--theorem", "t1", "extra"],
+    ["check", "--map", "a", "--theorem"],
+    ["check", "--map", "--theorem", "t1"],
+    ["check", "--map", "-", "--theorem", "t1"],
+    ["check", "--map", "-a.map", "--theorem", "t1"],
+    ["check", "--map", "a", "--theorem", "t9"],
+    ["check", "--map", "a", "--theorem", "T1"],
+    ["check", "--map", "a", "--theorem", "t1", "--", "x"],
+    ["check", "--theorem", "t1"],
+    ["check", "--map", "a"],
+    ["corpus", "--only", "-3"],
+    ["corpus", "--only", "x"],
+    ["corpus", "--only", "3", "--only", "4"],
+    ["corpus", "--only"],
+    ["kkm", "--map", "a", "--kind", "g3", "--delta", "-1", "--points", "1"],
+    ["kkm", "--map", "a", "--kind", "g4", "--points", "1"],
+    ["kkm", "--map", "a", "--kind", "g1"],
+    ["plot", "--map", "a", "--out", "o", "--samples", "0"],
+    ["plot", "--map", "a", "--out", "o", "--samples", "-1"],
+    ["plot", "--map", "a", "--out", "o", "--samples", "1.5"],
+    ["plot", "--map", "a", "--out", "o", "--format", "png"],
+    ["plot", "--map", "a", "--out", "o", "--format=csv"],
+    ["plot", "--map", "a", "--format", "csv"],
+    ["parse", "--map", "a", "--theorem", "t1"],
+]
+
+
+_PARSERS = {}
+
+
+def _argparse_vars(argv):
+    # argparse's reading of argv: its namespace's vars, or why it stopped
+    command = argv[0] if argv else None
+    if command not in _PARSERS:
+        _PARSERS[command] = cli.build_parser(command)
+    try:
+        return vars(_PARSERS[command].parse_args(argv))
+    except UsageError as err:
+        return ("usage", str(err))
+    except SystemExit as stop:
+        return ("exit", stop.code)
+
+
+def test_table_reader_agrees_with_argparse(capsys):
+    argvs = list(_well_formed_argvs())
+    assert len(argvs) > 1000
+    for argv in argvs:
+        read = cli._read_argv(argv)
+        assert read is not None, argv
+        assert vars(read) == _argparse_vars(argv), argv
+    for argv in _DECLINED:
+        assert cli._read_argv(argv) is None, argv
+        _argparse_vars(argv)  # argparse reads it, or says why not
+    capsys.readouterr()  # the help texts argparse printed
+
+
 def test_option_choices_match_the_modules_they_name():
-    from kkmfix import cli, plotting, verdict
+    from kkmfix import plotting, verdict
     from kkmfix.conditions import Status
     from kkmfix.kkm import GForm
 
