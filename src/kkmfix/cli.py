@@ -1,7 +1,8 @@
 """Command-line front end: parse mapping files, run checks, emit plots.
 
 Exit codes: 0 all checks favorable or matching, 1 a falsification or
-mismatch, 2 usage or parse error.  Identical argv produce byte-identical
+mismatch, 2 usage or parse error, or a value too long to print (past
+CPython's limit on integer text).  Identical argv produce byte-identical
 output; every scalar prints exactly (JSON mode round-trips through
 parse_scalar).
 
@@ -33,7 +34,7 @@ from typing import NamedTuple
 from .intervals import ClassSet
 from .mapdef import ParseError, parse
 from .mapping import MappingSpec
-from .scalars import format_scalar, parse_scalar
+from .scalars import _DigitLimitError, format_scalar, parse_scalar
 
 
 class UsageError(Exception):
@@ -456,7 +457,7 @@ def run_command(argv) -> Report:
 def main(argv=None) -> int:
     try:
         report = run_command(sys.argv[1:] if argv is None else argv)
-    except UsageError as err:
+    except (UsageError, _DigitLimitError) as err:
         print(f"kkmfix: error: {err}", file=sys.stderr)
         return 2
     try:

@@ -387,21 +387,16 @@ def _near_u(kind, pieces, ball, below: bool, within: Interval) -> tuple:
 
 def _u_pieces(kind: BKind, spec: MappingSpec):
     """The u pieces (tag, interval, k, m) that ``decide_b`` projects on and
-    ``check_b_subset`` solves on.  The residual form reads them off the
-    sign table ``MappingSpec._signs``: on the part of a value piece where
-    f(u) - u = (c - 1)u + d is positive, |f(u) - u| is k*u + m for
-    (k, m) = (c - 1, d), and on the negative part for (k, m) = -(c - 1, d);
-    a zero part, where the bound is 0, cannot be violated and is skipped.
-    The other forms take all of C at once, with k and m None."""
+    ``check_b_subset`` solves on.  The residual form's are the parts of
+    ``MappingSpec._displacement``, where |f(u) - u| = k*u + m, less the
+    zero parts: there the bound is 0, which no term can undercut.  The
+    other forms take all of C at once, with k and m None."""
     if kind is not BKind.RESIDUAL:
         yield None, spec.domain, None, None
         return
-    for tag, _, c, d, pos, _, neg in spec._signs:
-        k = c - _ONE
-        if pos is not None:
-            yield tag, pos, k, d
-        if neg is not None:
-            yield tag, neg, -k, -d
+    for tag, part, k, m in spec._displacement():
+        if k or m:
+            yield tag, part, k, m
 
 
 _CLOSE = {

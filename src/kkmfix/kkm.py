@@ -26,7 +26,7 @@ from .intervals import (
 from .mapping import MappingSpec
 from .scalars import QuadExt, _Word, as_scalar, dist, format_scalar
 
-_ONE, _MINUS_ONE = QuadExt(1), QuadExt(-1)
+_MINUS_ONE = QuadExt(-1)
 
 
 class GForm(_Word):
@@ -152,11 +152,9 @@ def sublevel(spec: MappingSpec, beta) -> tuple[ClassSet, bool]:
     if b <= 0:
         raise ValueError("beta must be positive")
     pairs = []
-    for tag, iv, slope, intercept in spec.value_pieces():
-        k = slope - _ONE
-        region = _solve_affine(k, intercept - b, "<=", iv)
-        if region is not None:
-            region = _solve_affine(k, intercept + b, ">=", region)
+    # k = m = 0 on a zero part, which _solve_affine keeps whole
+    for tag, part, k, m in spec._displacement():
+        region = _solve_affine(k, m - b, "<=", part)
         if region is not None:
             pairs.append((tag, region))
     out = tagged(pairs)

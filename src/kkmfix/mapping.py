@@ -11,7 +11,9 @@ class cells, the value pieces, and the sign table ``_signs`` of the
 displacement f(x) - x, which splits each value piece at its root into
 the parts where f(x) > x, f(x) = x and f(x) < x.  The fixed-point set is
 the table's zero parts; ``conditions.decide_b`` and
-``conditions.decide_c1`` read its other parts.
+``conditions.decide_c1`` read its other parts.  ``_displacement`` reads
+|f(x) - x| off each part as one affine, for ``decide_b``'s residual form,
+``inf_residual`` and ``kkm.sublevel``.
 """
 
 from __future__ import annotations
@@ -269,8 +271,8 @@ class MappingSpec(_Validated, _Spec):
         irrational cell has no zero part; an override's root is its value,
         inside iff value == at.
 
-        Read by ``fixed_point_set`` (zero) and, in ``conditions``, by
-        ``decide_b`` (its x pieces and the residual form's u pieces) and
+        Read by ``fixed_point_set`` (zero), by ``_displacement`` (every
+        part) and, in ``conditions``, by ``decide_b`` (its x pieces) and
         ``decide_c1`` (its x* is the first class point of pos or neg, in
         row order, picked by the loop ``decide_c2`` shares)."""
         out = []
@@ -298,26 +300,27 @@ class MappingSpec(_Validated, _Spec):
             (tag, zero) for tag, _, _, _, _, zero, _ in self._signs if zero is not None
         )
 
-    def fixed_points(self) -> tuple[QuadExt, ...]:
-        pts = self.fixed_point_set().finite_points()
-        if pts is None:
-            raise ValueError("fixed-point set is infinite")
-        return pts
+    def _displacement(self):
+        """(tag, part, k, m) with |f(x) - x| = k*x + m on the part, for each
+        part of each ``_signs`` row in order: (c - 1, d) on pos, (0, 0) on
+        zero, (1 - c, -d) on neg.  A reader that stops early builds no more."""
+        for tag, _, c, d, pos, zero, neg in self._signs:
+            k = c - _ONE
+            if pos is not None:
+                yield tag, pos, k, d
+            if zero is not None:
+                yield tag, zero, _ZERO, _ZERO
+            if neg is not None:
+                yield tag, neg, -k, -d
 
     def inf_residual(self) -> QuadExt:
-        """The infimum of the displacement |f(x) - x| over C: per value
-        piece, |d| at slope 1, else 0 when the root of (c - 1)x + d lies in
-        the piece's closure, else the least value at a finite end."""
-        out = []
-        for _, iv, slope, c in self.value_pieces():
-            k = slope - _ONE
-            if not k:
-                out.append(abs(c))
-            elif iv.closure().contains(-c / k):
-                return _ZERO
-            else:
-                out.extend(abs(k * e + c) for e in (iv.lo, iv.hi) if e is not None)
-        return min(out)
+        """The infimum of |f(x) - x| over C: over the parts of
+        ``_displacement``, m where k = 0, else the least k*e + m at a finite
+        end e of the part."""
+        return min(
+            min(k * e + m for e in (part.lo, part.hi) if e is not None) if k else m
+            for _, part, k, m in self._displacement()
+        )
 
     def validate(self) -> list[Violation]:
         """All the ways this spec fails to be a well-formed self-map:

@@ -381,8 +381,21 @@ def _cmp(x: QuadExt, y: QuadExt) -> int:
     return _sign_pq(pa * x._bd * y._bd, pb * x._ad * y._ad)
 
 
+class _DigitLimitError(ValueError):
+    """A numeral, read or printed, past CPython's limit on integer text."""
+
+    def __init__(self, numeral: str):
+        limit = sys.get_int_max_str_digits()
+        super().__init__(
+            f"{numeral} exceeds the limit of {limit} (PYTHONINTMAXSTRDIGITS sets it)"
+        )
+
+
 def _fstr(n: int, d: int) -> str:
-    return str(n) if d == 1 else f"{n}/{d}"
+    try:
+        return str(n) if d == 1 else f"{n}/{d}"
+    except ValueError:  # str refuses an int only past the limit
+        raise _DigitLimitError("a computed numeral") from None
 
 
 SQRT2 = QuadExt(0, 1)
@@ -441,13 +454,8 @@ _SCALAR_RE = re.compile(
 def _read_int(digits: str) -> int:
     try:
         return int(digits)
-    except ValueError:
-        # digits matches -?\d+, which int reads unless it is longer than
-        # CPython's limit on integer text
-        raise ValueError(
-            f"numeral of {len(digits.lstrip('-'))} digits exceeds the limit of "
-            f"{sys.get_int_max_str_digits()} (PYTHONINTMAXSTRDIGITS sets it)"
-        ) from None
+    except ValueError:  # digits matches -?\d+, refused only past the limit
+        raise _DigitLimitError(f"numeral of {len(digits.lstrip('-'))} digits") from None
 
 
 def _read_rat(text: str) -> QuadExt:
@@ -485,21 +493,13 @@ def format_scalar(x) -> str:
     return str(as_scalar(x))
 
 
-def simplest_rational_between(lo, hi) -> Fraction:
-    """Simplest rational in the open interval (lo, hi).
+def _simplest_between(lo, hi) -> QuadExt:
+    """Simplest rational in the open interval (lo, hi), as a rational
+    scalar, so that picking a point builds no Fraction.
 
     Simplest: least denominator, ties broken toward 0 then toward the
     negative (Stern-Brocot order).  Endpoints may be irrational.
     """
-    from fractions import Fraction
-
-    q = _simplest_between(lo, hi)
-    return Fraction(q._an, q._ad)
-
-
-def _simplest_between(lo, hi) -> QuadExt:
-    # simplest_rational_between as a rational scalar, which the pickers
-    # use, so that picking a point builds no Fraction
     lo = as_scalar(lo)
     hi = as_scalar(hi)
     if not lo < hi:

@@ -13,9 +13,9 @@ from kkmfix.intervals import ClassSet, Interval  # noqa: E402
 from kkmfix.scalars import (  # noqa: E402
     ClassTag,
     QuadExt,
+    _simplest_between,
     class_of,
     irrational_between,
-    simplest_rational_between,
 )
 
 # a coarse grid, so that ends coincide and intervals touch often
@@ -65,7 +65,7 @@ def _probes(*sets) -> list[QuadExt]:
     gaps = zip([ends[0] - 1, *ends], [*ends, ends[-1] + 1])
     out = list(ends)
     for a, b in gaps:
-        out += [QuadExt(simplest_rational_between(a, b)), irrational_between(a, b)]
+        out += [_simplest_between(a, b), irrational_between(a, b)]
     return out
 
 

@@ -663,6 +663,28 @@ def test_numeral_over_the_int_digit_limit_names_its_length(maps, tmp_path, capsy
     assert parse_scalar(f"{'1' * limit}/3 - sqrt2").a.denominator == 3
 
 
+def test_value_over_the_int_digit_limit_is_a_usage_error(tmp_path, capsys):
+    # a valid map whose plotted values outgrow the limit: one error line,
+    # exit 2 and no file, where the csv once ended in a traceback
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python prints int text of any length")
+    n, p = int("7" * (limit * 7 // 10)), int("3" * (limit * 7 // 10))
+    path, out = tmp_path / "long.map", tmp_path / "f.csv"
+    path.write_text(
+        f"domain [0, {n}]\npiece [0, {n}] all: {p}/{2 * p + 1} x + 1/3\n",
+        encoding="utf-8",
+    )
+    argv = ["plot", "--map", str(path), "--out", str(out), "--format", "csv",
+            "--samples", "2"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"kkmfix: error: a computed numeral exceeds the limit of {limit} "
+        "(PYTHONINTMAXSTRDIGITS sets it)\n"
+    )
+    assert not out.exists()
+
+
 def test_usage_error_is_exception(maps):
     with pytest.raises(UsageError):
         run_command(["kkm", "--map", maps[9], "--kind", "g3", "--delta", "-1",

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from kkmfix.intervals import ClassSet, Interval, _intersect_iv, tagged
-from kkmfix.kkm import default_gap_delta
+from kkmfix.kkm import default_gap_delta, sublevel
 from kkmfix.mapdef import parse, serialize
 from kkmfix.mapping import AffineExpr, MappingSpec, Piece, PointOverride
 from kkmfix.randmaps import random_specs
@@ -84,7 +84,9 @@ def test_evaluate_pins(corpus):
 def test_fixed_point_pins(corpus):
     want = {1: (6,), 2: (0, 5), 4: (), 5: (), 8: (0, 10), 9: (5,), 13: ()}
     for n, pts in want.items():
-        assert corpus[n].spec.fixed_points() == tuple(QuadExt(p) for p in pts)
+        assert corpus[n].spec.fixed_point_set().finite_points() == tuple(
+            QuadExt(p) for p in pts
+        )
 
 
 def test_identity_has_infinite_fixed_set():
@@ -93,8 +95,7 @@ def test_identity_has_infinite_fixed_set():
         (Piece(Interval.closed(0, 1), AffineExpr(Fraction(1), Fraction(0))),),
     )
     assert spec.fixed_point_set() == ClassSet.from_interval(Interval.closed(0, 1))
-    with pytest.raises(ValueError):
-        spec.fixed_points()
+    assert spec.fixed_point_set().finite_points() is None
 
 
 def test_inf_residual_pins(corpus):
@@ -109,6 +110,40 @@ def test_inf_residual_pins(corpus):
     shift = parse("domain (-inf, inf)\npiece (-inf, inf) all: x + 1\n")
     assert shift.inf_residual() == 1
     assert default_gap_delta(shift) == 2
+
+
+def _inf_by_value_pieces(spec) -> QuadExt:
+    """The infimum of |f(x) - x| per value piece f(x) = c*x + d: |d| at
+    slope 1, else 0 when the root of (c - 1)x + d lies in the piece's
+    closure, else the least value at a finite end."""
+    out = []
+    for _, iv, c, d in spec.value_pieces():
+        k = c - 1
+        if not k:
+            out.append(abs(d))
+        elif iv.closure().contains(-d / k):
+            out.append(QuadExt(0))
+        else:
+            out.extend(abs(k * e + d) for e in (iv.lo, iv.hi) if e is not None)
+    return min(out)
+
+
+def test_inf_residual_matches_the_value_piece_rule(corpus):
+    """``inf_residual``, read off the sign table's parts, equals the rule
+    on whole value pieces; and at a positive infimum i, the sublevel at
+    i/2 is empty and the one at 2i is not."""
+    specs = [e.spec for e in corpus.values()]
+    specs += [*random_specs(1000, 0), *random_specs(300, 5)]
+    specs += [parse(text) for text in EDGE_MAPS.values()]
+    positive = 0
+    for spec in specs:
+        inf = spec.inf_residual()
+        assert inf == _inf_by_value_pieces(spec), serialize(spec)
+        if inf > 0:
+            positive += 1
+            assert sublevel(spec, inf / 2)[0].is_empty, serialize(spec)
+            assert not sublevel(spec, 2 * inf)[0].is_empty, serialize(spec)
+    assert len(specs) == 1319 and positive > 50, positive
 
 
 def test_piece_is_one_expression_for_one_class_or_both():

@@ -17,13 +17,13 @@ from kkmfix.scalars import (
     SQRT2,
     ClassTag,
     QuadExt,
+    _simplest_between,
     as_scalar,
     class_of,
     dist,
     format_scalar,
     irrational_between,
     parse_scalar,
-    simplest_rational_between,
 )
 
 from conftest import fib, rand_quad
@@ -107,8 +107,8 @@ def test_between_pickers():
         a, b = sorted((rand_quad(rng), rand_quad(rng)))
         if a == b:
             continue
-        q = simplest_rational_between(a, b)
-        assert a < q < b and isinstance(q, Fraction)
+        q = _simplest_between(a, b)
+        assert a < q < b and q.is_rational
         w = irrational_between(a, b)
         assert a < w < b and class_of(w) is ClassTag.IRRATIONAL
 
@@ -132,7 +132,7 @@ def test_simplest_rational_between_least_denominator():
         width = QuadExt(
             Fraction(1, rng.randint(1, 200)), Fraction(rng.randint(0, 1), 200)
         )
-        assert simplest_rational_between(a, a + width) == _least_denominator(
+        assert _simplest_between(a, a + width) == _least_denominator(
             a, a + width
         )
 
@@ -143,14 +143,14 @@ def test_simplest_rational_between_long_expansion():
     a = Fraction(fib(1502), fib(1501))
     b = Fraction(fib(1503), fib(1502))
     mediant = Fraction(fib(1504), fib(1503))
-    assert simplest_rational_between(a, b) == mediant
-    assert simplest_rational_between(-b, -a) == -mediant
+    assert _simplest_between(a, b) == mediant
+    assert _simplest_between(-b, -a) == -mediant
 
 
 def test_simplest_rational_between_rejects_empty_interval():
     for lo, hi in ((1, 1), (SQRT2, 1)):
         with pytest.raises(ValueError, match=r"^empty interval$"):
-            simplest_rational_between(lo, hi)
+            _simplest_between(lo, hi)
 
 
 def test_as_scalar_coercions():
